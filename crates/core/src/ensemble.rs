@@ -28,7 +28,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use osa_abr::{NUM_BITRATES, OBS_DIM};
-use osa_nn::json::{obj, JsonError, Value};
+use osa_nn::json::{obj, NonFiniteError, Value};
 use osa_nn::quant::{QuantScratch, QuantStacked};
 use osa_nn::stacked::StackedNet;
 use osa_nn::tensor::Tensor;
@@ -330,33 +330,28 @@ impl PensieveEnsemble {
     /// This is the *source* representation — re-loading rebuilds the
     /// stacked nets from the replica weights, bit-exactly.
     ///
-    /// A replica whose document fails to parse surfaces as the
-    /// workspace's typed [`JsonError`] (with the replica index prefixed
-    /// to the message) instead of panicking mid-save.
-    pub fn agents_to_json(agents: &[PensieveAgent]) -> Result<String, JsonError> {
-        let docs: Vec<Value> = agents
-            .iter()
-            .enumerate()
-            .map(|(r, a)| {
-                Value::parse(&a.to_json()).map_err(|e| JsonError {
-                    msg: format!("replica {r}: {}", e.msg),
-                    pos: e.pos,
-                })
-            })
-            .collect::<Result<_, _>>()?;
-        Ok(obj(vec![
+    /// A replica carrying a non-finite weight (which JSON cannot
+    /// represent) surfaces as the workspace's typed [`NonFiniteError`]
+    /// instead of panicking mid-save.
+    pub fn agents_to_json(agents: &[PensieveAgent]) -> Result<String, NonFiniteError> {
+        obj(vec![
             ("format_version", Value::Num(ENSEMBLE_FORMAT_VERSION as f64)),
-            ("replicas", Value::Arr(docs)),
+            (
+                "replicas",
+                Value::Arr(agents.iter().map(PensieveAgent::to_value).collect()),
+            ),
         ])
-        .to_json())
+        .try_to_json()
     }
 
-    /// Load the replica agents saved by [`agents_to_json`].
+    /// Load the replica agents saved by [`agents_to_json`]: one parse of
+    /// the text, then every replica is rebuilt from its subtree.
     ///
     /// Never panics on a corrupt artifact: parse failures, schema
-    /// mismatches, and non-finite weight values (the lexer accepts
-    /// overflowing literals like `1e999` as ±∞, which JSON cannot
-    /// re-serialize) all come back as `Err`.
+    /// mismatches, and weights that are not finite `f32`s (the lexer
+    /// reads an overflowing literal like `1e999` as ±∞, and `1e39` is
+    /// finite in `f64` but ∞ in `f32`) all come back as `Err`, naming
+    /// the replica.
     ///
     /// [`agents_to_json`]: PensieveEnsemble::agents_to_json
     pub fn agents_from_json(text: &str) -> Result<Vec<PensieveAgent>, String> {
@@ -374,10 +369,7 @@ impl PensieveEnsemble {
             .ok_or("missing replicas array")?;
         docs.iter()
             .enumerate()
-            .map(|(r, d)| {
-                let doc = d.try_to_json().map_err(|e| format!("replica {r}: {e}"))?;
-                PensieveAgent::from_json(&doc).map_err(|e| format!("replica {r}: {e}"))
-            })
+            .map(|(r, d)| PensieveAgent::from_value(d).map_err(|e| format!("replica {r}: {e}")))
             .collect()
     }
 
@@ -557,6 +549,15 @@ mod tests {
         );
     }
 
+    /// `doc` with the first tensor element at or after byte `from`
+    /// replaced by the literal `lit`.
+    fn splice_weight(doc: &str, from: usize, lit: &str) -> String {
+        let key = "\"data\":[";
+        let at = from + doc[from..].find(key).expect("a tensor follows") + key.len();
+        let end = at + doc[at..].find([',', ']']).expect("element ends");
+        format!("{}{lit}{}", &doc[..at], &doc[end..])
+    }
+
     #[test]
     fn corrupt_artifacts_error_instead_of_panicking() {
         // Truncated document.
@@ -565,9 +566,8 @@ mod tests {
         assert!(
             PensieveEnsemble::agents_from_json("{\"format_version\":99,\"replicas\":[]}").is_err()
         );
-        // A number overflowed to ±∞ in the file (the lexer accepts
-        // `1e999` as inf): re-serializing the replica doc used to panic
-        // inside `to_json`; it must surface as a replica-indexed error.
+        // A header number overflowed to ±∞ (the lexer accepts `1e999` as
+        // inf): a replica-indexed error, not a panic.
         let good = PensieveEnsemble::agents_to_json(&agents(2)).unwrap();
         let spliced = good.replacen("\"history\":8", "\"history\":1e999", 1);
         assert_ne!(spliced, good, "corruption splice must land");
@@ -576,6 +576,38 @@ mod tests {
             Ok(_) => panic!("non-finite number in artifact must not load"),
         };
         assert!(err.contains("replica 0"), "error names the replica: {err}");
+
+        // A weight that is not a finite f32: `1e999` is ∞ already in f64,
+        // `1e39` only after the f64 → f32 conversion. Every loader layer
+        // rejects both with a typed error instead of loading an ∞ weight.
+        let agent = &agents(1)[0];
+        for lit in ["1e999", "1e39", "-1e39"] {
+            let net = splice_weight(&agent.actor_critic().actor.to_json(), 0, lit);
+            assert!(
+                matches!(
+                    osa_nn::NetSpec::from_json(&net),
+                    Err(osa_nn::LoadError::NonFinite { index: 0, .. })
+                ),
+                "NetSpec accepted weight {lit}"
+            );
+
+            let doc = splice_weight(&agent.to_json(), 0, lit);
+            let err = PensieveAgent::from_json(&doc)
+                .err()
+                .expect("agent rejects it");
+            assert!(err.contains("not a finite f32"), "agent {lit}: {err}");
+
+            // Splice into the second replica: the error must name it.
+            let second = good.find("},{\"actor\"").expect("two replicas");
+            let doc = splice_weight(&good, second, lit);
+            let err = PensieveEnsemble::from_json(&doc)
+                .err()
+                .expect("ensemble rejects it");
+            assert!(
+                err.contains("replica 1") && err.contains("not a finite f32"),
+                "ensemble {lit}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -357,17 +357,21 @@ impl<'a> Parser<'a> {
                         _ => return Err(self.err("unknown escape")),
                     }
                 }
+                Some(b) if b < 0x20 => {
+                    return Err(self.err("raw control character in string"));
+                }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is valid UTF-8 by
-                    // construction: it came from &str).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().unwrap();
-                    if (c as u32) < 0x20 {
-                        return Err(self.err("raw control character in string"));
+                    // Copy the whole run of unescaped bytes up to the next
+                    // quote, backslash or control byte in one push. The run
+                    // ends on an ASCII byte, so it never splits a multi-byte
+                    // scalar of the (already valid UTF-8) input.
+                    let start = self.pos;
+                    while matches!(self.peek(), Some(b) if b >= 0x20 && b != b'"' && b != b'\\') {
+                        self.pos += 1;
                     }
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
+                        .map_err(|_| self.err("invalid UTF-8"))?;
+                    out.push_str(run);
                 }
             }
         }
@@ -444,6 +448,63 @@ mod tests {
         let s = "a \"quoted\"\\ line\nwith\ttabs and unicode: π";
         let text = Value::Str(s.into()).to_json();
         assert_eq!(Value::parse(&text).unwrap().as_str().unwrap(), s);
+    }
+
+    /// A random string mixing every class the scanner treats differently:
+    /// plain ASCII, the escaped `"`/`\`, control characters (written as
+    /// escapes), and 2-, 3- and 4-byte UTF-8 scalars.
+    fn random_string(rng: &mut crate::rng::Rng) -> String {
+        let len = rng.below(24);
+        (0..len)
+            .map(|_| {
+                let code = match rng.below(7) {
+                    0 => b'"' as u32,
+                    1 => b'\\' as u32,
+                    2 => rng.below(0x20) as u32,
+                    3 => 0x80 + rng.below(0x800 - 0x80) as u32,
+                    // Skip the surrogate block, which has no `char`.
+                    4 => 0xE000 + rng.below(0x1_0000 - 0xE000) as u32,
+                    5 => 0x1_0000 + rng.below(0x11_0000 - 0x1_0000) as u32,
+                    _ => 0x20 + rng.below(0x60) as u32,
+                };
+                char::from_u32(code).expect("scalar value")
+            })
+            .collect()
+    }
+
+    #[test]
+    fn random_strings_roundtrip_through_the_scanner() {
+        let mut rng = crate::rng::Rng::seed_from_u64(1201);
+        for case in 0..2000 {
+            let s = random_string(&mut rng);
+            let text = obj(vec![(s.as_str(), Value::Str(s.clone()))]).to_json();
+            let back = Value::parse(&text).unwrap_or_else(|e| panic!("case {case}: {e}"));
+            assert_eq!(back.get(&s).and_then(Value::as_str), Some(s.as_str()));
+        }
+    }
+
+    /// Every raw byte 0x00–0x1F inside a string is rejected at its own
+    /// byte offset, wherever it falls among escapes and multi-byte runs.
+    #[test]
+    fn raw_control_bytes_are_rejected_at_their_offset() {
+        let mut rng = crate::rng::Rng::seed_from_u64(1202);
+        for raw in 0u8..0x20 {
+            for _ in 0..20 {
+                let head = Value::Str(random_string(&mut rng)).to_json();
+                let tail = Value::Str(random_string(&mut rng)).to_json();
+                // `head` minus its closing quote, the raw byte, `tail`
+                // minus its opening quote: one string literal.
+                let text = format!(
+                    "[1,{}{}{}]",
+                    &head[..head.len() - 1],
+                    raw as char,
+                    &tail[1..]
+                );
+                let err = Value::parse(&text).expect_err("raw control byte accepted");
+                assert_eq!(err.msg, "raw control character in string");
+                assert_eq!(err.pos, 3 + head.len() - 1, "byte {raw:#04x} in {text:?}");
+            }
+        }
     }
 
     #[test]

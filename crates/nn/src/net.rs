@@ -4,6 +4,7 @@
 use std::path::Path;
 
 use crate::conv::Conv1d;
+use crate::json::Value;
 use crate::layer::{Dense, Layer, ParamGrad, ReLU, Softmax};
 use crate::optim::Optimizer;
 use crate::serialize::{LayerSpec, LoadError, NetSpec};
@@ -283,6 +284,12 @@ impl Sequential {
 
     pub fn from_json(text: &str) -> Result<Self, LoadError> {
         Ok(Self::from_spec(&NetSpec::from_json(text)?))
+    }
+
+    /// Rebuild a network from an already-parsed [`NetSpec`] document
+    /// tree (e.g. one field of a larger artifact).
+    pub fn from_value(doc: &Value) -> Result<Self, LoadError> {
+        Ok(Self::from_spec(&NetSpec::from_value(doc)?))
     }
 
     pub fn save(&self, path: impl AsRef<Path>) -> std::io::Result<()> {

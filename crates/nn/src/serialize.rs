@@ -77,6 +77,14 @@ pub enum LoadError {
     Json(JsonError),
     /// Structurally valid JSON that is not a valid model document.
     Schema(String),
+    /// A tensor element that is not a finite `f32`: either a literal
+    /// that overflowed `f64` (`1e999`) or one that is finite in `f64`
+    /// but overflows `f32` (`1e39`). Carries the parsed `f64` and the
+    /// element's index in the tensor's `data` array.
+    NonFinite {
+        index: usize,
+        value: f64,
+    },
     Io(io::Error),
 }
 
@@ -85,6 +93,10 @@ impl std::fmt::Display for LoadError {
         match self {
             LoadError::Json(e) => write!(f, "{e}"),
             LoadError::Schema(msg) => write!(f, "model schema error: {msg}"),
+            LoadError::NonFinite { index, value } => write!(
+                f,
+                "model weight error: tensor element {index} ({value:e}) is not a finite f32"
+            ),
             LoadError::Io(e) => write!(f, "model i/o error: {e}"),
         }
     }
@@ -124,7 +136,8 @@ pub fn tensor_to_json(t: &Tensor) -> Value {
     )
 }
 
-/// Inverse of [`tensor_to_json`], validating shape consistency.
+/// Inverse of [`tensor_to_json`], validating shape consistency and that
+/// every element is a finite `f32` after the `f64 → f32` conversion.
 pub fn tensor_from_json(v: &Value) -> Result<Tensor, LoadError> {
     let rows = v
         .get("rows")
@@ -138,7 +151,7 @@ pub fn tensor_from_json(v: &Value) -> Result<Tensor, LoadError> {
         .get("data")
         .and_then(Value::as_arr)
         .ok_or_else(|| schema("tensor missing 'data'"))?;
-    if data.len() != rows * cols {
+    if rows.checked_mul(cols) != Some(data.len()) {
         return Err(schema(format!(
             "tensor data length {} does not match {}x{}",
             data.len(),
@@ -147,11 +160,15 @@ pub fn tensor_from_json(v: &Value) -> Result<Tensor, LoadError> {
         )));
     }
     let mut buf = Vec::with_capacity(data.len());
-    for item in data {
-        buf.push(
-            item.as_f32()
-                .ok_or_else(|| schema("non-numeric tensor element"))?,
-        );
+    for (index, item) in data.iter().enumerate() {
+        let value = item
+            .as_f64()
+            .ok_or_else(|| schema("non-numeric tensor element"))?;
+        let x = value as f32;
+        if !x.is_finite() {
+            return Err(LoadError::NonFinite { index, value });
+        }
+        buf.push(x);
     }
     Ok(Tensor::from_vec(rows, cols, buf))
 }
@@ -237,6 +254,9 @@ fn layer_from_json(v: &Value) -> Result<LayerSpec, LoadError> {
             if kernel == 0 || kernel > length {
                 return Err(schema("conv1d kernel must fit the signal"));
             }
+            if in_channels.checked_mul(length).is_none() {
+                return Err(schema("conv1d input width overflows"));
+            }
             if w.rows() != out_channels || w.cols() != in_channels * kernel {
                 return Err(schema("conv1d weight shape does not match geometry"));
             }
@@ -286,7 +306,8 @@ impl NetSpec {
         }
     }
 
-    pub fn to_json(&self) -> String {
+    /// The document tree: `{format_version, layers: [...]}`.
+    pub fn to_value(&self) -> Value {
         obj(vec![
             ("format_version", Value::Num(self.version as f64)),
             (
@@ -294,16 +315,24 @@ impl NetSpec {
                 Value::Arr(self.layers.iter().map(layer_to_json).collect()),
             ),
         ])
-        .to_json()
+    }
+
+    pub fn to_json(&self) -> String {
+        self.to_value().to_json()
     }
 
     pub fn from_json(text: &str) -> Result<NetSpec, LoadError> {
-        let doc = Value::parse(text)?;
+        NetSpec::from_value(&Value::parse(text)?)
+    }
+
+    /// Inverse of [`NetSpec::to_value`]: validates the version, every
+    /// layer's schema and shapes, and that every weight is finite.
+    pub fn from_value(doc: &Value) -> Result<NetSpec, LoadError> {
         let version = doc
             .get("format_version")
             .and_then(Value::as_usize)
-            .ok_or_else(|| schema("missing 'format_version'"))? as u32;
-        if version != FORMAT_VERSION {
+            .ok_or_else(|| schema("missing 'format_version'"))?;
+        if version != FORMAT_VERSION as usize {
             return Err(schema(format!(
                 "unsupported format_version {version} (supported: {FORMAT_VERSION})"
             )));
@@ -316,7 +345,7 @@ impl NetSpec {
             .iter()
             .map(layer_from_json)
             .collect::<Result<Vec<_>, _>>()?;
-        Ok(NetSpec { version, layers })
+        Ok(NetSpec::new(layers))
     }
 
     pub fn save(&self, path: impl AsRef<Path>) -> io::Result<()> {
@@ -386,6 +415,17 @@ mod tests {
         let text = r#"{"format_version":1,"layers":[{"type":"dense",
             "w":{"rows":1,"cols":2,"data":[1,2]},
             "b":{"rows":1,"cols":3,"data":[0,0]}}]}"#;
+        assert!(NetSpec::from_json(text).is_err());
+        // 2^32 × 2^32 wraps to 0 elements in usize arithmetic.
+        let text = r#"{"format_version":1,"layers":[{"type":"dense",
+            "w":{"rows":4294967296,"cols":4294967296,"data":[]},
+            "b":{"rows":1,"cols":4294967296,"data":[]}}]}"#;
+        assert!(NetSpec::from_json(text).is_err());
+        // An empty conv whose input width in_channels·length overflows.
+        let text = r#"{"format_version":1,"layers":[{"type":"conv1d",
+            "in_channels":8589934592,"length":8589934592,"out_channels":0,"kernel":1,
+            "w":{"rows":0,"cols":8589934592,"data":[]},
+            "b":{"rows":1,"cols":0,"data":[]}}]}"#;
         assert!(NetSpec::from_json(text).is_err());
     }
 

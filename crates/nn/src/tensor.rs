@@ -687,8 +687,9 @@ fn fold8_wide(l: &[[f32; NR]; KLANES]) -> [f32; NR] {
 }
 
 /// One lane-fold dot product with a strided right operand: column `off`
-/// of a row-major `(k × stride)` matrix. The edge path for output
-/// columns beyond the last full `NR` panel — contract order, same bits.
+/// of a row-major `(k × stride)` matrix. The edge-column path when a
+/// zero-padded panel would not pay (see [`gemm_rows`]) — contract order,
+/// same bits.
 #[inline(always)]
 fn dot_lane8_strided(arow: &[f32], b: &[f32], stride: usize, off: usize) -> f32 {
     let k = arow.len();
@@ -710,13 +711,17 @@ fn dot_lane8_strided(arow: &[f32], b: &[f32], stride: usize, off: usize) -> f32 
 }
 
 /// Run the micro-kernel over every row in `rows` for the panel at
-/// column `j`, two rows at a time with a single-row tail.
+/// column `j`, two rows at a time with a single-row tail, storing the
+/// first `w ≤ NR` columns of each tile (fewer than `NR` only for the
+/// zero-padded edge panel).
 #[inline(always)]
+#[allow(clippy::too_many_arguments)]
 fn tile_rows(
     rows: std::ops::Range<usize>,
     k: usize,
     n: usize,
     j: usize,
+    w: usize,
     a: &[f32],
     panel: &[f32],
     o: &mut [f32],
@@ -730,13 +735,13 @@ fn tile_rows(
             panel,
         );
         for (r, trow) in t.iter().enumerate() {
-            o[(i - i0 + r) * n + j..][..NR].copy_from_slice(trow);
+            o[(i - i0 + r) * n + j..][..w].copy_from_slice(&trow[..w]);
         }
         i += MR;
     }
     while i < i1 {
         let t = tile::<1>([&a[i * k..(i + 1) * k]], k, panel);
-        o[(i - i0) * n + j..][..NR].copy_from_slice(&t[0]);
+        o[(i - i0) * n + j..][..w].copy_from_slice(&t[0][..w]);
         i += 1;
     }
 }
@@ -758,7 +763,11 @@ fn tile_rows(
 ///   `p`-major order through an L1 lane buffer of [`NB`] columns; rows
 ///   with zero activations (about half, post-ReLU) are skipped via a
 ///   branchless nonzero-index compaction — bit-neutral, see [`KLANES`].
-/// - **Edge columns** (`n % NR`): per-element lane-fold dots.
+/// - **Edge columns** (`n % NR`): two or more of them ride one
+///   zero-padded `NR`-wide panel through the same micro-kernel (each
+///   output column is an independent SIMD lane, so the padding never
+///   touches a kept bit). A single edge column, where the panel would be
+///   7/8 zeros, takes a per-element strided lane-fold dot.
 pub(crate) fn gemm_rows(
     rows: std::ops::Range<usize>,
     k: usize,
@@ -775,28 +784,39 @@ pub(crate) fn gemm_rows(
         return stream_rows(rows, k, n, a, b, o);
     }
     let (i0, i1) = (rows.start, rows.end);
-    let panels = n / NR;
-    if panels > 0 {
+    let full = n / NR * NR;
+    let edge = n - full;
+    let padded_edge = edge >= 2;
+    if full > 0 || padded_edge {
         PACK_ARENA.with(|arena| {
             let mut ws = arena.borrow_mut();
             let mut buf = ws.take(1, k * NR + CACHE_LINE_F32S);
             let data = buf.data_mut();
             let off = cache_align_offset(data);
             let panel = &mut data[off..off + k * NR];
-            for j in (0..panels * NR).step_by(NR) {
+            for j in (0..full).step_by(NR) {
                 for p in 0..k {
                     panel[p * NR..(p + 1) * NR].copy_from_slice(&b[p * n + j..p * n + j + NR]);
                 }
-                tile_rows(i0..i1, k, n, j, a, panel, o);
+                tile_rows(i0..i1, k, n, j, NR, a, panel, o);
+            }
+            if padded_edge {
+                for p in 0..k {
+                    let dst = &mut panel[p * NR..(p + 1) * NR];
+                    dst[..edge].copy_from_slice(&b[p * n + full..(p + 1) * n]);
+                    dst[edge..].fill(0.0);
+                }
+                tile_rows(i0..i1, k, n, full, edge, a, panel, o);
             }
             ws.recycle(buf);
         });
     }
-    // Edge columns beyond the last full panel.
-    for i in i0..i1 {
-        let arow = &a[i * k..(i + 1) * k];
-        for j in panels * NR..n {
-            o[(i - i0) * n + j] = dot_lane8_strided(arow, b, n, j);
+    if !padded_edge {
+        for i in i0..i1 {
+            let arow = &a[i * k..(i + 1) * k];
+            for j in full..n {
+                o[(i - i0) * n + j] = dot_lane8_strided(arow, b, n, j);
+            }
         }
     }
 }

@@ -205,6 +205,38 @@ fn edge_shapes_hit_the_packed_kernel_paths() {
     }
 }
 
+/// Edge columns (`n % 8 ∈ 1..=7`) against the naive reference at every
+/// pool width: two or more ride a zero-padded panel through the
+/// micro-kernel; a single one takes the strided dot — with or without
+/// full panels beside them. Row counts
+/// cover the packed `MR` pairs, the single-row tail, a 64-row serving
+/// shard (the actor's 32→6 head), and enough work to shard rows across
+/// the pool.
+#[test]
+fn edge_columns_are_bit_identical_at_every_pool_width() {
+    for &workers in &[1usize, 2, 4, 8] {
+        let pool = osa_runtime::ThreadPool::new(workers);
+        osa_runtime::with_pool(&pool, || {
+            let mut rng = Rng::seed_from_u64(410);
+            let mut out = Tensor::from_vec(2, 2, vec![f32::NAN; 4]); // poisoned start
+            let mut case = 0;
+            for edge in 1..8usize {
+                for panels in 0..3usize {
+                    for &(m, k) in &[(1usize, 13usize), (5, 8), (64, 32), (96, 41)] {
+                        let n = panels * 8 + edge;
+                        let a = random_tensor(m, k, &mut rng);
+                        let b = random_tensor(k, n, &mut rng);
+                        a.matmul_into(&b, &mut out);
+                        let what = format!("pool{workers} {m}x{k}·{k}x{n}");
+                        assert_bits_eq(&out, &naive_matmul(&a, &b), &what, case);
+                        case += 1;
+                    }
+                }
+            }
+        });
+    }
+}
+
 /// The streaming path (`k ≥ 768`, `n ≥ 8`) with its branchless zero-skip
 /// compaction must match the naive lane-fold reference bit-for-bit even
 /// when the left operand is ~1/3 exact zeros — skipping a `±0.0`

@@ -129,7 +129,8 @@ fn build_tower(cfg: &PensieveConfig, out_dim: usize, rng: &mut Rng) -> Sequentia
 }
 
 /// Input/output width of one layer spec, `None` for shape-preserving
-/// activation layers.
+/// activation layers and for widths that overflow `usize` (a forged
+/// document; the missing entry then fails the architecture check).
 fn spec_dims(spec: &LayerSpec) -> Option<(usize, usize)> {
     match spec {
         LayerSpec::Dense { w, .. } => Some((w.rows(), w.cols())),
@@ -139,13 +140,15 @@ fn spec_dims(spec: &LayerSpec) -> Option<(usize, usize)> {
             out_channels,
             kernel,
             ..
-        } => Some((in_channels * length, out_channels * (length - kernel + 1))),
+        } => Some((
+            in_channels.checked_mul(*length)?,
+            out_channels.checked_mul(length - kernel + 1)?,
+        )),
         LayerSpec::Branches { parts } => {
-            let mut dims = (0, 0);
+            let mut dims = (0usize, 0usize);
             for p in parts {
                 let (i, o) = spec_dims(p)?;
-                dims.0 += i;
-                dims.1 += o;
+                dims = (dims.0.checked_add(i)?, dims.1.checked_add(o)?);
             }
             Some(dims)
         }
@@ -215,22 +218,31 @@ impl PensieveAgent {
     /// hyper-parameters plus both towers as `osa_nn` net documents.
     /// Bit-exact: `from_json(to_json())` reproduces identical weights.
     pub fn to_json(&self) -> String {
-        let actor = Value::parse(&self.ac.actor.to_json()).expect("actor spec is valid JSON");
-        let critic = Value::parse(&self.ac.critic.to_json()).expect("critic spec is valid JSON");
+        self.to_value().to_json()
+    }
+
+    /// The document tree behind [`PensieveAgent::to_json`].
+    pub fn to_value(&self) -> Value {
         obj(vec![
             ("format_version", Value::Num(FORMAT_VERSION as f64)),
             ("history", Value::Num(HISTORY_LEN as f64)),
             ("filters", Value::Num(self.cfg.filters as f64)),
             ("merge", Value::Num(self.cfg.merge as f64)),
-            ("actor", actor),
-            ("critic", critic),
+            ("actor", self.ac.actor.to_spec().to_value()),
+            ("critic", self.ac.critic.to_spec().to_value()),
         ])
-        .to_json()
     }
 
     /// Load an agent saved by [`PensieveAgent::to_json`].
     pub fn from_json(text: &str) -> Result<PensieveAgent, String> {
-        let v = Value::parse(text).map_err(|e| e.to_string())?;
+        PensieveAgent::from_value(&Value::parse(text).map_err(|e| e.to_string())?)
+    }
+
+    /// Load an agent from its already-parsed document tree (e.g. one
+    /// replica of an ensemble artifact). Rejects a wrong version or
+    /// history length, non-finite weights, and towers whose layer widths
+    /// contradict the declared `filters`/`merge`.
+    pub fn from_value(v: &Value) -> Result<PensieveAgent, String> {
         let field = |k: &str| v.get(k).ok_or_else(|| format!("missing field {k:?}"));
         let num = |k: &str| {
             field(k)?
@@ -251,10 +263,9 @@ impl PensieveAgent {
             filters: num("filters")?,
             merge: num("merge")?,
         };
-        let actor =
-            Sequential::from_json(&field("actor")?.to_json()).map_err(|e| format!("actor: {e}"))?;
-        let critic = Sequential::from_json(&field("critic")?.to_json())
-            .map_err(|e| format!("critic: {e}"))?;
+        let actor = Sequential::from_value(field("actor")?).map_err(|e| format!("actor: {e}"))?;
+        let critic =
+            Sequential::from_value(field("critic")?).map_err(|e| format!("critic: {e}"))?;
         // The loaded weights must realize exactly the architecture the
         // header declares — a tower that merely maps OBS_DIM to the
         // right output width but with different internal widths would
@@ -385,6 +396,11 @@ mod tests {
         // not silently accepted with a config/weights mismatch.
         let forged = json.replacen("\"filters\":4", "\"filters\":8", 1);
         assert_ne!(forged, json, "replacen must hit the filters field");
+        assert!(PensieveAgent::from_json(&forged).is_err());
+        // A conv length whose output width overflows usize is rejected,
+        // not wrapped (or, in debug builds, a panic).
+        let forged = json.replacen("\"length\":8", "\"length\":9223372036854775808", 1);
+        assert_ne!(forged, json, "replacen must hit a conv length");
         assert!(PensieveAgent::from_json(&forged).is_err());
     }
 

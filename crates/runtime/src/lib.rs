@@ -77,6 +77,9 @@ struct State {
 }
 
 struct Shared {
+    /// Held by the one thread whose epoch is in flight. `State` describes
+    /// a single epoch, so a second dispatcher must not post over it.
+    dispatch: Mutex<()>,
     state: Mutex<State>,
     /// Signalled by the caller when a new epoch (or shutdown) is posted.
     start: Condvar,
@@ -135,6 +138,7 @@ impl ThreadPool {
         // panic-safe: threads that outlive a failed join still hold a
         // valid reference).
         let shared: &'static Shared = Box::leak(Box::new(Shared {
+            dispatch: Mutex::new(()),
             state: Mutex::new(State {
                 epoch: 0,
                 task: None,
@@ -296,7 +300,19 @@ impl ThreadPool {
     /// Post one epoch: publish the task, run lane 0 on the calling
     /// thread, wait for all workers to drain, then propagate panics.
     /// Allocation-free on the success path.
+    ///
+    /// Epochs from different threads (two test threads sharing the
+    /// [`global`] pool, say) are serialised by the dispatch lock, so
+    /// neither overwrites the other's task or counters. Nested dispatches
+    /// never get here (they run inline), so the lock cannot deadlock.
     fn run_epoch(&self, task: &(dyn Fn(usize) + Sync)) {
+        // Poisoned only by a caller-lane panic that was re-raised after
+        // its epoch had fully drained; the pool is idle then.
+        let _dispatch = self
+            .shared
+            .dispatch
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
         // SAFETY: the task reference is only reachable through
         // `state.task`, which is cleared below before this stack frame —
         // and with it the closure — can go away. Workers that panicked

@@ -78,6 +78,32 @@ fn oversubscribed_pool_matches_inline_results() {
     assert_eq!(sum(&inline).to_bits(), sum(&wide).to_bits());
 }
 
+/// Several threads dispatching on one shared pool at once (the test
+/// harness does this with the global pool) must each see every index of
+/// their own epoch exactly once, and never hang.
+#[test]
+fn concurrent_dispatchers_share_a_pool_safely() {
+    let pool = ThreadPool::new(4);
+    std::thread::scope(|s| {
+        for t in 0..4usize {
+            let pool = &pool;
+            s.spawn(move || {
+                for round in 0..500usize {
+                    let mut out = vec![0usize; 37 + t];
+                    pool.parallel_for_slice(&mut out, 1, |_, first, chunk| {
+                        for (i, v) in chunk.iter_mut().enumerate() {
+                            *v += first + i + 1;
+                        }
+                    });
+                    for (i, &v) in out.iter().enumerate() {
+                        assert_eq!(v, i + 1, "thread {t}, round {round}, index {i}");
+                    }
+                }
+            });
+        }
+    });
+}
+
 /// `parallel_for` from inside a pool task runs inline on the current
 /// lane: same results, no deadlock on the dispatch lock.
 #[test]
