@@ -146,7 +146,7 @@ fn calibrated_us(video: &VideoModel, cfg: &AbrConfig, split: &Split) -> UsGuard 
         NoveltySignal::new(svm.clone()),
         Monitor::new(DEFAULT_K, f32::INFINITY, DEFAULT_L),
     );
-    let unanchored = calibrate_novelty(
+    let unanchored = calibrate(
         &mut agent,
         video,
         cfg,
@@ -154,7 +154,7 @@ fn calibrated_us(video: &VideoModel, cfg: &AbrConfig, split: &Split) -> UsGuard 
         DEFAULT_MARGIN,
     );
     agent.monitor_mut().set_anchor(Some(unanchored.mu));
-    let anchored = calibrate_novelty(
+    let anchored = calibrate(
         &mut agent,
         video,
         cfg,

@@ -53,7 +53,7 @@ pub struct RateCollector {
     pub rates: Vec<f32>,
 }
 
-impl UncertaintySignal<[f32]> for RateCollector {
+impl UncertaintySignal for RateCollector {
     fn name(&self) -> &'static str {
         "rate-collector"
     }
@@ -93,7 +93,7 @@ pub fn fit_us_svm(
 }
 
 /// A boxed uncertainty signal, so the three signals share one type.
-pub type DynSignal = Box<dyn UncertaintySignal<[f32]>>;
+pub type DynSignal = Box<dyn UncertaintySignal>;
 
 /// A safe agent over any of the three signals, uniformly typed so
 /// figure binaries can iterate over them.
@@ -183,30 +183,10 @@ pub fn calibrated_signal_agents(
     traces: &[Trace],
     margin: f32,
 ) -> Vec<(&'static str, DynSignalAgent, Calibration)> {
-    // U_S calibrates through the batched deferred path —
-    // `calibrate_novelty` needs the concrete `NoveltySignal` type,
-    // which boxing erases — and the resulting α is installed into the
-    // boxed deploy agent, leaving it in the same reset-with-α state the
-    // generic path produces (bit-identical α: the batched scorer is the
-    // canonical one).
-    let us_cal = {
-        let mut agent = abr_safe_agent(
-            ens.clone(),
-            NoveltySignal::new(svm.clone()),
-            Monitor::new(DEFAULT_K, f32::INFINITY, DEFAULT_L),
-        );
-        calibrate_novelty(&mut agent, video, cfg, traces, margin)
-    };
     signal_agents(ens, svm)
         .into_iter()
         .map(|(name, mut agent)| {
-            let cal = if name == "u_s" {
-                agent.monitor_mut().set_alpha(us_cal.alpha);
-                agent.reset();
-                us_cal
-            } else {
-                calibrate(&mut agent, video, cfg, traces, margin)
-            };
+            let cal = calibrate(&mut agent, video, cfg, traces, margin);
             (name, agent, cal)
         })
         .collect()

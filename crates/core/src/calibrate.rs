@@ -20,12 +20,11 @@
 
 use osa_abr::sim::AbrConfig;
 use osa_abr::video::VideoModel;
-use osa_ocsvm::detector::NoveltyDetector;
 use osa_trace::Trace;
 
 use crate::eval::{run_session_into, SessionRun};
 use crate::safe_agent::{SafeAgent, SafetyPolicy};
-use crate::signal::{NoveltySignal, UncertaintySignal};
+use crate::signal::UncertaintySignal;
 
 /// Headroom factor over the in-distribution maximum variance.
 pub const DEFAULT_MARGIN: f32 = 2.0;
@@ -48,16 +47,16 @@ pub struct Calibration {
 /// Calibrate `agent`'s monitor on in-distribution `traces` and install
 /// the resulting α. The agent is left reset and ready to deploy.
 pub fn calibrate<S, P, F>(
-    agent: &mut SafeAgent<[f32], S, P, F>,
+    agent: &mut SafeAgent<S, P, F>,
     video: &VideoModel,
     cfg: &AbrConfig,
     traces: &[Trace],
     margin: f32,
 ) -> Calibration
 where
-    S: UncertaintySignal<[f32]>,
-    P: SafetyPolicy<[f32]>,
-    F: SafetyPolicy<[f32]>,
+    S: UncertaintySignal,
+    P: SafetyPolicy,
+    F: SafetyPolicy,
 {
     assert!(!traces.is_empty(), "calibration needs traces");
     assert!(margin >= 1.0, "margin below 1 would trip in distribution");
@@ -99,76 +98,8 @@ where
     }
 }
 
-/// [`calibrate`] specialized to [`NoveltySignal`] agents: same result,
-/// bit for bit, with the U_S scores computed through the batched engine
-/// instead of one detector call per decision.
-///
-/// Calibration runs under `α = ∞`, so the raw signal can never affect
-/// an action — which makes scoring *deferrable*. Each session streams
-/// with the signal in deferred mode (collecting throughput rates,
-/// returning the quiet value); afterwards the session's raw series is
-/// reconstructed in one [`NoveltyDetector::score_batch_into`] call and
-/// replayed through a clone of the agent's monitor to recover the
-/// variance series the live run would have produced. Equivalence with
-/// the generic path is pinned by `tests/novelty_fidelity.rs`.
-pub fn calibrate_novelty<D, P, F>(
-    agent: &mut SafeAgent<[f32], NoveltySignal<D>, P, F>,
-    video: &VideoModel,
-    cfg: &AbrConfig,
-    traces: &[Trace],
-    margin: f32,
-) -> Calibration
-where
-    D: NoveltyDetector,
-    P: SafetyPolicy<[f32]>,
-    F: SafetyPolicy<[f32]>,
-{
-    assert!(!traces.is_empty(), "calibration needs traces");
-    assert!(margin >= 1.0, "margin below 1 would trip in distribution");
-    agent.monitor_mut().set_alpha(f32::INFINITY);
-    let l = agent.monitor().l();
-    // The replay monitor starts from the same post-reset state the live
-    // agent's monitor is in at each session start, so feeding it the
-    // reconstructed raw series reproduces the live variance series
-    // exactly (the monitor is a deterministic function of its inputs).
-    let mut replay = agent.monitor().clone();
-
-    let mut raw_sum = 0.0f64;
-    let mut raw_n = 0usize;
-    let mut max_variance = 0.0f32;
-    let mut run = SessionRun::default();
-    let mut raw = Vec::new();
-    let mut variance = Vec::new();
-    agent.signal_mut().begin_deferred();
-    for t in traces {
-        run_session_into(agent, video, cfg, t, &mut run);
-        agent.signal().deferred_raw_series(&mut raw);
-        replay.reset();
-        variance.clear();
-        for &r in &raw {
-            replay.update(r);
-            variance.push(replay.variance());
-        }
-        raw_sum += raw.iter().map(|&v| v as f64).sum::<f64>();
-        raw_n += raw.len();
-        for w in variance.windows(l) {
-            let run_min = w.iter().copied().fold(f32::INFINITY, f32::min);
-            max_variance = max_variance.max(run_min);
-        }
-    }
-    agent.signal_mut().end_deferred();
-    let mu = (raw_sum / raw_n.max(1) as f64) as f32;
-    let alpha = (max_variance * margin).max(1e-12);
-    agent.monitor_mut().set_alpha(alpha);
-    agent.reset();
-    Calibration {
-        alpha,
-        l: agent.monitor().l(),
-        k: agent.monitor().k(),
-        mu,
-        max_variance,
-    }
-}
+/// [`calibrate`] under the name U_S call sites use.
+pub use self::calibrate as calibrate_novelty;
 
 #[cfg(test)]
 mod tests {
@@ -180,7 +111,7 @@ mod tests {
     /// Echoes the newest-throughput column — noisy in proportion to the
     /// link itself.
     struct Echo;
-    impl UncertaintySignal<[f32]> for Echo {
+    impl UncertaintySignal for Echo {
         fn name(&self) -> &'static str {
             "echo"
         }

@@ -221,13 +221,7 @@ impl PensieveEnsemble {
         for r in 0..self.replicas {
             softmax_row(self.logits.row(r), self.probs.row_mut(r));
         }
-        for j in 0..NUM_BITRATES {
-            let mut s = 0.0f32;
-            for r in 0..self.replicas {
-                s += self.probs.get(r, j);
-            }
-            self.mean_probs[j] = s / self.replicas as f32;
-        }
+        replica_mean(&self.probs, self.replicas, 1, 0, &mut self.mean_probs);
         self.fresh = true;
     }
 
@@ -256,13 +250,7 @@ impl PensieveEnsemble {
             self.policy_eval(obs);
         }
         self.fresh = false;
-        let mut best = 0;
-        for (j, &p) in self.mean_probs.iter().enumerate() {
-            if p > self.mean_probs[best] {
-                best = j;
-            }
-        }
-        best
+        argmax(&self.mean_probs)
     }
 
     /// Raw U_π: per-replica `KL(π_r ‖ π_mean)`, discard the top-2
@@ -309,16 +297,7 @@ impl PensieveEnsemble {
     /// members.
     pub fn value_disagreement(&mut self, obs: &[f32]) -> f32 {
         self.value_eval(obs);
-        let mut mean = 0.0f32;
-        for r in 0..self.replicas {
-            mean += self.values.get(r, 0);
-        }
-        mean /= self.replicas as f32;
-        self.devs.clear();
-        for r in 0..self.replicas {
-            self.devs.push((self.values.get(r, 0) - mean).abs());
-        }
-        self.keep_mean()
+        value_spread(&self.values, self.replicas, 1, 0, self.keep, &mut self.devs)
     }
 
     /// Mean of the `keep` smallest entries of `devs` (outlier discard).
@@ -379,11 +358,60 @@ impl PensieveEnsemble {
     }
 }
 
+// The per-session reductions below read a replica-major batch: the
+// stacked forward of `b` sessions puts replica `r` of session `s` on row
+// `r·b + s`. The per-stream ensemble is the batch of one (`b = 1`), and
+// the fleet engine calls the same functions per shard, so both paths
+// produce the same bits.
+
+/// Mean over session `s`'s replica rows of `t`, column by column, into
+/// `out` (one entry per column).
+pub(crate) fn replica_mean(t: &Tensor, replicas: usize, b: usize, s: usize, out: &mut [f32]) {
+    for (j, m) in out.iter_mut().enumerate() {
+        let mut sum = 0.0f32;
+        for r in 0..replicas {
+            sum += t.get(r * b + s, j);
+        }
+        *m = sum / replicas as f32;
+    }
+}
+
+/// Index of the largest entry; ties go to the lowest index (the lowest
+/// bitrate level, matching `Policy::greedy`).
+pub(crate) fn argmax(p: &[f32]) -> usize {
+    let mut best = 0;
+    for (j, &v) in p.iter().enumerate() {
+        if v > p[best] {
+            best = j;
+        }
+    }
+    best
+}
+
+/// Raw U_V of session `s` off a critic forward `values` (one column):
+/// each replica's distance from the mean value, averaged over the
+/// `keep` smallest. `devs` is caller-owned scratch.
+pub(crate) fn value_spread(
+    values: &Tensor,
+    replicas: usize,
+    b: usize,
+    s: usize,
+    keep: usize,
+    devs: &mut Vec<f32>,
+) -> f32 {
+    let mut mean = [0.0f32];
+    replica_mean(values, replicas, b, s, &mut mean);
+    devs.clear();
+    for r in 0..replicas {
+        devs.push((values.get(r * b + s, 0) - mean[0]).abs());
+    }
+    trimmed_mean(devs, keep)
+}
+
 /// Mean of the `keep` smallest entries (the §3.1 outlier discard),
 /// sorting in place with `total_cmp` so the reduction order — and the
-/// bits — never depend on the caller. Shared with the batched serving
-/// path so fleet U_V is bit-equal to the per-session signal.
-pub(crate) fn trimmed_mean(devs: &mut [f32], keep: usize) -> f32 {
+/// bits — never depend on the caller.
+fn trimmed_mean(devs: &mut [f32], keep: usize) -> f32 {
     devs.sort_unstable_by(f32::total_cmp);
     let kept = &devs[..keep];
     kept.iter().sum::<f32>() / keep as f32
@@ -425,7 +453,7 @@ impl PolicyDisagreement {
     }
 }
 
-impl UncertaintySignal<[f32]> for PolicyDisagreement {
+impl UncertaintySignal for PolicyDisagreement {
     fn name(&self) -> &'static str {
         "u_pi"
     }
@@ -451,7 +479,7 @@ impl ValueDisagreement {
     }
 }
 
-impl UncertaintySignal<[f32]> for ValueDisagreement {
+impl UncertaintySignal for ValueDisagreement {
     fn name(&self) -> &'static str {
         "u_v"
     }

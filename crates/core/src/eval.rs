@@ -61,15 +61,15 @@ impl SessionRun {
 /// sessions (calibration, [`evaluate_safe_agent`]) use
 /// [`run_session_into`] with a reused buffer instead.
 pub fn run_session<S, P, F>(
-    agent: &mut SafeAgent<[f32], S, P, F>,
+    agent: &mut SafeAgent<S, P, F>,
     video: &VideoModel,
     cfg: &AbrConfig,
     trace: &Trace,
 ) -> SessionRun
 where
-    S: UncertaintySignal<[f32]>,
-    P: SafetyPolicy<[f32]>,
-    F: SafetyPolicy<[f32]>,
+    S: UncertaintySignal,
+    P: SafetyPolicy,
+    F: SafetyPolicy,
 {
     let mut out = SessionRun::default();
     run_session_into(agent, video, cfg, trace, &mut out);
@@ -83,15 +83,15 @@ where
 /// `encode_obs` with the batched `MultiSession` path — same bits,
 /// none of the per-session setup cost.
 pub fn run_session_into<S, P, F>(
-    agent: &mut SafeAgent<[f32], S, P, F>,
+    agent: &mut SafeAgent<S, P, F>,
     video: &VideoModel,
     cfg: &AbrConfig,
     trace: &Trace,
     out: &mut SessionRun,
 ) where
-    S: UncertaintySignal<[f32]>,
-    P: SafetyPolicy<[f32]>,
-    F: SafetyPolicy<[f32]>,
+    S: UncertaintySignal,
+    P: SafetyPolicy,
+    F: SafetyPolicy,
 {
     agent.reset();
     out.clear();
@@ -165,15 +165,15 @@ pub struct SafeScore {
 
 /// Run one session per trace and aggregate.
 pub fn evaluate_safe_agent<S, P, F>(
-    agent: &mut SafeAgent<[f32], S, P, F>,
+    agent: &mut SafeAgent<S, P, F>,
     video: &VideoModel,
     cfg: &AbrConfig,
     traces: &[Trace],
 ) -> SafeScore
 where
-    S: UncertaintySignal<[f32]>,
-    P: SafetyPolicy<[f32]>,
-    F: SafetyPolicy<[f32]>,
+    S: UncertaintySignal,
+    P: SafetyPolicy,
+    F: SafetyPolicy,
 {
     assert!(!traces.is_empty(), "evaluate_safe_agent needs traces");
     let (mut qoe, mut rebuf, mut chunks) = (0.0f64, 0.0f64, 0u64);
@@ -235,7 +235,7 @@ mod tests {
     use crate::safe_agent::BufferFallback;
 
     struct Quiet;
-    impl UncertaintySignal<[f32]> for Quiet {
+    impl UncertaintySignal for Quiet {
         fn name(&self) -> &'static str {
             "quiet"
         }

@@ -3,16 +3,17 @@
 //!
 //! Online safety assurance as described in §2 of the paper:
 //!
-//! - [`signal`] — the [`UncertaintySignal`] trait, generic over the
-//!   observation type, plus U_S ([`NoveltySignal`], novelty detection
-//!   via [`osa_ocsvm`]);
+//! - [`signal`] — the [`UncertaintySignal`] trait plus U_S
+//!   ([`NoveltySignal`], novelty detection via [`osa_ocsvm`]);
 //! - [`ensemble`] — the stacked Pensieve replica ensemble (i = 5,
 //!   top-2 outliers discarded) with U_π ([`PolicyDisagreement`],
 //!   KL-to-mean) and U_V ([`ValueDisagreement`], value
 //!   distance-to-mean); inference is one grouped GEMM per layer across
 //!   all replicas (`osa_nn::stacked`), never five sequential forwards;
 //! - [`monitor`] — k-window variance smoothing and
-//!   l-consecutive-exceedance thresholding (§2.5);
+//!   l-consecutive-exceedance thresholding (§2.5), implemented once in
+//!   struct-of-arrays form for whole fleets; the per-stream [`Monitor`]
+//!   is a fleet of one;
 //! - [`calibrate`] — (α, l) calibration against in-distribution traces;
 //! - [`safe_agent`] — the [`SafeAgent`] wrapper: learned policy while
 //!   quiet, Buffer-Based once tripped, sticky by default with opt-in
@@ -22,7 +23,7 @@
 //!   normalized 0 = Random / 1 = BB scoring (§3.3) shared by every
 //!   figure binary;
 //! - [`serve`] — the fleet-scale serving engine: 100k+ concurrent
-//!   sessions with struct-of-arrays monitor state, sharded across
+//!   sessions with [`FleetMonitors`](monitor::FleetMonitors), sharded across
 //!   `osa-runtime` lanes, decided by session-major batched stacked
 //!   forwards.
 //!

@@ -12,8 +12,6 @@
 //! signal while on the fallback and hands control back to the learned
 //! policy after the configured quiet streak (see [`crate::monitor`]).
 
-use std::marker::PhantomData;
-
 use osa_abr::policy::BufferBased;
 use osa_abr::{HISTORY_LEN, NUM_BITRATES};
 
@@ -27,11 +25,11 @@ pub const BUFFER_COL: usize = 2 * HISTORY_LEN + NUM_BITRATES;
 
 /// A single-observation decision policy — the acting side of a
 /// [`SafeAgent`] (both the learned policy and the safe fallback).
-pub trait SafetyPolicy<O: ?Sized> {
+pub trait SafetyPolicy {
     /// Stable name for score tables and figure artifacts.
     fn name(&self) -> &'static str;
     /// Pick the action for one observation.
-    fn decide(&mut self, obs: &O) -> usize;
+    fn decide(&mut self, obs: &[f32]) -> usize;
     /// Forget per-session state (session boundary). Stateless policies
     /// keep the default no-op.
     fn reset(&mut self) {}
@@ -50,7 +48,7 @@ impl EnsemblePolicy {
     }
 }
 
-impl SafetyPolicy<[f32]> for EnsemblePolicy {
+impl SafetyPolicy for EnsemblePolicy {
     fn name(&self) -> &'static str {
         "pensieve-ensemble"
     }
@@ -73,7 +71,7 @@ impl SafetyPolicy<[f32]> for EnsemblePolicy {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct BufferFallback(pub BufferBased);
 
-impl SafetyPolicy<[f32]> for BufferFallback {
+impl SafetyPolicy for BufferFallback {
     fn name(&self) -> &'static str {
         "bb"
     }
@@ -83,13 +81,12 @@ impl SafetyPolicy<[f32]> for BufferFallback {
     }
 }
 
-/// The OSAP wrapper: policy + fallback + uncertainty signal + monitor,
-/// generic over the observation type `O`.
-pub struct SafeAgent<O: ?Sized, S, P, F>
+/// The OSAP wrapper: policy + fallback + uncertainty signal + monitor.
+pub struct SafeAgent<S, P, F>
 where
-    S: UncertaintySignal<O>,
-    P: SafetyPolicy<O>,
-    F: SafetyPolicy<O>,
+    S: UncertaintySignal,
+    P: SafetyPolicy,
+    F: SafetyPolicy,
 {
     signal: S,
     monitor: Monitor,
@@ -97,15 +94,14 @@ where
     fallback: F,
     decisions: usize,
     last_raw: f32,
-    _obs: PhantomData<fn(&O)>,
 }
 
 /// The ABR instantiation every figure binary uses: ensemble-mean
 /// Pensieve while quiet, Buffer-Based once tripped.
-pub type AbrSafeAgent<S> = SafeAgent<[f32], S, EnsemblePolicy, BufferFallback>;
+pub type AbrSafeAgent<S> = SafeAgent<S, EnsemblePolicy, BufferFallback>;
 
 /// Build the standard ABR safe agent over a shared ensemble.
-pub fn abr_safe_agent<S: UncertaintySignal<[f32]>>(
+pub fn abr_safe_agent<S: UncertaintySignal>(
     ens: SharedEnsemble,
     signal: S,
     monitor: Monitor,
@@ -118,11 +114,11 @@ pub fn abr_safe_agent<S: UncertaintySignal<[f32]>>(
     )
 }
 
-impl<O: ?Sized, S, P, F> SafeAgent<O, S, P, F>
+impl<S, P, F> SafeAgent<S, P, F>
 where
-    S: UncertaintySignal<O>,
-    P: SafetyPolicy<O>,
-    F: SafetyPolicy<O>,
+    S: UncertaintySignal,
+    P: SafetyPolicy,
+    F: SafetyPolicy,
 {
     pub fn new(signal: S, monitor: Monitor, policy: P, fallback: F) -> Self {
         SafeAgent {
@@ -132,13 +128,12 @@ where
             fallback,
             decisions: 0,
             last_raw: 0.0,
-            _obs: PhantomData,
         }
     }
 
     /// One decision: observe → smooth → act. Allocation-free after
     /// warm-up.
-    pub fn decide(&mut self, obs: &O) -> usize {
+    pub fn decide(&mut self, obs: &[f32]) -> usize {
         self.decisions += 1;
         if self.monitor.observing() {
             self.last_raw = self.signal.observe(obs);
@@ -163,15 +158,6 @@ where
 
     pub fn signal(&self) -> &S {
         &self.signal
-    }
-
-    /// Mutable signal access — for signal-specific protocols around a
-    /// session run, e.g. the deferred-scoring mode
-    /// [`crate::calibrate::calibrate_novelty`] drives on
-    /// [`crate::signal::NoveltySignal`]. Not needed on the per-decision
-    /// path, which goes through [`SafeAgent::decide`].
-    pub fn signal_mut(&mut self) -> &mut S {
-        &mut self.signal
     }
 
     pub fn monitor(&self) -> &Monitor {
@@ -227,7 +213,7 @@ mod tests {
     use osa_abr::OBS_DIM;
 
     struct ConstPolicy(usize);
-    impl SafetyPolicy<[f32]> for ConstPolicy {
+    impl SafetyPolicy for ConstPolicy {
         fn name(&self) -> &'static str {
             "const"
         }
@@ -238,7 +224,7 @@ mod tests {
 
     /// Echoes a chosen observation column as the raw signal.
     struct ColSignal(usize);
-    impl UncertaintySignal<[f32]> for ColSignal {
+    impl UncertaintySignal for ColSignal {
         fn name(&self) -> &'static str {
             "col"
         }

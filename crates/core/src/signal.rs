@@ -3,29 +3,26 @@
 //! A signal maps the stream of per-decision observations to a scalar
 //! uncertainty value; the [`crate::monitor::Monitor`] smooths that value
 //! with a k-window variance and trips after l consecutive exceedances
-//! (§2.5). The trait is generic over the observation type so the same
-//! machinery can guard both the ABR case study (`O = [f32]`, the
-//! `osa_abr` observation row) and future domains (congestion control).
+//! (§2.5). Observations are `osa_abr` observation rows.
 
 use osa_abr::HISTORY_LEN;
-use osa_nn::tensor::Tensor;
 use osa_ocsvm::detector::NoveltyDetector;
 use osa_ocsvm::features::{FeatureWindow, FEATURE_DIM};
 
-/// A per-decision uncertainty scalar over observations of type `O`.
+/// A per-decision uncertainty scalar over observation rows.
 ///
 /// `observe` is called exactly once per decision, *before* the policy
 /// acts, and must be allocation-free after warm-up — its cost is the
 /// per-decision price of safety that `BENCH_osap.json` records. Signals
 /// that need warm-up (feature windows, variance rings) return their
 /// quiet value until ready.
-pub trait UncertaintySignal<O: ?Sized> {
+pub trait UncertaintySignal {
     /// Stable identifier used in figure artifacts and bench reports
     /// (`"u_s"`, `"u_pi"`, `"u_v"`).
     fn name(&self) -> &'static str;
 
     /// Consume one observation and return the raw uncertainty value.
-    fn observe(&mut self, obs: &O) -> f32;
+    fn observe(&mut self, obs: &[f32]) -> f32;
 
     /// Forget all per-session state (called at session boundaries).
     fn reset(&mut self);
@@ -33,12 +30,12 @@ pub trait UncertaintySignal<O: ?Sized> {
 
 /// Boxed signals forward, so heterogeneous signal sets (the figure
 /// binaries sweep U_S/U_π/U_V through one loop) can live in one `Vec`.
-impl<O: ?Sized, S: UncertaintySignal<O> + ?Sized> UncertaintySignal<O> for Box<S> {
+impl<S: UncertaintySignal + ?Sized> UncertaintySignal for Box<S> {
     fn name(&self) -> &'static str {
         (**self).name()
     }
 
-    fn observe(&mut self, obs: &O) -> f32 {
+    fn observe(&mut self, obs: &[f32]) -> f32 {
         (**self).observe(obs)
     }
 
@@ -53,12 +50,12 @@ impl<O: ?Sized, S: UncertaintySignal<O> + ?Sized> UncertaintySignal<O> for Box<S
 #[derive(Clone, Copy, Debug, Default)]
 pub struct NullSignal;
 
-impl<O: ?Sized> UncertaintySignal<O> for NullSignal {
+impl UncertaintySignal for NullSignal {
     fn name(&self) -> &'static str {
         "none"
     }
 
-    fn observe(&mut self, _obs: &O) -> f32 {
+    fn observe(&mut self, _obs: &[f32]) -> f32 {
         0.0
     }
 
@@ -75,10 +72,6 @@ pub struct NoveltySignal<D: NoveltyDetector> {
     window: FeatureWindow,
     feat: [f32; FEATURE_DIM],
     last: f32,
-    /// Deferred-scoring mode (see [`NoveltySignal::begin_deferred`]):
-    /// `observe` collects rates instead of scoring.
-    deferred: bool,
-    rates: Vec<f32>,
 }
 
 impl<D: NoveltyDetector> NoveltySignal<D> {
@@ -89,70 +82,15 @@ impl<D: NoveltyDetector> NoveltySignal<D> {
             window: FeatureWindow::new(),
             feat: [0.0; FEATURE_DIM],
             last: 0.0,
-            deferred: false,
-            rates: Vec::new(),
         }
     }
 
     pub fn detector(&self) -> &D {
         &self.detector
     }
-
-    /// Enter deferred-scoring mode: `observe` records the throughput
-    /// rate and returns the quiet value without touching the detector;
-    /// [`NoveltySignal::deferred_raw_series`] later reconstructs the
-    /// whole session's raw series through one batched scoring call.
-    /// Only sound when the raw value cannot influence the session —
-    /// i.e. under a monitor with `α = ∞`, which is exactly the
-    /// calibration setting ([`crate::calibrate::calibrate_novelty`]).
-    /// `reset` (the session boundary) clears the collected rates but
-    /// stays in deferred mode until [`NoveltySignal::end_deferred`].
-    pub fn begin_deferred(&mut self) {
-        self.deferred = true;
-        self.rates.clear();
-    }
-
-    /// Leave deferred mode; `observe` scores per decision again.
-    pub fn end_deferred(&mut self) {
-        self.deferred = false;
-        self.rates.clear();
-    }
-
-    /// Replay the rates collected since the last reset into the raw
-    /// signal series `observe` would have produced live, scoring every
-    /// ready feature window in one [`NoveltyDetector::score_batch_into`]
-    /// call — bit-identical to the per-decision path because the
-    /// batched engine is the canonical scorer at every batch size.
-    pub fn deferred_raw_series(&self, out: &mut Vec<f32>) {
-        assert!(self.deferred, "deferred_raw_series outside deferred mode");
-        out.clear();
-        let mut window = FeatureWindow::new();
-        let mut feat = [0.0f32; FEATURE_DIM];
-        let mut feats = Tensor::zeros(0, FEATURE_DIM);
-        let mut ready = Vec::with_capacity(self.rates.len());
-        for &r in &self.rates {
-            window.push(r);
-            ready.push(window.ready());
-            if window.ready() {
-                window.write(&mut feat);
-                feats.push_row(&feat);
-            }
-        }
-        let mut scores = vec![0.0f32; feats.rows()];
-        self.detector.score_batch_into(&feats, &mut scores);
-        let mut last = 0.0f32;
-        let mut next = 0usize;
-        for was_ready in ready {
-            if was_ready {
-                last = scores[next];
-                next += 1;
-            }
-            out.push(last);
-        }
-    }
 }
 
-impl<D: NoveltyDetector> UncertaintySignal<[f32]> for NoveltySignal<D> {
+impl<D: NoveltyDetector> UncertaintySignal for NoveltySignal<D> {
     fn name(&self) -> &'static str {
         "u_s"
     }
@@ -162,12 +100,7 @@ impl<D: NoveltyDetector> UncertaintySignal<[f32]> for NoveltySignal<D> {
     /// so the features live on the same Mbit/s scale the detector was
     /// fitted on.
     fn observe(&mut self, obs: &[f32]) -> f32 {
-        let rate = obs[HISTORY_LEN - 1] * 10.0;
-        if self.deferred {
-            self.rates.push(rate);
-            return 0.0;
-        }
-        self.window.push(rate);
+        self.window.push(obs[HISTORY_LEN - 1] * 10.0);
         if self.window.ready() {
             self.window.write(&mut self.feat);
             self.last = self.detector.score(&self.feat);
@@ -180,7 +113,6 @@ impl<D: NoveltyDetector> UncertaintySignal<[f32]> for NoveltySignal<D> {
     fn reset(&mut self) {
         self.window.reset();
         self.last = 0.0;
-        self.rates.clear();
     }
 }
 

@@ -3,9 +3,11 @@
 //! 1. **Fleet ≡ scalar.** A [`FleetEngine`] session must produce the
 //!    exact bits of a per-session [`SafeAgent`] on the same trace —
 //!    QoE accounting, switch/recovery indices, lifetime counters —
-//!    sticky and reverse-switching alike. The fleet path re-implements
-//!    the decision arithmetic in struct-of-arrays form; this test is
-//!    what keeps the two implementations from drifting.
+//!    sticky and reverse-switching alike. Both paths share the monitor
+//!    and the ensemble reductions, but the fleet runs its own simulator
+//!    (`MultiSession`), batched forwards and signal arms
+//!    ([`FleetSignal`]); this test is what keeps those from drifting
+//!    from the per-stream ones.
 //! 2. **Pool invariance.** Fleet telemetry and per-session monitor
 //!    state are bit-identical at any worker count, including uneven
 //!    session counts that split ragged across lanes and shard sizes
@@ -116,7 +118,7 @@ fn assert_fleet_matches_scalar(
     }
 }
 
-fn scalar_bits<S: UncertaintySignal<[f32]>>(
+fn scalar_bits<S: UncertaintySignal>(
     signal: S,
     trace: &Trace,
     alpha: f32,

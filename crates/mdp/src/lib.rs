@@ -4,9 +4,9 @@
 //! The paper (§2.1) frames a learning-augmented system as an agent acting
 //! in an MDP and trains Pensieve-style policies with parallel-worker
 //! advantage actor-critic. This crate is that framing, kept independent of
-//! any concrete domain so the ABR (`osa-pensieve`) and congestion-control
-//! (`osa-cc`) case studies, and the ensembles behind `osa-core`'s U_π/U_V
-//! signals, all train through the same substrate:
+//! any concrete domain so the ABR case study (`osa-pensieve`) and the
+//! ensembles behind `osa-core`'s U_π/U_V signals train through the same
+//! substrate:
 //!
 //! - [`env`] — the [`Env`]/[`Policy`]/[`ValueFunction`] traits with
 //!   explicit seedable RNG state and strict episode-boundary semantics;

@@ -1,9 +1,9 @@
 //! `osa-nn` — a pure-Rust neural-network engine (DESIGN.md §1 row 1).
 //!
 //! This is the root of the workspace's dependency DAG: the A3C actor/critic
-//! networks (`osa-mdp`, `osa-pensieve`), the agent/value ensembles behind
-//! the U_π and U_V uncertainty signals (`osa-core`), and the congestion
-//! controller (`osa-cc`) are all built from these pieces. No tch/torch —
+//! networks (`osa-mdp`, `osa-pensieve`) and the agent/value ensembles
+//! behind the U_π and U_V uncertainty signals (`osa-core`) are all built
+//! from these pieces. No tch/torch —
 //! every forward and backward pass is hand-written and verified against
 //! central-difference numerical gradients (`tests/gradcheck.rs`).
 //!

@@ -4,7 +4,11 @@
 //! figure binaries, so traces round-trip through JSON bit-exactly (every
 //! `f32` survives the `f64` codec unchanged). Serialization is fallible:
 //! a trace carrying a non-finite sample yields [`IoError::NonFinite`]
-//! rather than panicking mid-benchmark and losing the run.
+//! rather than panicking mid-benchmark and losing the run. Loading
+//! fails closed the same way: a sample that is not a finite,
+//! non-negative `f32` rate, or a sampling interval that is not finite
+//! and positive, is an [`IoError::Schema`] — never a trace the
+//! simulator would stream an ∞ Mbit/s link from.
 //!
 //! Document schema (version 1):
 //!
@@ -87,7 +91,7 @@ fn field<'a>(v: &'a Value, key: &str) -> Result<&'a Value, IoError> {
         .ok_or_else(|| IoError::Schema(format!("missing field '{key}'")))
 }
 
-/// Decode one trace, validating field types.
+/// Decode one trace, validating field types and value ranges.
 pub fn trace_from_value(v: &Value) -> Result<Trace, IoError> {
     let id = field(v, "id")?
         .as_str()
@@ -95,13 +99,26 @@ pub fn trace_from_value(v: &Value) -> Result<Trace, IoError> {
     let interval_s = field(v, "interval_s")?
         .as_f32()
         .ok_or_else(|| IoError::Schema("'interval_s' must be a number".into()))?;
+    if !(interval_s.is_finite() && interval_s > 0.0) {
+        return Err(IoError::Schema(format!(
+            "'interval_s' must be finite and positive, got {interval_s}"
+        )));
+    }
     let mbps = field(v, "mbps")?
         .as_arr()
         .ok_or_else(|| IoError::Schema("'mbps' must be an array".into()))?
         .iter()
         .map(|x| {
-            x.as_f32()
-                .ok_or_else(|| IoError::Schema("'mbps' entries must be numbers".into()))
+            let rate = x
+                .as_f32()
+                .ok_or_else(|| IoError::Schema("'mbps' entries must be numbers".into()))?;
+            if rate.is_finite() && rate >= 0.0 {
+                Ok(rate)
+            } else {
+                Err(IoError::Schema(format!(
+                    "'mbps' entries must be finite non-negative f32 rates, got {rate}"
+                )))
+            }
         })
         .collect::<Result<Vec<f32>, _>>()?;
     Ok(Trace::new(id, interval_s, mbps))
@@ -207,5 +224,32 @@ mod tests {
             traces_from_json("not json"),
             Err(IoError::Parse(_))
         ));
+    }
+
+    /// `1e999` lexes as ∞ and `1e39` is finite in f64 but ∞ as an f32:
+    /// neither may load as an infinitely fast link, and neither may a
+    /// negative rate or a non-positive sampling interval.
+    #[test]
+    fn hostile_samples_are_schema_errors() {
+        let doc = |interval: &str, sample: &str| {
+            format!(
+                "{{\"version\":1,\"traces\":[{{\"id\":\"a\",\"interval_s\":{interval},\"mbps\":[1,{sample}]}}]}}"
+            )
+        };
+        assert!(traces_from_json(&doc("1", "2.5")).is_ok());
+        for (interval, sample) in [
+            ("1", "1e999"),
+            ("1", "1e39"),
+            ("1", "-1e999"),
+            ("1", "-1"),
+            ("0", "2.5"),
+            ("-1", "2.5"),
+            ("1e999", "2.5"),
+        ] {
+            match traces_from_json(&doc(interval, sample)) {
+                Err(IoError::Schema(_)) => {}
+                other => panic!("interval {interval}, sample {sample}: got {other:?}"),
+            }
+        }
     }
 }

@@ -16,31 +16,13 @@
 
 use osa::abr::prelude::*;
 use osa::core::prelude::*;
-use osa::nn::tensor::Tensor;
-use osa::ocsvm::prelude::*;
 use osa::trace::prelude::*;
+use osa_bench::osap::fit_us_svm;
 
 /// Corpus contract shared with `examples/osap_ensemble_train.rs`.
 const CORPUS_COUNT: usize = 60;
 const CORPUS_LEN: usize = 400;
 const CORPUS_SEED: u64 = 2020;
-
-/// Throughput-history taps for the U_S feature pipeline: the newest
-/// column of the Pensieve observation, rescaled back to Mbit/s.
-struct RateCollector {
-    rates: Vec<f32>,
-}
-
-impl UncertaintySignal<[f32]> for RateCollector {
-    fn name(&self) -> &'static str {
-        "rate-collector"
-    }
-    fn observe(&mut self, obs: &[f32]) -> f32 {
-        self.rates.push(obs[HISTORY_LEN - 1] * 10.0);
-        0.0
-    }
-    fn reset(&mut self) {}
-}
 
 fn trip_report(name: &str, quiet: Option<usize>, shifted: Option<usize>) -> String {
     let fmt = |s: Option<usize>| match s {
@@ -66,30 +48,13 @@ fn run_once() -> Vec<String> {
     let ens = shared(PensieveEnsemble::from_json(&text).expect("valid ensemble artifact"));
     let mut lines = Vec::new();
 
-    // U_S feature corpus: raw throughput rates harvested from
+    // U_S one-class SVM, fitted on throughput windows harvested from
     // in-distribution sessions driven by the ensemble-mean policy.
-    let mut collector = abr_safe_agent(
-        ens.clone(),
-        RateCollector { rates: Vec::new() },
-        Monitor::new(DEFAULT_K, f32::INFINITY, DEFAULT_L),
-    );
-    let mut windows: Vec<[f32; FEATURE_DIM]> = Vec::new();
-    for t in &split.train[..16] {
-        run_session(&mut collector, &video, &cfg, t);
-        windows.extend(window_features(&collector.signal().rates));
-    }
-    let mut x = Tensor::zeros(windows.len(), FEATURE_DIM);
-    for (i, w) in windows.iter().enumerate() {
-        x.row_mut(i).copy_from_slice(w);
-    }
-    let mut svm = OcSvm::new(OcSvmConfig::default());
-    svm.fit(&x);
+    let svm = fit_us_svm(&ens, &video, &cfg, &split.train);
     let diag = svm.diag().expect("fitted");
     lines.push(format!(
-        "U_S one-class SVM: {} windows, {} support vectors, KKT gap {:.3e}",
-        windows.len(),
-        diag.support_vectors,
-        diag.kkt_gap
+        "U_S one-class SVM: {} support vectors ({} bounded), KKT gap {:.3e}",
+        diag.support_vectors, diag.bounded_svs, diag.kkt_gap
     ));
 
     let mut u_s = abr_safe_agent(
@@ -102,7 +67,7 @@ fn run_once() -> Vec<String> {
         ValueDisagreement::new(ens.clone()),
         Monitor::new(DEFAULT_K, f32::INFINITY, DEFAULT_L),
     );
-    let cal_s = calibrate_novelty(&mut u_s, &video, &cfg, &split.validation, DEFAULT_MARGIN);
+    let cal_s = calibrate(&mut u_s, &video, &cfg, &split.validation, DEFAULT_MARGIN);
     let cal_v = calibrate(&mut u_v, &video, &cfg, &split.validation, DEFAULT_MARGIN);
     lines.push(format!(
         "calibrated: U_S alpha {:.4e}, U_V alpha {:.4e} (k {}, l {}, margin {DEFAULT_MARGIN})",

@@ -23,9 +23,8 @@
 use osa::abr::prelude::*;
 use osa::core::prelude::*;
 use osa::core::serve::FleetEngine;
-use osa::nn::tensor::Tensor;
-use osa::ocsvm::prelude::*;
 use osa::trace::prelude::*;
+use osa_bench::osap::fit_us_svm;
 
 /// Corpus contract shared with `examples/osap_ensemble_train.rs`.
 const CORPUS_COUNT: usize = 60;
@@ -34,23 +33,6 @@ const CORPUS_SEED: u64 = 2020;
 
 const SESSIONS: usize = 48;
 
-/// Throughput-history taps for the U_S feature pipeline: the newest
-/// column of the Pensieve observation, rescaled back to Mbit/s.
-struct RateCollector {
-    rates: Vec<f32>,
-}
-
-impl UncertaintySignal<[f32]> for RateCollector {
-    fn name(&self) -> &'static str {
-        "rate-collector"
-    }
-    fn observe(&mut self, obs: &[f32]) -> f32 {
-        self.rates.push(obs[HISTORY_LEN - 1] * 10.0);
-        0.0
-    }
-    fn reset(&mut self) {}
-}
-
 fn load_ensemble() -> PensieveEnsemble {
     let text = std::fs::read_to_string(concat!(
         env!("CARGO_MANIFEST_DIR"),
@@ -58,28 +40,6 @@ fn load_ensemble() -> PensieveEnsemble {
     ))
     .expect("run `cargo run --release --example osap_ensemble_train` first");
     PensieveEnsemble::from_json(&text).expect("valid ensemble artifact")
-}
-
-/// Fit the U_S one-class SVM on throughput windows harvested from
-/// in-distribution sessions driven by the ensemble-mean policy.
-fn fit_svm(ens: &SharedEnsemble, video: &VideoModel, cfg: &AbrConfig, train: &[Trace]) -> OcSvm {
-    let mut collector = abr_safe_agent(
-        ens.clone(),
-        RateCollector { rates: Vec::new() },
-        Monitor::new(DEFAULT_K, f32::INFINITY, DEFAULT_L),
-    );
-    let mut windows: Vec<[f32; FEATURE_DIM]> = Vec::new();
-    for t in &train[..16] {
-        run_session(&mut collector, video, cfg, t);
-        windows.extend(window_features(&collector.signal().rates));
-    }
-    let mut x = Tensor::zeros(windows.len(), FEATURE_DIM);
-    for (i, w) in windows.iter().enumerate() {
-        x.row_mut(i).copy_from_slice(w);
-    }
-    let mut svm = OcSvm::new(OcSvmConfig::default());
-    svm.fit(&x);
-    svm
 }
 
 /// Six held-out Norway links plus two with a transient outage spliced
@@ -102,7 +62,7 @@ fn run_once() -> Vec<String> {
     let video = VideoModel::envivio();
     let cfg = AbrConfig::default();
     let ens = shared(load_ensemble());
-    let svm = fit_svm(&ens, &video, &cfg, &split.train);
+    let svm = fit_us_svm(&ens, &video, &cfg, &split.train);
 
     // Two-pass calibration: unanchored for the in-distribution score
     // mean μ₀, anchored there for α (see `benches/serve.rs`).
@@ -111,7 +71,7 @@ fn run_once() -> Vec<String> {
         NoveltySignal::new(svm.clone()),
         Monitor::new(DEFAULT_K, f32::INFINITY, DEFAULT_L),
     );
-    let unanchored = calibrate_novelty(
+    let unanchored = calibrate(
         &mut agent,
         &video,
         &cfg,
@@ -119,7 +79,7 @@ fn run_once() -> Vec<String> {
         DEFAULT_MARGIN,
     );
     agent.monitor_mut().set_anchor(Some(unanchored.mu));
-    let anchored = calibrate_novelty(
+    let anchored = calibrate(
         &mut agent,
         &video,
         &cfg,
