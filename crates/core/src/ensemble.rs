@@ -496,6 +496,7 @@ impl UncertaintySignal for ValueDisagreement {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ENSEMBLE_KEEP, ENSEMBLE_SIZE};
     use osa_mdp::Policy;
     use osa_nn::rng::Rng;
 
@@ -644,5 +645,67 @@ mod tests {
         assert_eq!(ens.keep(), 3);
         ens.devs = vec![5.0, 0.5, 100.0, 1.0, 1.5];
         assert!((ens.keep_mean() - 1.0).abs() < 1e-6);
+    }
+
+    /// Non-finite logits through the decision reductions: softmax of a
+    /// replica row holding NaN or +∞ (or only −∞) is all-NaN, the
+    /// ensemble mean inherits it, and `argmax` over an all-NaN mean
+    /// returns level 0 — the lowest bitrate — without panicking. A lone
+    /// −∞ logit is an ordinary zero-probability level.
+    #[test]
+    fn non_finite_logits_decide_the_lowest_level() {
+        let (nan, inf) = (f32::NAN, f32::INFINITY);
+        let finite = [0.1f32, 2.0, -1.0, 0.5, 3.0, 0.2];
+        let poisoned: [[f32; NUM_BITRATES]; 5] = [
+            [nan, 2.0, -1.0, 0.5, 3.0, 0.2],
+            [0.1, 2.0, -1.0, 0.5, 3.0, nan],
+            [0.1, inf, -1.0, 0.5, 3.0, 0.2],
+            [inf, inf, -1.0, 0.5, 3.0, 0.2],
+            [-inf, -inf, -inf, -inf, -inf, -inf],
+        ];
+        for bad in &poisoned {
+            // One poisoned replica among finite ones, at every position.
+            for slot in 0..ENSEMBLE_SIZE {
+                let mut probs = Tensor::zeros(ENSEMBLE_SIZE, NUM_BITRATES);
+                for r in 0..ENSEMBLE_SIZE {
+                    let logits: &[f32] = if r == slot { bad } else { &finite };
+                    softmax_row(logits, probs.row_mut(r));
+                }
+                assert!(probs.row(slot).iter().all(|p| p.is_nan()), "{bad:?}");
+                let mut mean = [0.0f32; NUM_BITRATES];
+                replica_mean(&probs, ENSEMBLE_SIZE, 1, 0, &mut mean);
+                assert!(mean.iter().all(|p| p.is_nan()), "{bad:?}");
+                assert_eq!(argmax(&mean), 0, "{bad:?} in replica {slot}");
+            }
+        }
+        let mut p = [0.0f32; NUM_BITRATES];
+        softmax_row(&[0.1, -f32::INFINITY, 0.3, 0.0, 0.0, 0.0], &mut p);
+        assert_eq!(p[1], 0.0);
+        assert!(p.iter().all(|v| v.is_finite()));
+        assert_eq!(argmax(&p), 2);
+    }
+
+    /// U_V of a critic shard with any non-finite replica value is itself
+    /// non-finite, whichever replica and whichever kind — so the monitor
+    /// sees it (and trips on it) instead of a finite spread.
+    #[test]
+    fn non_finite_values_give_a_non_finite_spread() {
+        let mut devs = Vec::new();
+        for bad in [f32::NAN, f32::INFINITY, -f32::INFINITY] {
+            for slot in 0..ENSEMBLE_SIZE {
+                let mut values = Tensor::zeros(ENSEMBLE_SIZE, 1);
+                for r in 0..ENSEMBLE_SIZE {
+                    values.set(r, 0, if r == slot { bad } else { r as f32 * 0.25 });
+                }
+                for keep in 1..=ENSEMBLE_SIZE {
+                    let u = value_spread(&values, ENSEMBLE_SIZE, 1, 0, keep, &mut devs);
+                    assert!(!u.is_finite(), "{bad} in replica {slot}, keep {keep}: {u}");
+                }
+            }
+        }
+        let mut values = Tensor::zeros(ENSEMBLE_SIZE, 1);
+        values.set(1, 0, f32::INFINITY);
+        values.set(3, 0, -f32::INFINITY);
+        assert!(value_spread(&values, ENSEMBLE_SIZE, 1, 0, ENSEMBLE_KEEP, &mut devs).is_nan());
     }
 }

@@ -243,7 +243,8 @@ impl Layer for Dense {
     }
 }
 
-/// Rectified linear unit, elementwise `max(0, x)`.
+/// Rectified linear unit, elementwise `max(0, x)` with NaN passed
+/// through (the same function as `Act::Relu`, see `tensor::relu`).
 #[derive(Default)]
 pub struct ReLU {
     cached_input: Option<Tensor>,
@@ -260,7 +261,7 @@ impl Layer for ReLU {
         cache_slot(&mut self.cached_input, input);
         let mut out = ws.take(input.rows(), input.cols());
         for (o, &x) in out.data_mut().iter_mut().zip(input.data()) {
-            *o = x.max(0.0);
+            *o = crate::tensor::relu(x);
         }
         out
     }

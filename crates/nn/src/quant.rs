@@ -137,24 +137,18 @@ impl QuantStacked {
         assert!(calib.rows() > 0, "calibration split must be non-empty");
         assert_eq!(calib.cols(), net.in_dim(), "calibration width mismatch");
         let replicas = net.replicas();
-        let batch = calib.rows();
-        // Replicate the calibration rows replica-major, then walk the
-        // f32 layers, recording each layer's input max-abs.
-        let mut cur = ws.take(replicas * batch, net.in_dim());
-        for rep in 0..replicas {
-            for s in 0..batch {
-                cur.row_mut(rep * batch + s).copy_from_slice(calib.row(s));
-            }
-        }
+        // Walk the f32 layers over the calibration rows, recording each
+        // layer's input max-abs (the first layer's input is `calib`
+        // itself, shared by every replica).
         let mut layers = Vec::with_capacity(net.layers_internal().len());
-        for layer in net.layers_internal() {
-            let in_scale = activation_scale(cur.data());
-            let mut next = ws.take(replicas * batch, layer.out_dim);
-            layer.forward(batch, &cur, &mut next);
-            ws.recycle(std::mem::replace(&mut cur, next));
-            layers.push(quantize_layer(layer, replicas, in_scale));
-        }
-        ws.recycle(cur);
+        let mut out = Tensor::default();
+        net.forward_inspect(calib, ws, &mut out, |layer, input| {
+            layers.push(quantize_layer(
+                layer,
+                replicas,
+                activation_scale(input.data()),
+            ));
+        });
         QuantStacked { replicas, layers }
     }
 
@@ -237,7 +231,7 @@ fn quantize_layer(
         for j in 0..outd {
             let mut maxabs = 0.0f32;
             for i in 0..ind {
-                maxabs = maxabs.max(layer.w.get(rep * ind + i, j).abs());
+                maxabs = maxabs.max(layer.w[rep].get(i, j).abs());
             }
             let w_scale = if maxabs > 0.0 { maxabs / 127.0 } else { 1.0 };
             scales[rep * outd + j] = w_scale;
@@ -250,7 +244,7 @@ fn quantize_layer(
             for j in 0..outd {
                 let block = &mut wq[(rep * outd + j) * ind..(rep * outd + j + 1) * ind];
                 for (i, q) in block.iter_mut().enumerate() {
-                    *q = quantize_symmetric(layer.w.get(rep * ind + i, j), scales[rep * outd + j]);
+                    *q = quantize_symmetric(layer.w[rep].get(i, j), scales[rep * outd + j]);
                 }
             }
         }
@@ -261,7 +255,7 @@ fn quantize_layer(
             for i in 0..ind {
                 let row = &mut wq[(rep * ind + i) * outd..(rep * ind + i + 1) * outd];
                 for (j, q) in row.iter_mut().enumerate() {
-                    *q = quantize_symmetric(layer.w.get(rep * ind + i, j), scales[rep * outd + j]);
+                    *q = quantize_symmetric(layer.w[rep].get(i, j), scales[rep * outd + j]);
                 }
             }
         }

@@ -9,8 +9,12 @@
 //! 3. The stacked result itself is bit-identical across pool sizes
 //!    {1, 2, 4, 8} and across batch regroupings — each output row depends
 //!    only on its replica and its input row.
+//! 4. The prepacked, banded, direct-input, fused-epilogue forward equals
+//!    a replica-by-replica forward through the lowered dense layers,
+//!    computed with the naive contract reduction, bit-for-bit.
 
 use osa_nn::prelude::*;
+use osa_nn::tensor::{fold8, KLANES};
 use osa_runtime::{with_pool, ThreadPool};
 
 fn random_tensor(rows: usize, cols: usize, rng: &mut Rng) -> Tensor {
@@ -166,4 +170,116 @@ fn architecture_mismatches_are_rejected() {
         .with(Dense::new(8, 4, Init::HeUniform, &mut rng))
         .with(ReLU::new());
     assert!(StackedNet::from_nets(&[&d, &d]).is_err());
+}
+
+/// One layer's dense equivalent: `(in × out)` weights, bias row, act —
+/// written out independently of the library's lowering.
+fn lowered(spec: &LayerSpec) -> (Tensor, Vec<f32>, Act) {
+    match spec {
+        LayerSpec::Dense { w, b, act } => (w.clone(), b.row(0).to_vec(), *act),
+        LayerSpec::Conv1d {
+            in_channels,
+            length,
+            out_channels,
+            kernel,
+            w,
+            b,
+            act,
+        } => {
+            let out_len = length - kernel + 1;
+            let mut dw = Tensor::zeros(in_channels * length, out_channels * out_len);
+            let mut db = vec![0.0; out_channels * out_len];
+            for oc in 0..*out_channels {
+                for t in 0..out_len {
+                    db[oc * out_len + t] = b.get(0, oc);
+                    for ic in 0..*in_channels {
+                        for kk in 0..*kernel {
+                            dw.set(
+                                ic * length + t + kk,
+                                oc * out_len + t,
+                                w.get(oc, ic * kernel + kk),
+                            );
+                        }
+                    }
+                }
+            }
+            (dw, db, *act)
+        }
+        LayerSpec::Branches { parts } => {
+            let parts: Vec<_> = parts.iter().map(lowered).collect();
+            let k: usize = parts.iter().map(|p| p.0.rows()).sum();
+            let n: usize = parts.iter().map(|p| p.0.cols()).sum();
+            let (mut dw, mut db) = (Tensor::zeros(k, n), Vec::new());
+            let (mut r0, mut c0) = (0, 0);
+            for (w, b, _) in &parts {
+                for r in 0..w.rows() {
+                    for c in 0..w.cols() {
+                        dw.set(r0 + r, c0 + c, w.get(r, c));
+                    }
+                }
+                db.extend_from_slice(b);
+                (r0, c0) = (r0 + w.rows(), c0 + w.cols());
+            }
+            (dw, db, parts[0].2)
+        }
+        other => panic!("not lowerable: {other:?}"),
+    }
+}
+
+/// Replica-by-replica reference: every row through every lowered layer,
+/// each output the contract lane-fold over all `k` products, then
+/// `act(sum + bias)`.
+fn lowered_forward(net: &Sequential, x: &Tensor) -> Tensor {
+    let mut cur = x.clone();
+    for spec in &net.to_spec().layers {
+        let (w, b, act) = lowered(spec);
+        let mut next = Tensor::zeros(cur.rows(), w.cols());
+        for i in 0..cur.rows() {
+            for (j, &bias) in b.iter().enumerate() {
+                let mut lanes = [0.0f32; KLANES];
+                for p in 0..w.rows() {
+                    lanes[p % KLANES] += cur.get(i, p) * w.get(p, j);
+                }
+                next.set(i, j, act.apply(fold8(lanes) + bias));
+            }
+        }
+        cur = next;
+    }
+    cur
+}
+
+#[test]
+fn prepacked_forward_matches_the_lowered_dense_reference() {
+    let mut rng = Rng::seed_from_u64(77);
+    // A Pensieve-shaped tower (banded first layer, 6-column edge head)
+    // and a deep MLP whose 800-wide input takes the streaming path at
+    // 1 and 3 rows and whose 1-column head is a single edge column.
+    let towers: Vec<Sequential> = (0..5).map(|_| tower(8, 32, 6, &mut rng)).collect();
+    let deep: Vec<Sequential> = (0..3).map(|_| mlp(800, 16, 1, &mut rng)).collect();
+    for (what, nets) in [("tower", &towers), ("deep", &deep)] {
+        let refs: Vec<&Sequential> = nets.iter().collect();
+        let stacked = StackedNet::from_nets(&refs).unwrap();
+        for workers in [1, 4] {
+            let pool = ThreadPool::new(workers);
+            let mut ws = Workspace::new();
+            let mut out = Tensor::from_vec(1, 1, vec![f32::NAN]); // poisoned start
+            for shard in [1usize, 3, 64, 65] {
+                let x = random_tensor(shard, stacked.in_dim(), &mut rng);
+                with_pool(&pool, || stacked.forward_into(&x, &mut ws, &mut out));
+                assert_eq!(out.rows(), nets.len() * shard);
+                for (r, net) in nets.iter().enumerate() {
+                    let y = lowered_forward(net, &x);
+                    for s in 0..shard {
+                        for (j, (a, b)) in out.row(r * shard + s).iter().zip(y.row(s)).enumerate() {
+                            assert_eq!(
+                                a.to_bits(),
+                                b.to_bits(),
+                                "{what} pool{workers} shard {shard} replica {r} row {s} col {j}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
 }
