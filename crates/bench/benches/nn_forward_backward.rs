@@ -276,9 +276,10 @@ fn main() {
     };
     results.push(with_mflops(&stats, stacked_flops));
 
-    // Quantized serving path: the same stacked ensemble served int8 —
-    // per-output-channel symmetric weights, activation scales calibrated
-    // on a held-out batch, i32 accumulate with an f32 dequant epilogue.
+    // The int8 probe (`osa_nn::quant`; not a serving path): the same
+    // stacked ensemble quantized — per-output-channel symmetric weights,
+    // activation scales calibrated on a held-out batch, i32 accumulate
+    // with an f32 dequant epilogue.
     // Steady state must stay allocation-free, same as the f32 path.
     let calib = {
         let data = (0..64 * OBS_DIM).map(|_| rng.range_f32(0.0, 1.0)).collect();
@@ -293,9 +294,9 @@ fn main() {
     });
     results.push(with_mflops(&stats, stacked_flops));
 
-    // Per-decision quantized inference: the single-replica dense-lowered
-    // actor at batch 1 — what a quantized per-session SafeAgent pays per
-    // chunk decision (int8 ops counted like FLOPs for comparability).
+    // Int8 probe at batch 1: the single-replica dense-lowered actor, the
+    // f32 `actor_forward_batch1`'s counterpart (int8 ops counted like
+    // FLOPs for comparability).
     let single = StackedNet::from_nets(&[&agents[0].actor_critic().actor]).expect("tower stacks");
     let qsingle = QuantStacked::from_stacked(&single, &calib, &mut sws);
     let obs1 = {

@@ -4,10 +4,9 @@
 //! Three sections, one report (`BENCH_serve.json` at the repo root):
 //!
 //! 1. **Gated round latency** — steady-state `FleetEngine::round` over
-//!    a fixed 256-session U_V-guarded fleet (constant work, so the
-//!    `bench_compare` 25% gate applies to its median and its
-//!    zero-allocation claim), on the f32 path and again on the int8
-//!    quantized serving path (`ServePrecision::Int8`).
+//!    a fixed 256-session fleet (constant work, so the `bench_compare`
+//!    25% gate applies to its median and its zero-allocation claim),
+//!    guarded by U_V and again by U_S.
 //! 2. **Fleet scale** — the same engine at `OSA_BENCH_FLEET` sessions
 //!    (default 100 000): p50/p99 round latency and the derived
 //!    per-decision latency. Informational, not gated — smoke runs
@@ -91,7 +90,6 @@ fn calibrated_alpha(video: &VideoModel, cfg: &AbrConfig, split: &Split) -> f32 {
     .alpha
 }
 
-#[allow(clippy::too_many_arguments)] // one knob per ServeConfig field under sweep
 fn steady_engine(
     alpha: f32,
     anchor: Option<f32>,
@@ -100,7 +98,6 @@ fn steady_engine(
     cfg: &AbrConfig,
     traces: &[Trace],
     n: usize,
-    precision: ServePrecision,
 ) -> FleetEngine {
     let serve = ServeConfig {
         alpha,
@@ -108,16 +105,10 @@ fn steady_engine(
         reverse: Some(REVERSE),
         shard: 64,
         auto_reset: true,
-        precision,
         ..ServeConfig::default()
     };
-    let mut ens = owned_ensemble();
-    if precision == ServePrecision::Int8 {
-        let calib = calibration_observations(&mut ens, video, cfg, &traces[..4], 64);
-        ens.calibrate_int8(&calib);
-    }
     FleetEngine::new(
-        ens,
+        owned_ensemble(),
         signal,
         video.clone(),
         cfg.clone(),
@@ -293,32 +284,22 @@ fn main() {
     let mut results = Vec::new();
 
     // 1. Gated: steady-state round latency, fixed-size fleet — the U_V
-    //    fleet on the f32 path and again on the int8 quantized path,
-    //    plus a U_S novelty fleet (per-shard batched SVM scoring) under
-    //    the anchored calibrated guard. In-distribution traces keep the
-    //    novelty fleet observing (untripped), so the U_S case times the
-    //    full per-session scoring work, not a mostly-frozen fleet.
-    for (name, signal, a, anchor, precision) in [
+    //    fleet, plus a U_S novelty fleet (per-shard batched SVM scoring)
+    //    under the anchored calibrated guard. In-distribution traces keep
+    //    the novelty fleet observing (untripped), so the U_S case times
+    //    the full per-session scoring work, not a mostly-frozen fleet.
+    for (name, signal, a, anchor) in [
         (
             "serve_round_256",
             FleetSignal::ValueDisagreement,
             alpha,
             None,
-            ServePrecision::F32,
-        ),
-        (
-            "serve_round_256_int8",
-            FleetSignal::ValueDisagreement,
-            alpha,
-            None,
-            ServePrecision::Int8,
         ),
         (
             "serve_round_256_us",
             FleetSignal::Novelty(guard.svm.clone()),
             guard.alpha,
             Some(guard.mu),
-            ServePrecision::F32,
         ),
     ] {
         let mut engine = steady_engine(
@@ -329,7 +310,6 @@ fn main() {
             &cfg,
             steady_traces,
             GATED_SESSIONS,
-            precision,
         );
         for _ in 0..4 {
             engine.round(); // warm lane scratch before the harness warmup
@@ -361,7 +341,6 @@ fn main() {
         &cfg,
         steady_traces,
         fleet_n,
-        ServePrecision::F32,
     );
     engine.round(); // warm-up: grows lane scratch + workspace
     engine.round();

@@ -129,7 +129,7 @@ pub fn hardware_threads() -> usize {
 /// `BENCH_*.json` records which kernel family produced its numbers.
 /// [`compare::check_comparable`] refuses to diff reports from different
 /// variants: a scalar-kernel baseline and a lane8 run time different
-/// code, and an int8 run times a different numeric contract entirely.
+/// code.
 pub fn kernel_variant() -> &'static str {
     osa_nn::tensor::kernel_variant()
 }
@@ -317,9 +317,9 @@ pub mod compare {
 
     /// JSON keys that describe the *compiled kernel* a report measured.
     /// A baseline taken from scalar kernels and a current report from the
-    /// lane8 micro-kernels (or an int8 serving build) timed different
-    /// code under different accumulation contracts — their latencies are
-    /// not like-for-like, so [`check_comparable`] refuses the pair.
+    /// lane8 micro-kernels timed different code under different
+    /// accumulation contracts — their latencies are not like-for-like,
+    /// so [`check_comparable`] refuses the pair.
     const VARIANT_KEYS: [&str; 2] = ["kernel_variant", "target_cpu"];
 
     /// Collect every string value of the variant keys, per key, in

@@ -29,7 +29,7 @@ use std::rc::Rc;
 
 use osa_abr::{NUM_BITRATES, OBS_DIM};
 use osa_nn::json::{obj, NonFiniteError, Value};
-use osa_nn::quant::{QuantScratch, QuantStacked};
+use osa_nn::quant::QuantStacked;
 use osa_nn::stacked::StackedNet;
 use osa_nn::tensor::Tensor;
 use osa_nn::workspace::Workspace;
@@ -39,19 +39,6 @@ use crate::signal::UncertaintySignal;
 
 /// Serialized-ensemble format version (bumped on any layout change).
 pub const ENSEMBLE_FORMAT_VERSION: u32 = 1;
-
-/// Numeric precision the serving forwards run at: train f32, serve
-/// either f32 or int8-quantized (see `osa_nn::quant`).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ServePrecision {
-    /// The f32 stacked kernels (bit-identical to training forwards).
-    #[default]
-    F32,
-    /// Post-training int8: ~4× smaller weight traffic, decisions match
-    /// f32 within quantization error (pinned by the switch-fidelity
-    /// e2e test). Requires [`PensieveEnsemble::calibrate_int8`] first.
-    Int8,
-}
 
 /// Probability floor for the U_π KL sum (see
 /// [`PensieveEnsemble::policy_disagreement`]).
@@ -67,14 +54,13 @@ pub struct PensieveEnsemble {
     keep: usize,
     actor: StackedNet,
     critic: StackedNet,
-    /// Int8 serving nets, present once [`calibrate_int8`] has run.
+    /// Int8 copies of the nets for the offline f32-vs-int8 measurement
+    /// probe, present once [`calibrate_int8`] has run. Never serves.
     ///
     /// [`calibrate_int8`]: PensieveEnsemble::calibrate_int8
     quant: Option<(QuantStacked, QuantStacked)>,
-    precision: ServePrecision,
     // Reused scratch — all paths below are allocation-free after warm-up.
     ws: Workspace,
-    qscratch: QuantScratch,
     x: Tensor,
     logits: Tensor,
     values: Tensor,
@@ -112,9 +98,7 @@ impl PensieveEnsemble {
             actor,
             critic,
             quant: None,
-            precision: ServePrecision::F32,
             ws: Workspace::new(),
-            qscratch: QuantScratch::new(),
             x: Tensor::zeros(1, OBS_DIM),
             logits: Tensor::zeros(0, 0),
             values: Tensor::zeros(0, 0),
@@ -133,62 +117,24 @@ impl PensieveEnsemble {
         self.keep
     }
 
-    /// The stacked actor towers, for batched serving paths
-    /// ([`crate::serve`]) that run their own forwards.
-    pub fn actor(&self) -> &StackedNet {
-        &self.actor
-    }
-
-    /// The stacked critic towers (see [`PensieveEnsemble::actor`]).
-    pub fn critic(&self) -> &StackedNet {
-        &self.critic
-    }
-
-    /// Consume the ensemble into its stacked (actor, critic) pair — the
-    /// serving engine owns the nets directly and drops the per-call
-    /// scratch this wrapper carries.
-    pub fn into_nets(self) -> (StackedNet, StackedNet) {
-        (self.actor, self.critic)
-    }
-
-    /// Quantize the serving forwards to int8, calibrating per-layer
-    /// activation scales on `calib` (`rows × OBS_DIM` validation-split
-    /// observations — see `crate::eval::calibration_observations`).
-    /// Keeps the f32 nets; call [`set_precision`] to pick which one
-    /// serves.
-    ///
-    /// [`set_precision`]: PensieveEnsemble::set_precision
+    /// Build int8 copies of the actor and critic for the offline
+    /// f32-vs-int8 measurement probe (`osa_nn::quant`), calibrating
+    /// per-layer activation scales on `calib` (`rows × OBS_DIM`
+    /// validation-split observations — see
+    /// `crate::eval::calibration_observations`). Serving stays f32:
+    /// nothing in this crate runs the int8 nets.
     pub fn calibrate_int8(&mut self, calib: &Tensor) {
         let qa = QuantStacked::from_stacked(&self.actor, calib, &mut self.ws);
         let qc = QuantStacked::from_stacked(&self.critic, calib, &mut self.ws);
         self.quant = Some((qa, qc));
     }
 
-    /// Switch the serving precision. `Int8` requires a prior
-    /// [`calibrate_int8`]; the cached policy evaluation is dropped
-    /// because the two paths do not produce bit-identical logits.
+    /// Consume the ensemble into its nets: `(actor, critic, int8 probe
+    /// pair)`. The fleet engine serves the f32 pair and drops the third
+    /// element; the int8 pair (present after [`calibrate_int8`]) is for
+    /// offline measurement only.
     ///
     /// [`calibrate_int8`]: PensieveEnsemble::calibrate_int8
-    pub fn set_precision(&mut self, precision: ServePrecision) -> Result<(), String> {
-        if precision == ServePrecision::Int8 && self.quant.is_none() {
-            return Err("set_precision(Int8) before calibrate_int8".into());
-        }
-        self.precision = precision;
-        self.fresh = false;
-        Ok(())
-    }
-
-    pub fn precision(&self) -> ServePrecision {
-        self.precision
-    }
-
-    /// The calibrated int8 (actor, critic) pair, if any.
-    pub fn quantized(&self) -> Option<&(QuantStacked, QuantStacked)> {
-        self.quant.as_ref()
-    }
-
-    /// Consume the ensemble into every serving net it carries:
-    /// `(actor, critic, quantized pair)` — the fleet engine's intake.
     pub fn into_serving_nets(
         self,
     ) -> (StackedNet, StackedNet, Option<(QuantStacked, QuantStacked)>) {
@@ -210,14 +156,8 @@ impl PensieveEnsemble {
     /// [`act`]: PensieveEnsemble::act
     pub fn policy_eval(&mut self, obs: &[f32]) {
         self.x.row_mut(0).copy_from_slice(obs);
-        match (self.precision, &self.quant) {
-            (ServePrecision::Int8, Some((qa, _))) => {
-                qa.forward_into(&self.x, &mut self.qscratch, &mut self.logits)
-            }
-            _ => self
-                .actor
-                .forward_into(&self.x, &mut self.ws, &mut self.logits),
-        }
+        self.actor
+            .forward_into(&self.x, &mut self.ws, &mut self.logits);
         for r in 0..self.replicas {
             softmax_row(self.logits.row(r), self.probs.row_mut(r));
         }
@@ -282,14 +222,8 @@ impl PensieveEnsemble {
     /// (`replicas × 1`).
     pub fn value_eval(&mut self, obs: &[f32]) {
         self.x.row_mut(0).copy_from_slice(obs);
-        match (self.precision, &self.quant) {
-            (ServePrecision::Int8, Some((_, qc))) => {
-                qc.forward_into(&self.x, &mut self.qscratch, &mut self.values)
-            }
-            _ => self
-                .critic
-                .forward_into(&self.x, &mut self.ws, &mut self.values),
-        }
+        self.critic
+            .forward_into(&self.x, &mut self.ws, &mut self.values);
     }
 
     /// Raw U_V: per-replica distance of the value estimate from the

@@ -114,9 +114,9 @@ pub fn run_session_into<S, P, F>(
 }
 
 /// Collect the observation rows the learned policy actually sees while
-/// streaming `traces` — the calibration set for
-/// [`PensieveEnsemble::calibrate_int8`]. Each trace is streamed end to
-/// end under the ensemble's own (f32) decisions, so the recorded
+/// streaming `traces` — the calibration set for the offline int8
+/// probe, [`PensieveEnsemble::calibrate_int8`]. Each trace is streamed
+/// end to end under the ensemble's own (f32) decisions, so the recorded
 /// distribution matches serving, and the first `max_per_trace`
 /// observations of each session are kept. Fully deterministic: same
 /// ensemble + traces → bit-identical rows, and therefore bit-identical

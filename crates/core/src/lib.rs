@@ -46,8 +46,8 @@ pub mod signal;
 
 pub use calibrate::{calibrate, calibrate_novelty, Calibration, DEFAULT_MARGIN};
 pub use ensemble::{
-    shared, PensieveEnsemble, PolicyDisagreement, ServePrecision, SharedEnsemble,
-    ValueDisagreement, ENSEMBLE_FORMAT_VERSION,
+    shared, PensieveEnsemble, PolicyDisagreement, SharedEnsemble, ValueDisagreement,
+    ENSEMBLE_FORMAT_VERSION,
 };
 pub use eval::{
     anchors, calibration_observations, evaluate_safe_agent, normalized, run_session,
@@ -74,8 +74,8 @@ pub const DEFAULT_L: usize = 3;
 pub mod prelude {
     pub use crate::calibrate::{calibrate, calibrate_novelty, Calibration, DEFAULT_MARGIN};
     pub use crate::ensemble::{
-        shared, PensieveEnsemble, PolicyDisagreement, ServePrecision, SharedEnsemble,
-        ValueDisagreement, ENSEMBLE_FORMAT_VERSION,
+        shared, PensieveEnsemble, PolicyDisagreement, SharedEnsemble, ValueDisagreement,
+        ENSEMBLE_FORMAT_VERSION,
     };
     pub use crate::eval::{
         anchors, calibration_observations, evaluate_safe_agent, normalized, run_session,

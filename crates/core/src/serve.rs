@@ -57,11 +57,7 @@ use osa_ocsvm::OcSvm;
 use osa_runtime::{LaneSlots, ThreadPool};
 use osa_trace::Trace;
 
-use osa_nn::quant::{QuantScratch, QuantStacked};
-
-use crate::ensemble::{
-    argmax, replica_mean, softmax_row, value_spread, PensieveEnsemble, ServePrecision,
-};
+use crate::ensemble::{argmax, replica_mean, softmax_row, value_spread, PensieveEnsemble};
 pub use crate::monitor::FleetMonitors;
 use crate::monitor::ReverseConfig;
 use crate::{DEFAULT_K, DEFAULT_L};
@@ -102,10 +98,6 @@ pub struct ServeConfig {
     /// steady-state bench configuration). Off = one video per session,
     /// the evaluation configuration.
     pub auto_reset: bool,
-    /// Which precision the fleet's forwards run at. `Int8` requires the
-    /// ensemble to have been calibrated ([`PensieveEnsemble::calibrate_int8`])
-    /// before it is handed to [`FleetEngine::new`].
-    pub precision: ServePrecision,
 }
 
 impl Default for ServeConfig {
@@ -118,7 +110,6 @@ impl Default for ServeConfig {
             reverse: None,
             shard: 256,
             auto_reset: false,
-            precision: ServePrecision::F32,
         }
     }
 }
@@ -153,7 +144,6 @@ impl SessionSlot {
 /// Per-lane scratch: workspace + forward tensors sized for one shard.
 struct LaneScratch {
     ws: Workspace,
-    qscratch: QuantScratch,
     x: Tensor,
     logits: Tensor,
     values: Tensor,
@@ -174,7 +164,6 @@ impl LaneScratch {
     fn new(replicas: usize, shard: usize) -> LaneScratch {
         LaneScratch {
             ws: Workspace::new(),
-            qscratch: QuantScratch::new(),
             x: Tensor::zeros(shard, OBS_DIM),
             logits: Tensor::zeros(0, 0),
             values: Tensor::zeros(0, 0),
@@ -229,10 +218,6 @@ pub struct FleetEngine {
     sim: MultiSession,
     actor: StackedNet,
     critic: StackedNet,
-    /// Calibrated int8 actor/critic, present iff the ensemble was
-    /// calibrated; consulted only when `precision` is `Int8`.
-    quant: Option<(QuantStacked, QuantStacked)>,
-    precision: ServePrecision,
     replicas: usize,
     keep: usize,
     signal: FleetSignal,
@@ -264,19 +249,12 @@ impl FleetEngine {
     ) -> FleetEngine {
         let replicas = ens.replicas();
         let keep = ens.keep();
-        let (actor, critic, quant) = ens.into_serving_nets();
-        assert!(
-            serve.precision != ServePrecision::Int8 || quant.is_some(),
-            "ServeConfig precision Int8 requires PensieveEnsemble::calibrate_int8 \
-             before FleetEngine::new"
-        );
+        let (actor, critic, _) = ens.into_serving_nets();
         let sim = MultiSession::new(video, cfg, traces, n, serve.auto_reset);
         FleetEngine {
             sim,
             actor,
             critic,
-            quant,
-            precision: serve.precision,
             replicas,
             keep,
             signal,
@@ -340,8 +318,6 @@ impl FleetEngine {
                 sim,
                 actor,
                 critic,
-                quant,
-                precision,
                 replicas,
                 keep,
                 signal,
@@ -353,12 +329,6 @@ impl FleetEngine {
             } = self;
             let lanes = lanes.as_ref().expect("lane scratch built above");
             let (replicas, keep, shard) = (*replicas, *keep, *shard);
-            // `None` here means "serve f32" — the engine only consults the
-            // calibrated nets when the configured precision asks for them.
-            let quant = match precision {
-                ServePrecision::Int8 => quant.as_ref(),
-                ServePrecision::F32 => None,
-            };
             let sim = &*sim;
             let monitors = &*monitors;
             pool.parallel_for_slice(slots, 1, |lane, first, chunk| {
@@ -372,7 +342,6 @@ impl FleetEngine {
                         monitors,
                         actor,
                         critic,
-                        quant,
                         signal,
                         replicas,
                         keep,
@@ -528,7 +497,6 @@ fn decide_shard(
     monitors: &FleetMonitors,
     actor: &StackedNet,
     critic: &StackedNet,
-    quant: Option<&(QuantStacked, QuantStacked)>,
     signal: &FleetSignal,
     replicas: usize,
     keep: usize,
@@ -543,10 +511,7 @@ fn decide_shard(
     // shard, rows replica-major (`row = r·b + s`), then the softmax →
     // mean-over-replicas → argmax reductions `PensieveEnsemble::act`
     // runs at b = 1.
-    match quant {
-        Some((qa, _)) => qa.forward_into(&scratch.x, &mut scratch.qscratch, &mut scratch.logits),
-        None => actor.forward_into(&scratch.x, &mut scratch.ws, &mut scratch.logits),
-    }
+    actor.forward_into(&scratch.x, &mut scratch.ws, &mut scratch.logits);
     scratch.probs.resize_shape(replicas * b, NUM_BITRATES);
     for row in 0..replicas * b {
         softmax_row(scratch.logits.row(row), scratch.probs.row_mut(row));
@@ -564,12 +529,7 @@ fn decide_shard(
             }
         }
         FleetSignal::ValueDisagreement => {
-            match quant {
-                Some((_, qc)) => {
-                    qc.forward_into(&scratch.x, &mut scratch.qscratch, &mut scratch.values)
-                }
-                None => critic.forward_into(&scratch.x, &mut scratch.ws, &mut scratch.values),
-            }
+            critic.forward_into(&scratch.x, &mut scratch.ws, &mut scratch.values);
             for (s_i, slot) in slots.iter_mut().enumerate() {
                 slot.raw = value_spread(&scratch.values, replicas, b, s_i, keep, &mut scratch.devs);
             }

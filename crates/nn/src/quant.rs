@@ -1,11 +1,15 @@
 //! [`QuantStacked`]: int8 post-training quantization of a lowered
-//! ensemble — train f32, serve quantized.
+//! ensemble — an offline f32-vs-int8 measurement probe, not a serving
+//! path.
 //!
-//! The serving path's batch-1 forward is memory-bound on f32 weights
-//! (the Pensieve actor streams ~0.9 MB per decision); storing weights as
-//! `i8` cuts that traffic 4×. This module quantizes a [`StackedNet`]
-//! (the lowered, replica-stacked form every serving surface already
-//! uses) with the classic post-training recipe:
+//! Serving runs f32 only: although `i8` weights cut weight traffic 4×,
+//! this forward measures slower than the packed f32 kernels at every
+//! shape the fleet serves, and its outputs are not bit-identical to
+//! f32 (EXPERIMENTS.md "Int8 leaves the serving path"). The fleet
+//! benchmark times it against the f32 forward on the served shard
+//! (`nn.actor_fwd_int8_us`, `nn.critic_fwd_int8_us`). This module
+//! quantizes a [`StackedNet`] (the lowered, replica-stacked form the
+//! serving engine runs) with the classic post-training recipe:
 //!
 //! - **per-output-channel symmetric weights**: each output channel `j`
 //!   of each replica gets its own scale `w_scale = max|w_:,j| / 127`,
@@ -31,8 +35,9 @@
 //! stays far below `i32::MAX` for every geometry this engine builds).
 //!
 //! Rounding is ties-to-even (banker's rounding) everywhere — the rule
-//! is part of the contract because switch-fidelity tests pin decisions
-//! across precisions, and it is chosen deliberately for the hot path:
+//! is part of the contract because the probe's outputs are pinned bit
+//! for bit across worker counts, and it is chosen deliberately for the
+//! hot path:
 //! ties-to-even is the hardware's native FP rounding mode, which lets
 //! the activation-quantize pass extract rounded integers with the
 //! [`ROUND_MAGIC`] bit trick instead of a scalar float→int cast per
@@ -168,12 +173,6 @@ impl QuantStacked {
     /// first.
     pub fn activation_scales(&self) -> Vec<f32> {
         self.layers.iter().map(|l| l.in_scale).collect()
-    }
-
-    /// Bytes of quantized weight storage (the serving working set the
-    /// int8 path streams instead of f32 weights).
-    pub fn weight_bytes(&self) -> usize {
-        self.layers.iter().map(|l| l.wq.len()).sum()
     }
 
     /// Forward `x` (`batch × in_dim`) through every replica:

@@ -265,10 +265,11 @@ impl OcSvm {
     /// One row of the batched epilogue: reconstruct each squared
     /// distance from the precomputed norms and the GEMM cross term,
     /// then accumulate `αᵢ·exp(-γd²)` in the lane-8 contract order.
-    /// The `max(0.0)` guards the decomposition against tiny negative
+    /// The floor at 0 guards the decomposition against tiny negative
     /// distances from cancellation (exact zero is guaranteed only when
     /// the operands are bit-identical, e.g. a query that *is* a support
-    /// vector).
+    /// vector). It passes NaN through, so a non-finite query yields a
+    /// NaN sum rather than `K = 1`, the most in-distribution value.
     #[inline]
     fn weighted_row(&self, xn: f32, cross: &[f32]) -> f32 {
         let g = self.gamma;
@@ -282,14 +283,14 @@ impl OcSvm {
             let cx: &[f32; KLANES] = cross[p..][..KLANES].try_into().expect("lane group");
             let ax: &[f32; KLANES] = alphas[p..][..KLANES].try_into().expect("lane group");
             for l in 0..KLANES {
-                let d2 = (xn + nx[l] - 2.0 * cx[l]).max(0.0);
+                let d2 = floor_nan(xn + nx[l] - 2.0 * cx[l], 0.0);
                 lanes[l] += ax[l] * exp_fast(-g * d2);
             }
             p += KLANES;
         }
         let rem = n - p; // tail: support vector p + l lands in lane l
         for l in 0..rem {
-            let d2 = (xn + norms[p + l] - 2.0 * cross[p + l]).max(0.0);
+            let d2 = floor_nan(xn + norms[p + l] - 2.0 * cross[p + l], 0.0);
             lanes[l] += alphas[p + l] * exp_fast(-g * d2);
         }
         fold8(lanes)
@@ -317,8 +318,21 @@ thread_local! {
 }
 
 /// Floor for the kernel expansion before taking logs: far inputs
-/// underflow `Σ αᵢ K` to exactly 0.
-const LOG_FLOOR: f32 = 1e-30;
+/// underflow `Σ αᵢ K` to exactly 0, and score `ln ρ − ln LOG_FLOOR`.
+pub const LOG_FLOOR: f32 = 1e-30;
+
+/// `max(x, floor)` that keeps NaN: `floor > NaN` is false. One compare,
+/// so it lowers to a single `maxps(floor, x)`, which returns its second
+/// operand on NaN (`f32::max` would return `floor` instead and turn a
+/// non-finite query into an in-distribution score).
+#[inline(always)]
+fn floor_nan(x: f32, floor: f32) -> f32 {
+    if floor > x {
+        floor
+    } else {
+        x
+    }
+}
 
 impl NoveltyDetector for OcSvm {
     fn name(&self) -> &'static str {
@@ -360,9 +374,10 @@ impl NoveltyDetector for OcSvm {
     /// under a *sustained* distribution shift it goes constant and its
     /// k-window variance collapses back below any threshold; the log
     /// domain keeps growing like `γ·d²`, which is what the variance
-    /// monitor needs to see.
+    /// monitor needs to see. A window holding NaN or ±∞ scores
+    /// non-finite, which the monitor counts as an exceedance.
     fn score(&self, x: &[f32]) -> f32 {
-        self.ln_rho - self.kernel_sum(x).max(LOG_FLOOR).ln()
+        self.ln_rho - floor_nan(self.kernel_sum(x), LOG_FLOOR).ln()
     }
 
     /// The batched engine: one GEMM for the whole batch's cross terms,
@@ -372,7 +387,7 @@ impl NoveltyDetector for OcSvm {
     fn score_batch_into(&self, x: &Tensor, out: &mut [f32]) {
         self.kernel_sums_into(x, out);
         for o in out.iter_mut() {
-            *o = self.ln_rho - o.max(LOG_FLOOR).ln();
+            *o = self.ln_rho - floor_nan(*o, LOG_FLOOR).ln();
         }
     }
 }

@@ -1,4 +1,4 @@
-//! Property tests for the one-class SVM (ISSUE 7 satellite):
+//! Property tests for the one-class SVM:
 //!
 //! - the ν guarantee: margin-error fraction ≤ ν ≤ support-vector
 //!   fraction (Schölkopf et al., 2001, Proposition 3);
@@ -7,7 +7,9 @@
 //! - SMO KKT residuals below tolerance, re-verified *from scratch*
 //!   (gradient recomputed from the returned α, not trusted from the
 //!   solver's own bookkeeping);
-//! - fit determinism.
+//! - fit determinism;
+//! - failing closed: a window holding NaN or ±∞ scores non-finite, and
+//!   a far finite window scores exactly the log floor.
 
 use osa_nn::rng::Rng;
 use osa_nn::tensor::Tensor;
@@ -191,5 +193,69 @@ fn scores_separate_training_mass_from_far_points() {
     let wild: Vec<f32> = (0..60).map(|_| 0.2 + rng.range_f32(-0.15, 0.15)).collect();
     for row in window_features(&wild) {
         assert!(det.score(&row) > median, "shifted window not flagged");
+    }
+}
+
+/// 300 rows of `FEATURE_DIM` features around 1.0 ± 0.5 (the training set
+/// of `batch_invariance.rs`), and an OC-SVM fitted on them.
+fn boxed_fit() -> (Tensor, OcSvm) {
+    let mut rng = Rng::seed_from_u64(0x0541);
+    let mut train = Tensor::zeros(300, FEATURE_DIM);
+    for v in train.data_mut() {
+        *v = 1.0 + rng.range_f32(-0.5, 0.5);
+    }
+    let mut svm = OcSvm::new(OcSvmConfig::default());
+    svm.fit(&train);
+    (train, svm)
+}
+
+#[test]
+fn non_finite_windows_score_non_finite() {
+    let (train, svm) = boxed_fit();
+    // A poisoned window in the middle of a batch of training windows.
+    let clean = Tensor::from_rows(&(0..3).map(|i| train.row(i).to_vec()).collect::<Vec<_>>());
+    let mut want = vec![0.0f32; 3];
+    svm.score_batch_into(&clean, &mut want);
+    assert!(want.iter().all(|v| v.is_finite()));
+    let mut got = vec![0.0f32; 3];
+    for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+        for f in 0..FEATURE_DIM {
+            let mut x = clean.clone();
+            x.set(1, f, bad);
+            let scalar = svm.score(x.row(1));
+            assert!(!scalar.is_finite(), "{bad} in feature {f}: score {scalar}");
+            svm.score_batch_into(&x, &mut got);
+            assert!(
+                !got[1].is_finite(),
+                "{bad} in feature {f}: batch {}",
+                got[1]
+            );
+            for r in [0, 2] {
+                assert_eq!(got[r].to_bits(), want[r].to_bits(), "{bad} in {f}, row {r}");
+            }
+        }
+    }
+}
+
+#[test]
+fn a_far_finite_window_scores_the_log_floor() {
+    let (train, svm) = boxed_fit();
+    let far = vec![1e6f32; FEATURE_DIM];
+    // Every kernel underflows, so the raw score is ρ itself.
+    let rho = svm.raw_score(&far);
+    let floor = rho.ln() - osa_ocsvm::detector::LOG_FLOOR.ln();
+    assert!(floor.is_finite());
+    let mut batch = [0.0f32];
+    svm.score_batch_into(&Tensor::from_rows(std::slice::from_ref(&far)), &mut batch);
+    for s in [svm.score(&far), batch[0]] {
+        assert_eq!(
+            s.to_bits(),
+            floor.to_bits(),
+            "{s} vs ln ρ − ln LOG_FLOOR {floor}"
+        );
+    }
+    for i in 0..train.rows() {
+        let s = svm.score(train.row(i));
+        assert!(s < floor, "training row {i} scores {s} ≥ the floor {floor}");
     }
 }

@@ -7,14 +7,9 @@
 //! (capped at 0.4 Mbit/s for a minute) spliced in. Runs every session
 //! to completion and prints the aggregate telemetry: the outage
 //! sessions must trip the guard and come home once the link recovers,
-//! the in-distribution majority must stay on the learned policy.
-//!
-//! The same fleet then runs again with `ServePrecision::Int8` — the
-//! train-f32/serve-quantized path — and must reproduce the f32 safety
-//! behavior: trip on the outages, recover, leave the in-distribution
-//! majority alone. The whole run executes twice and must produce
-//! identical transcripts (both precisions included) — fleet serving is
-//! bit-deterministic at any `OSA_THREADS`.
+//! the in-distribution majority must stay on the learned policy. The
+//! whole run executes twice and must produce identical transcripts —
+//! fleet serving is bit-deterministic at any `OSA_THREADS`.
 //!
 //! ```sh
 //! cargo run --release --example serve_quickstart
@@ -91,69 +86,56 @@ fn run_once() -> Vec<String> {
         "calibration: U_S alpha {:.4e} anchored at {:.4e}",
         anchored.alpha, unanchored.mu
     )];
-    for precision in [ServePrecision::F32, ServePrecision::Int8] {
-        let serve = ServeConfig {
-            alpha: anchored.alpha,
-            anchor: Some(unanchored.mu),
-            reverse: Some(ReverseConfig::new(3, 8)),
-            shard: 16,
-            precision,
-            ..ServeConfig::default()
-        };
-        let mut fleet_ens = load_ensemble();
-        if precision == ServePrecision::Int8 {
-            // Train f32, serve int8: calibrate activation scales on the
-            // validation split under the ensemble's own decisions.
-            let calib =
-                calibration_observations(&mut fleet_ens, &video, &cfg, &split.validation[..4], 64);
-            fleet_ens.calibrate_int8(&calib);
-        }
-        let mut fleet = FleetEngine::new(
-            fleet_ens,
-            FleetSignal::Novelty(svm.clone()),
-            video.clone(),
-            cfg.clone(),
-            fleet_traces(&split),
-            SESSIONS,
-            &serve,
-        );
-        while fleet.round() {}
+    let serve = ServeConfig {
+        alpha: anchored.alpha,
+        anchor: Some(unanchored.mu),
+        reverse: Some(ReverseConfig::new(3, 8)),
+        shard: 16,
+        ..ServeConfig::default()
+    };
+    let mut fleet = FleetEngine::new(
+        load_ensemble(),
+        FleetSignal::Novelty(svm),
+        video,
+        cfg,
+        fleet_traces(&split),
+        SESSIONS,
+        &serve,
+    );
+    while fleet.round() {}
 
-        let t = fleet.telemetry();
-        let tag = match precision {
-            ServePrecision::F32 => "f32 ",
-            ServePrecision::Int8 => "int8",
-        };
-        lines.push(format!(
-            "{tag} fleet: {} sessions over {} rounds ({} decisions)",
-            t.sessions, t.rounds, t.decisions
-        ));
-        lines.push(format!(
-            "{tag} QoE: {:.4} mean/chunk; per-session p10 {:.4}, p50 {:.4}, p90 {:.4}",
-            t.mean_qoe_per_chunk, t.qoe_p10, t.qoe_p50, t.qoe_p90
-        ));
-        lines.push(format!(
-            "{tag} safety: {} switched, {} recovered, {} locked (switch rate {:.3}, recovery rate {:.3})",
-            t.switched_sessions, t.recovered_sessions, t.locked_sessions, t.switch_rate,
-            t.recovery_rate
-        ));
+    let t = fleet.telemetry();
+    lines.push(format!(
+        "fleet: {} sessions over {} rounds ({} decisions)",
+        t.sessions, t.rounds, t.decisions
+    ));
+    lines.push(format!(
+        "QoE: {:.4} mean/chunk; per-session p10 {:.4}, p50 {:.4}, p90 {:.4}",
+        t.mean_qoe_per_chunk, t.qoe_p10, t.qoe_p50, t.qoe_p90
+    ));
+    lines.push(format!(
+        "safety: {} switched, {} recovered, {} locked (switch rate {:.3}, recovery rate {:.3})",
+        t.switched_sessions,
+        t.recovered_sessions,
+        t.locked_sessions,
+        t.switch_rate,
+        t.recovery_rate
+    ));
 
-        // Both precisions must show the same safety shape: the outage
-        // sessions trip and come home, the in-distribution majority
-        // stays on the learned policy.
-        assert!(
-            t.switched_sessions >= 2,
-            "{tag}: outage sessions must trip the guard"
-        );
-        assert!(
-            t.recovered_sessions >= 1,
-            "{tag}: reverse switching must recover at least one session"
-        );
-        assert!(
-            t.switched_sessions <= SESSIONS / 2,
-            "{tag}: in-distribution sessions must stay on the learned policy"
-        );
-    }
+    // The outage sessions trip and come home, the in-distribution
+    // majority stays on the learned policy.
+    assert!(
+        t.switched_sessions >= 2,
+        "outage sessions must trip the guard"
+    );
+    assert!(
+        t.recovered_sessions >= 1,
+        "reverse switching must recover at least one session"
+    );
+    assert!(
+        t.switched_sessions <= SESSIONS / 2,
+        "in-distribution sessions must stay on the learned policy"
+    );
     lines
 }
 
