@@ -15,7 +15,9 @@
 //!    feature corpus (~6.3k windows), the offline cost a deployment
 //!    pays per calibration — plus **batched U_S scoring**
 //!    (`u_s_batched`): a 64-window shard through one
-//!    `score_batch_into`, the fleet path's per-decision signal cost.
+//!    `score_batch_into`, the fleet path's per-decision signal cost —
+//!    and its worst case (`u_s_batched_far`), 64 far Belgium windows
+//!    whose kernel sums floor.
 //! 3. **Batched vs sequential ensemble forward** — the 5-replica
 //!    stacked actor forward against five per-replica forwards of the
 //!    same weights, pinning the win that makes the ensemble signals
@@ -132,10 +134,10 @@ fn main() {
 
     // 2b. Batched U_S scoring: the fleet path stages a shard's ready
     //    feature windows and scores them in one `score_batch_into`
-    //    call — the cross-term GEMM amortizes across sessions. 64 rows
-    //    matches the fleet benchmark's decisions-per-iteration so the
-    //    ns/decision medians are comparable with `u_s_decision` (which
-    //    additionally pays the acting forward).
+    //    call. 64 rows matches the fleet benchmark's
+    //    decisions-per-iteration so the ns/decision medians are
+    //    comparable with `u_s_decision` (which additionally pays the
+    //    acting forward).
     const US_BATCH: usize = 64;
     let mut batch = Tensor::zeros(US_BATCH, FEATURE_DIM);
     for i in 0..US_BATCH {
@@ -154,6 +156,44 @@ fn main() {
     if let Value::Obj(map) = &mut entry {
         map.insert("ns_per_decision".into(), Value::Num(ns.round()));
         map.insert("batch".into(), Value::Num(US_BATCH as f64));
+    }
+    results.push(entry);
+
+    // 2c. The worst case (`u_s_batched_far`): 64 feature windows slid
+    //    over the Belgium shift traces' bandwidth samples, every one with
+    //    a kernel sum below the log floor. Scoring costs the same at any distance, so this median
+    //    should track `u_s_batched`: a product gone subnormal would cost
+    //    a microcode assist per support vector on exactly these windows.
+    let mut shifted = Tensor::zeros(0, FEATURE_DIM);
+    for (name, t) in osap::ood_scenarios(&split) {
+        if name.starts_with("belgium") {
+            for w in window_features(&t.mbps) {
+                shifted.push_row(&w);
+            }
+        }
+    }
+    let mut sums = vec![0.0f32; shifted.rows()];
+    svm.kernel_sums_into(&shifted, &mut sums);
+    let floored: Vec<usize> = (0..shifted.rows())
+        .filter(|&i| sums[i] < osa_ocsvm::detector::LOG_FLOOR)
+        .collect();
+    assert!(!floored.is_empty(), "no Belgium window floors");
+    for i in 0..US_BATCH {
+        batch
+            .row_mut(i)
+            .copy_from_slice(shifted.row(floored[i % floored.len()]));
+    }
+    let stats = run_bench("u_s_batched_far", samples, || {
+        svm.score_batch_into(&batch, &mut scores);
+        std::hint::black_box(&scores);
+    });
+    let ns = stats.median_ns as f64 / US_BATCH as f64;
+    per_decision.push(("u_s_batched_far", ns));
+    let mut entry = stats.to_json();
+    if let Value::Obj(map) = &mut entry {
+        map.insert("ns_per_decision".into(), Value::Num(ns.round()));
+        map.insert("batch".into(), Value::Num(US_BATCH as f64));
+        map.insert("floored_windows".into(), Value::Num(floored.len() as f64));
     }
     results.push(entry);
 

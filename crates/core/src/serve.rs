@@ -536,11 +536,10 @@ fn decide_shard(
         }
         FleetSignal::Novelty(svm) => {
             // Gather the shard's ready feature windows, score them in
-            // ONE batched call (the cross-term GEMM amortizes across
-            // sessions), then scatter the scores back. Bit-identical to
-            // per-session scoring — the batched engine is the canonical
-            // path at every batch size — and still sharded: the staging
-            // tensors live in this lane's scratch.
+            // ONE batched call, then scatter the scores back.
+            // Bit-identical to per-session scoring — the batched engine
+            // is the canonical path at every batch size — and still
+            // sharded: the staging tensors live in this lane's scratch.
             scratch.feats.reset_rows(FEATURE_DIM);
             scratch.us_idx.clear();
             for (s_i, slot) in slots.iter_mut().enumerate() {

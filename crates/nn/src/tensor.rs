@@ -596,13 +596,14 @@ impl Tensor {
 pub(crate) const PAR_MIN_MADDS: usize = 32 * 1024;
 
 /// Shard the `m` output rows of `out` (row stride `n`) across the current
-/// thread pool when `work = m·k·n` clears [`PAR_MIN_MADDS`], otherwise run
-/// `run(0..m, out)` inline. Each lane receives a contiguous, disjoint row
+/// thread pool when `work = m·k·n` clears `PAR_MIN_MADDS` (32 Ki),
+/// otherwise run `run(0..m, out)` inline. Each lane receives a contiguous, disjoint row
 /// range and its matching sub-slice of `out`, so every output element is
 /// computed by exactly one lane with the same ascending-`k` accumulation
 /// as the serial kernel — the result is bit-identical for any worker
-/// count (pinned by the worker sweep in `tests/kernels.rs`).
-pub(crate) fn par_rows(
+/// count (pinned by the worker sweep in `tests/kernels.rs`). Public for
+/// row-independent kernels outside this crate (the OC-SVM scorer).
+pub fn par_rows(
     out: &mut [f32],
     m: usize,
     n: usize,

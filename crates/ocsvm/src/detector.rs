@@ -11,27 +11,26 @@
 //! # The batched scoring engine
 //!
 //! [`OcSvm`] scoring is dominated by `Σᵢ αᵢ exp(-γ‖z(x) − svᵢ‖²)` over
-//! ~650 support vectors. The batched engine decomposes the distance,
-//! `‖z − svᵢ‖² = ‖z‖² + ‖svᵢ‖² − 2·z·svᵢᵀ`, so the cross terms for a
-//! batch of `S` queries become ONE `S×d · (nsv×d)ᵀ` GEMM through the
-//! `osa-nn` lane-group micro-kernels, followed by a fused
-//! exponential + α-weighted lane-8 reduction per row ([`crate::kernel`]).
-//! Support-vector norms (`‖svᵢ‖²`) and the α·exp weights' inputs are
-//! precomputed at fit time; each query is standardized exactly once
-//! (the old scalar loop re-divided by the per-dimension std for every
-//! support vector).
+//! ~650 support vectors. The engine decomposes the distance,
+//! `‖z − svᵢ‖² = ‖z‖² + ‖svᵢ‖² − 2·z·svᵢ`, with the support-vector norms
+//! precomputed at fit time and each query standardized exactly once.
+//! Each row then makes one fused pass over the support vectors, stored
+//! feature-major, eight at a time: the eight cross terms, the distances,
+//! the exponentials and the α-weighted sum, vectorized across the eight
+//! support vectors. The stored α are pre-scaled by [`ALPHA_SCALE`] so no
+//! product goes subnormal, and a far window costs what a near one does.
 //!
 //! The batched path is the *canonical* computation: the scalar `score`
 //! delegates to a batch of one, so scores are bit-identical at every
-//! batch size — GEMM rows are computed independently (and sharded by
-//! row across the pool), so grouping queries can never change a row's
-//! bits, at any `OSA_THREADS`. Scratch lives in a thread-local
-//! [`Workspace`] arena, so neither path allocates after its first call
-//! on a given thread.
+//! batch size — rows are computed independently (and sharded by row
+//! across the pool), so grouping queries can never change a row's bits,
+//! at any `OSA_THREADS`. Scratch lives in a thread-local [`Workspace`]
+//! arena, so neither path allocates after its first call on a given
+//! thread.
 
 use crate::kernel::{exp_fast, sq_norm};
 use crate::smo::{solve_one_class, SmoConfig, SmoResult};
-use osa_nn::tensor::{fold8, Tensor, KLANES};
+use osa_nn::tensor::{fold8, par_rows, Tensor, KLANES};
 use osa_nn::workspace::Workspace;
 
 /// A novelty scorer: fit on in-distribution rows, then score queries.
@@ -166,10 +165,15 @@ pub struct OcSvm {
     cfg: OcSvmConfig,
     std: Standardizer,
     gamma: f32,
-    /// Standardized support vectors, one per row.
-    svs: Tensor,
-    /// Dual coefficient of each support vector (f32 is plenty for the
-    /// score sum; the solver works in f64).
+    /// Support-vector count (the stored vectors below are zero-padded
+    /// to a whole number of `KLANES` blocks).
+    nsv: usize,
+    /// Standardized support vectors, feature-major: feature `p` of
+    /// support vector `s` at `svs_t[p · nsv.next_multiple_of(KLANES) + s]`,
+    /// so one load reads a feature of a `KLANES`-SV block.
+    svs_t: Vec<f32>,
+    /// Dual coefficient of each support vector times [`ALPHA_SCALE`]
+    /// (f32 is plenty for the score sum; the solver works in f64).
     sv_alphas: Vec<f32>,
     /// `‖svᵢ‖²` in the lane-8 accumulation order, precomputed at fit
     /// time for the distance decomposition.
@@ -190,6 +194,9 @@ pub struct FitDiag {
     /// Training rows at the box ceiling (the margin-error count that ν
     /// upper-bounds as a fraction).
     pub bounded_svs: usize,
+    /// Smallest dual coefficient of a support vector, as stored (f32,
+    /// before [`ALPHA_SCALE`]).
+    pub min_alpha: f32,
 }
 
 impl OcSvm {
@@ -198,7 +205,8 @@ impl OcSvm {
             cfg,
             std: Standardizer::default(),
             gamma: 0.0,
-            svs: Tensor::zeros(0, 0),
+            nsv: 0,
+            svs_t: Vec::new(),
             sv_alphas: Vec::new(),
             sv_norms: Vec::new(),
             rho: 0.0,
@@ -208,7 +216,7 @@ impl OcSvm {
     }
 
     pub fn support_vectors(&self) -> usize {
-        self.sv_alphas.len()
+        self.nsv
     }
 
     pub fn diag(&self) -> Option<FitDiag> {
@@ -228,72 +236,108 @@ impl OcSvm {
     }
 
     /// Kernel expansions `Σᵢ αᵢ K(z(xⱼ), svᵢ)` for every row of `x` in
-    /// one pass: standardize the batch, one `S×d · (nsv×d)ᵀ` GEMM for
-    /// the cross terms, then the fused exp + α-weighted reduction per
-    /// row. This is the canonical evaluation — the scalar accessors
-    /// ([`OcSvm::decision`], [`OcSvm::raw_score`],
-    /// [`NoveltyDetector::score`]) all route through it as a batch of
-    /// one, so results are bit-identical at every batch size. Panics if
+    /// one pass: standardize the batch, then one fused pass per row over
+    /// the support vectors, eight at a time — cross terms, distances,
+    /// exponentials and the α-weighted sum, vectorized across the eight.
+    /// Rows are independent, so a large batch is split by row across the
+    /// `osa-runtime` pool without moving a bit. This is the canonical
+    /// evaluation — the scalar accessors ([`OcSvm::decision`],
+    /// [`OcSvm::raw_score`], [`NoveltyDetector::score`]) all route
+    /// through it as a batch of one, so results are bit-identical at
+    /// every batch size and pool width. The cost per row does not depend on the query: every
+    /// product stays a normal f32 (see [`ALPHA_SCALE`]). Panics if
     /// called before `fit`, on a query-width mismatch, or if
     /// `out.len() != x.rows()`.
     pub fn kernel_sums_into(&self, x: &Tensor, out: &mut [f32]) {
-        assert!(!self.sv_alphas.is_empty(), "OcSvm::score before fit");
-        assert_eq!(x.cols(), self.std.mean.len(), "feature dimension");
+        assert!(self.nsv > 0, "OcSvm::score before fit");
+        let d = self.std.mean.len();
+        assert_eq!(x.cols(), d, "feature dimension");
         assert_eq!(x.rows(), out.len(), "kernel_sums_into output length");
         let s = x.rows();
         if s == 0 {
             return;
         }
-        let (mut z, mut cross) = SCORE_ARENA.with(|w| {
-            let mut w = w.borrow_mut();
-            (w.take(s, x.cols()), w.take(s, self.svs.rows()))
-        });
+        let mut z = SCORE_ARENA.with(|w| w.borrow_mut().take(s, d));
         for i in 0..s {
             self.std.apply_row_into(x.row(i), z.row_mut(i));
         }
-        z.matmul_t_into(&self.svs, &mut cross);
-        for (i, o) in out.iter_mut().enumerate() {
-            *o = self.weighted_row(sq_norm(z.row(i)), cross.row(i));
-        }
-        SCORE_ARENA.with(|w| {
-            let mut w = w.borrow_mut();
-            w.recycle(z);
-            w.recycle(cross);
+        par_rows(out, s, 1, s * d * self.nsv, |rows, o| {
+            for (i, o) in rows.zip(o) {
+                *o = self.kernel_sum_row(z.row(i));
+            }
         });
+        SCORE_ARENA.with(|w| w.borrow_mut().recycle(z));
     }
 
-    /// One row of the batched epilogue: reconstruct each squared
-    /// distance from the precomputed norms and the GEMM cross term,
-    /// then accumulate `αᵢ·exp(-γd²)` in the lane-8 contract order.
-    /// The floor at 0 guards the decomposition against tiny negative
-    /// distances from cancellation (exact zero is guaranteed only when
-    /// the operands are bit-identical, e.g. a query that *is* a support
-    /// vector). It passes NaN through, so a non-finite query yields a
-    /// NaN sum rather than `K = 1`, the most in-distribution value.
+    /// One row's kernel sum: support vector `s` accumulates into lane
+    /// `s mod KLANES`, the lanes fold through [`fold8`], and the exact
+    /// `2⁻⁶⁴` undoes [`ALPHA_SCALE`]. The last block's zero padding has
+    /// α = 0, so for a finite query its lanes add exactly `+0.0`.
     #[inline]
-    fn weighted_row(&self, xn: f32, cross: &[f32]) -> f32 {
-        let g = self.gamma;
-        let norms = &self.sv_norms[..cross.len()];
-        let alphas = &self.sv_alphas[..cross.len()];
-        let n = cross.len();
+    fn kernel_sum_row(&self, z: &[f32]) -> f32 {
+        let xn = sq_norm(z);
         let mut lanes = [0.0f32; KLANES];
+        for s0 in (0..self.nsv).step_by(KLANES) {
+            let t = self.block_terms(z, xn, s0);
+            for (lane, &v) in lanes.iter_mut().zip(&t) {
+                *lane += v;
+            }
+        }
+        fold8(lanes) * ALPHA_UNSCALE
+    }
+
+    /// `αᵢ·exp(-γ‖z − svᵢ‖²)` for the `KLANES` support vectors from
+    /// `s0`, vectorized across them. Each cross term `z·svᵢ` has one
+    /// accumulator per lane: feature `p` lands in lane `p mod KLANES` in
+    /// ascending `p`, and the lanes fold through the [`fold8`] tree —
+    /// the `osa-nn` lane-8 contract, so it has the bits of
+    /// [`dot8`](crate::kernel::dot8) and of a GEMM cross term. The
+    /// squared distance is reconstructed as `‖z‖² + ‖svᵢ‖² − 2·z·svᵢ`;
+    /// the floor at 0 guards it against tiny negative values from
+    /// cancellation (exact zero is guaranteed only when the operands are
+    /// bit-identical, e.g. a query that *is* a support vector). It
+    /// passes NaN through, so a non-finite query yields a NaN sum rather
+    /// than `K = 1`, the most in-distribution value.
+    #[inline(always)]
+    fn block_terms(&self, z: &[f32], xn: f32, s0: usize) -> [f32; KLANES] {
+        let stride = self.nsv.next_multiple_of(KLANES);
+        let mut acc = [[0.0f32; KLANES]; KLANES];
+        let madd = |lane: &mut [f32; KLANES], p: usize| {
+            let sv: &[f32; KLANES] = self.svs_t[p * stride + s0..][..KLANES]
+                .try_into()
+                .expect("lane group");
+            for j in 0..KLANES {
+                lane[j] += z[p] * sv[j];
+            }
+        };
+        let k = z.len();
         let mut p = 0;
-        while p + KLANES <= n {
-            let nx: &[f32; KLANES] = norms[p..][..KLANES].try_into().expect("lane group");
-            let cx: &[f32; KLANES] = cross[p..][..KLANES].try_into().expect("lane group");
-            let ax: &[f32; KLANES] = alphas[p..][..KLANES].try_into().expect("lane group");
-            for l in 0..KLANES {
-                let d2 = floor_nan(xn + nx[l] - 2.0 * cx[l], 0.0);
-                lanes[l] += ax[l] * exp_fast(-g * d2);
+        while p + KLANES <= k {
+            for (l, lane) in acc.iter_mut().enumerate() {
+                madd(lane, p + l);
             }
             p += KLANES;
         }
-        let rem = n - p; // tail: support vector p + l lands in lane l
-        for l in 0..rem {
-            let d2 = floor_nan(xn + norms[p + l] - 2.0 * cross[p + l], 0.0);
-            lanes[l] += alphas[p + l] * exp_fast(-g * d2);
+        let rem = k - p; // tail: feature p + l lands in lane l
+        for (l, lane) in acc.iter_mut().enumerate() {
+            if l < rem {
+                madd(lane, p + l);
+            }
         }
-        fold8(lanes)
+        let norms: &[f32; KLANES] = self.sv_norms[s0..][..KLANES]
+            .try_into()
+            .expect("lane group");
+        let alphas: &[f32; KLANES] = self.sv_alphas[s0..][..KLANES]
+            .try_into()
+            .expect("lane group");
+        let mut terms = [0.0f32; KLANES];
+        for j in 0..KLANES {
+            let cross = ((acc[0][j] + acc[1][j]) + (acc[2][j] + acc[3][j]))
+                + ((acc[4][j] + acc[5][j]) + (acc[6][j] + acc[7][j]));
+            let d2 = floor_nan(xn + norms[j] - 2.0 * cross, 0.0);
+            terms[j] = alphas[j] * exp_fast(-self.gamma * d2);
+        }
+        terms
     }
 
     fn kernel_sum(&self, x: &[f32]) -> f32 {
@@ -308,14 +352,29 @@ impl OcSvm {
 }
 
 thread_local! {
-    /// Scratch for the batched scorer: the standardized query block and
-    /// the GEMM cross-term block. Thread-local (mirroring the pack
-    /// arena in `osa_nn::tensor`) so scoring stays `&self` and
-    /// allocation-free after the first call per thread — each fleet
-    /// lane warms its own pool once.
+    /// Scratch for the batched scorer: the standardized query block.
+    /// Thread-local (mirroring the pack arena in `osa_nn::tensor`) so
+    /// scoring stays `&self` and allocation-free after the first call
+    /// per thread — each fleet lane warms its own pool once.
     static SCORE_ARENA: std::cell::RefCell<Workspace> =
         std::cell::RefCell::new(Workspace::new());
 }
+
+/// Exact power-of-two scale on the stored dual coefficients, `2⁶⁴`.
+///
+/// The kernel floor `exp_fast(-87) ≈ 1.6·10⁻³⁸` is a normal f32, but
+/// `αᵢ < 1` times it is not: unscaled, every far support vector's term
+/// would be a subnormal product, which costs a microcode assist per
+/// lane, and an out-of-distribution window would score several times
+/// slower than an in-distribution one. Scaled, `αᵢ·2⁶⁴·exp_fast(-87)` stays normal for
+/// every `αᵢ ≥ 2⁻⁶⁴` (checked in `fit`), and the sum cannot overflow
+/// because `Σαᵢ = 1`. Scaling by a power of two is exact, so every sum
+/// that was normal before — every sum at or above [`LOG_FLOOR`] — keeps
+/// its bits; only sums that already floor may differ.
+pub const ALPHA_SCALE: f32 = f32::from_bits((127 + 64) << 23);
+
+/// `2⁻⁶⁴`, the exact inverse of [`ALPHA_SCALE`].
+const ALPHA_UNSCALE: f32 = f32::from_bits((127 - 64) << 23);
 
 /// Floor for the kernel expansion before taking logs: far inputs
 /// underflow `Σ αᵢ K` to exactly 0, and score `ln ρ − ln LOG_FLOOR`.
@@ -346,19 +405,48 @@ impl NoveltyDetector for OcSvm {
         let r: SmoResult = solve_one_class(&z, self.gamma, self.cfg.nu, &self.cfg.smo);
         let c = 1.0 / (self.cfg.nu * x.rows() as f64);
         let sv_idx: Vec<usize> = (0..x.rows()).filter(|&i| r.alphas[i] > 0.0).collect();
-        let mut svs = Tensor::zeros(sv_idx.len(), x.cols());
+        let (nsv, d) = (sv_idx.len(), x.cols());
+        let stride = nsv.next_multiple_of(KLANES);
+        let mut svs_t = vec![0.0f32; d * stride];
         for (s, &i) in sv_idx.iter().enumerate() {
-            svs.row_mut(s).copy_from_slice(z.row(i));
+            for (p, &v) in z.row(i).iter().enumerate() {
+                svs_t[p * stride + s] = v;
+            }
         }
-        self.sv_alphas = sv_idx.iter().map(|&i| r.alphas[i] as f32).collect();
-        self.sv_norms = (0..sv_idx.len()).map(|s| sq_norm(svs.row(s))).collect();
-        self.svs = svs;
+        let mut sv_alphas = vec![0.0f32; stride];
+        let mut sv_norms = vec![0.0f32; stride];
+        for (s, &i) in sv_idx.iter().enumerate() {
+            sv_alphas[s] = r.alphas[i] as f32 * ALPHA_SCALE;
+            sv_norms[s] = sq_norm(z.row(i));
+        }
+        // Precondition of the constant-cost kernel (see ALPHA_SCALE):
+        // every scaled α times the exp floor is a normal f32, i.e.
+        // α ≳ 4·10⁻²⁰. SMO sets an α to exactly 0 when a step reaches the
+        // bound, so a positive α this small takes a step that stops just
+        // short of it — possible in principle, e.g. on the tiny rounding
+        // residue of the feasible start. It would only bring back slow
+        // subnormal products on far windows. The support vector is kept
+        // either way: dropping it would move the sums.
+        debug_assert!(
+            sv_alphas[..nsv]
+                .iter()
+                .all(|&a| (a * exp_fast(-87.0)).is_normal()),
+            "a scaled dual coefficient times the exp floor is subnormal"
+        );
+        self.nsv = nsv;
+        self.svs_t = svs_t;
+        self.sv_alphas = sv_alphas;
+        self.sv_norms = sv_norms;
         self.rho = r.rho as f32;
         self.ln_rho = self.rho.max(LOG_FLOOR).ln();
         self.diag = Some(FitDiag {
             iters: r.iters,
             kkt_gap: r.kkt_gap,
-            support_vectors: sv_idx.len(),
+            support_vectors: nsv,
+            min_alpha: sv_idx
+                .iter()
+                .map(|&i| r.alphas[i] as f32)
+                .fold(f32::INFINITY, f32::min),
             bounded_svs: sv_idx
                 .iter()
                 .filter(|&&i| r.alphas[i] >= c * (1.0 - 1e-8))
@@ -380,10 +468,9 @@ impl NoveltyDetector for OcSvm {
         self.ln_rho - floor_nan(self.kernel_sum(x), LOG_FLOOR).ln()
     }
 
-    /// The batched engine: one GEMM for the whole batch's cross terms,
-    /// then the log epilogue per row. [`NoveltyDetector::score`] is a
-    /// batch of one through the same code, so the bits never depend on
-    /// batch size.
+    /// The batched engine: [`OcSvm::kernel_sums_into`], then the log
+    /// epilogue per row. [`NoveltyDetector::score`] is a batch of one
+    /// through the same code, so the bits never depend on batch size.
     fn score_batch_into(&self, x: &Tensor, out: &mut [f32]) {
         self.kernel_sums_into(x, out);
         for o in out.iter_mut() {

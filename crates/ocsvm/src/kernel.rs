@@ -5,30 +5,32 @@
 //! positive semi-definite for γ > 0 (Mercer), which the property tests
 //! spot-check on random Gram matrices.
 //!
-//! # One kernel, two evaluation orders
+//! # One kernel, two uses
 //!
-//! [`rbf`] is the scalar reference: the squared distance accumulates in
+//! [`rbf`] is the solver's kernel: the squared distance accumulates in
 //! ascending index order, so `K(a, b)` is bit-identical to `K(b, a)`
 //! (each term `(aᵢ−bᵢ)²` equals `(bᵢ−aᵢ)²` exactly in IEEE arithmetic).
-//! The batched engine in [`crate::detector`] instead *decomposes* the
-//! distance — `‖a − b‖² = ‖a‖² + ‖b‖² − 2·a·b` — so the cross terms of
-//! a whole batch become one GEMM through `osa-nn`'s lane-group kernels.
-//! The two orders agree to f32 rounding but not bit-for-bit; whichever
-//! path a component uses, it uses for *every* batch size, so results
-//! never depend on how queries were grouped.
+//! The scorer in [`crate::detector`] instead *decomposes* the distance
+//! — `‖a − b‖² = ‖a‖² + ‖b‖² − 2·a·b` — with the support-vector norms
+//! precomputed at fit time and the cross terms computed per row, eight
+//! support vectors at a time, in the lane-8 order of [`dot8`]. The two
+//! orders agree to f32 rounding but not bit-for-bit; the scorer uses its
+//! order at every batch size, so scores never depend on how queries
+//! were grouped.
 //!
-//! Both paths share one exponential, [`exp_fast`]: branchless polynomial
-//! arithmetic that LLVM auto-vectorizes inside the per-row reduction
-//! loop, bit-deterministic on every input, < 5·10⁻⁷ max relative error
-//! (tested against `f32::exp` below). 650 support vectors per decision
-//! make `exp` the second pole of the U_S cost after the GEMM; `expf`
-//! calls through libm would keep the reduction loop scalar.
+//! Both share one exponential, [`exp_fast`]: branchless polynomial
+//! arithmetic that LLVM auto-vectorizes across the eight support
+//! vectors of a block, bit-deterministic on every input, < 5·10⁻⁷ max
+//! relative error (tested against `f32::exp` below). With about 650
+//! support vectors per decision, the exponential and the ten-feature
+//! cross terms are the whole U_S cost; `expf` calls through libm would
+//! keep the loop scalar.
 //!
-//! [`dot8`] and [`sq_norm`] mirror the `osa-nn` lane-8 accumulation
-//! contract (product `p` → lane `p mod 8`, fixed fold tree), so a norm
-//! computed here cancels *exactly* against a cross term computed by the
-//! GEMM when the operands are identical — `‖x‖² + ‖x‖² − 2·x·x ≡ 0`,
-//! giving `K(x, x) = 1` on both paths.
+//! [`dot8`] and [`sq_norm`] fix the `osa-nn` lane-8 accumulation
+//! contract (product `p` → lane `p mod 8`, fixed fold tree), and the
+//! scorer's cross terms follow it too, so a norm computed here cancels
+//! *exactly* against the cross term when the operands are identical —
+//! `‖x‖² + ‖x‖² − 2·x·x ≡ 0`, giving `K(x, x) = 1` on both paths.
 
 use osa_nn::tensor::{fold8, KLANES};
 
@@ -40,9 +42,12 @@ use osa_nn::tensor::{fold8, KLANES};
 /// (`ln 2` split into a short-mantissa head and a tail), so no
 /// precision is lost to the `x·log₂e` product even at the clamp edge.
 /// The input is clamped to `[-87, 88]` — beyond that f32 underflows /
-/// overflows anyway; the clamp floor returns ~1.6·10⁻³⁸ instead of a
-/// denormal 0, which every caller here floors far above (see
-/// `LOG_FLOOR` in [`crate::detector`]). `exp_fast(0.0) == 1.0` exactly
+/// overflows anyway; the clamp floor returns ~1.6·10⁻³⁸, a normal f32,
+/// instead of a subnormal or 0. That floor sits just above the normal
+/// range, so any factor below 1 — a dual coefficient αᵢ — pushes the
+/// product into subnormals, which cost a microcode assist per lane; the
+/// OC-SVM scorer stores αᵢ pre-scaled by 2⁶⁴ for that reason (see
+/// `ALPHA_SCALE` in [`crate::detector`]). `exp_fast(0.0) == 1.0` exactly
 /// (the polynomial's constant term), which [`rbf`]'s `K(x, x) = 1`
 /// contract relies on.
 #[inline(always)]
