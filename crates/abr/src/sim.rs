@@ -184,8 +184,8 @@ pub fn encode_obs(
 ///
 /// [`MultiSession`] clones its inputs once per *batch*; evaluation
 /// loops that spin up one session per trace (calibration sweeps,
-/// `osa_core::run_session`) used to pay a `VideoModel` + `Trace` clone
-/// per *session*. A cursor is a few plain scalars and two fixed history
+/// single-session evaluation) used to pay a `VideoModel` + `Trace`
+/// clone per *session*. A cursor is a few plain scalars and two fixed history
 /// arrays, so per-session setup is allocation- and clone-free. Both
 /// paths share [`step_chunk`] and [`encode_obs`], which keeps them
 /// bit-equal by construction (pinned in this module's tests).

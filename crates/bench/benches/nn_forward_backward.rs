@@ -215,7 +215,7 @@ fn main() {
     let mut results = Vec::new();
 
     // Per-decision inference latency: batch of one state, what the online
-    // SafeAgent pays on every chunk decision.
+    // guarded agent pays on every chunk decision.
     let state1 = PensieveState::random(1, &mut rng);
     let stats = run_bench("actor_forward_batch1", samples, || {
         let probs = actor.forward_ws(&state1, &mut ws);

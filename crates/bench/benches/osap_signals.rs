@@ -1,27 +1,22 @@
-//! Microbenchmark: what the safety layer costs per decision.
+//! Microbenchmark: what the safety layer's signals cost.
 //!
-//! Three questions, one report (`BENCH_osap.json` at the repo root):
+//! Two questions, one report (`BENCH_osap.json` at the repo root):
 //!
-//! 1. **Per-decision signal cost** — a full `SafeAgent::decide`
-//!    (observe → k-window variance → threshold → ensemble-mean act) for
-//!    each of U_S, U_π, and U_V. The paper's runtime argument is that
-//!    the decision-aware signals are *cheaper* than classic novelty
-//!    detection: U_π shares its stacked actor forward with the act that
-//!    needs it anyway, and U_V adds one stacked critic forward, while
-//!    U_S pays a support-vector loop (~650 SVs × 25-dim RBF) on top of
-//!    the acting forward — a cost that grows with the training corpus,
-//!    where the ensemble signals stay constant.
-//! 2. **SMO train time** — fitting the U_S one-class SVM on the §3.1
+//! 1. **SMO train time** — fitting the U_S one-class SVM on the §3.1
 //!    feature corpus (~6.3k windows), the offline cost a deployment
 //!    pays per calibration — plus **batched U_S scoring**
 //!    (`u_s_batched`): a 64-window shard through one
 //!    `score_batch_into`, the fleet path's per-decision signal cost —
 //!    and its worst case (`u_s_batched_far`), 64 far Belgium windows
 //!    whose kernel sums floor.
-//! 3. **Batched vs sequential ensemble forward** — the 5-replica
+//! 2. **Batched vs sequential ensemble forward** — the 5-replica
 //!    stacked actor forward against five per-replica forwards of the
 //!    same weights, pinning the win that makes the ensemble signals
 //!    affordable.
+//!
+//! The per-decision cost of each guarded signal inside a serving round
+//! is gated in `benches/serve.rs` (`serve_round_256`,
+//! `serve_round_256_upi`, `serve_round_256_us`).
 //!
 //! ```sh
 //! cargo bench -p osa-bench --bench osap_signals
@@ -43,8 +38,6 @@ use osa_ocsvm::prelude::*;
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// Safe-agent decisions timed per iteration.
-const DECISIONS_PER_ITER: usize = 64;
 /// Ensemble forwards timed per iteration (both layouts).
 const FORWARDS_PER_ITER: usize = 64;
 
@@ -55,7 +48,7 @@ fn samples() -> usize {
         .unwrap_or(200)
 }
 
-/// Plausible observation bank: decide-loop cost is content-independent,
+/// Plausible observation bank: forward cost is content-independent,
 /// but cycling inputs defeats any lazy caching a constant obs would hit.
 fn obs_bank(rng: &mut Rng) -> Vec<Vec<f32>> {
     (0..16)
@@ -67,59 +60,24 @@ fn main() {
     let samples = samples();
     let fit_samples = (samples / 20).max(3);
     println!(
-        "{DECISIONS_PER_ITER} decisions / {FORWARDS_PER_ITER} forwards per iteration, \
-         {samples} samples, {} hardware thread(s)",
+        "{FORWARDS_PER_ITER} forwards per iteration, {samples} samples, {} hardware thread(s)",
         hardware_threads()
     );
 
     let split = osap::corpus();
     let video = VideoModel::envivio();
     let cfg = AbrConfig::default();
-    let ens = osap::load_ensemble();
+    let mut ens = osap::load_ensemble();
     let mut rng = Rng::seed_from_u64(9);
     let bank = obs_bank(&mut rng);
     let mut results = Vec::new();
 
-    // 1. Per-decision cost of each guarded signal.
-    let svm = osap::fit_us_svm(&ens, &video, &cfg, &split.train);
+    // 1. Offline SMO fit on the real §3.1 corpus.
+    let x = osap::us_feature_corpus(&ens, &video, &cfg, &split.train);
+    let mut svm = OcSvm::new(OcSvmConfig::default());
+    svm.fit(&x);
     let sv_count = svm.diag().expect("fitted").support_vectors;
     let mut per_decision = Vec::new();
-    for (name, mut agent) in osap::signal_agents(&ens, svm.clone()) {
-        let mut i = 0usize;
-        let stats = run_bench(&format!("{name}_decision"), samples, || {
-            for _ in 0..DECISIONS_PER_ITER {
-                std::hint::black_box(agent.decide(&bank[i % bank.len()]));
-                i += 1;
-            }
-        });
-        let ns = stats.median_ns as f64 / DECISIONS_PER_ITER as f64;
-        per_decision.push((name, ns));
-        let mut entry = stats.to_json();
-        if let Value::Obj(map) = &mut entry {
-            map.insert("ns_per_decision".into(), Value::Num(ns.round()));
-            map.insert(
-                "decisions_per_iter".into(),
-                Value::Num(DECISIONS_PER_ITER as f64),
-            );
-        }
-        results.push(entry);
-    }
-
-    // 2. Offline SMO fit on the real §3.1 corpus.
-    let mut collector = abr_safe_agent(
-        ens.clone(),
-        osap::RateCollector { rates: Vec::new() },
-        Monitor::new(DEFAULT_K, f32::INFINITY, DEFAULT_L),
-    );
-    let mut windows: Vec<[f32; FEATURE_DIM]> = Vec::new();
-    for t in &split.train[..osap::US_FIT_TRACES] {
-        run_session(&mut collector, &video, &cfg, t);
-        windows.extend(window_features(&collector.signal().rates));
-    }
-    let mut x = Tensor::zeros(windows.len(), FEATURE_DIM);
-    for (i, w) in windows.iter().enumerate() {
-        x.row_mut(i).copy_from_slice(w);
-    }
     let stats = run_bench("ocsvm_fit", fit_samples, || {
         let mut fresh = OcSvm::new(OcSvmConfig::default());
         fresh.fit(&x);
@@ -127,23 +85,19 @@ fn main() {
     });
     let mut entry = stats.to_json();
     if let Value::Obj(map) = &mut entry {
-        map.insert("windows".into(), Value::Num(windows.len() as f64));
+        map.insert("windows".into(), Value::Num(x.rows() as f64));
         map.insert("support_vectors".into(), Value::Num(sv_count as f64));
     }
     results.push(entry);
 
-    // 2b. Batched U_S scoring: the fleet path stages a shard's ready
+    // 1b. Batched U_S scoring: the fleet path stages a shard's ready
     //    feature windows and scores them in one `score_batch_into`
     //    call. 64 rows matches the fleet benchmark's
-    //    decisions-per-iteration so the ns/decision medians are
-    //    comparable with `u_s_decision` (which additionally pays the
-    //    acting forward).
+    //    decisions-per-iteration.
     const US_BATCH: usize = 64;
     let mut batch = Tensor::zeros(US_BATCH, FEATURE_DIM);
     for i in 0..US_BATCH {
-        batch
-            .row_mut(i)
-            .copy_from_slice(&windows[i % windows.len()]);
+        batch.row_mut(i).copy_from_slice(x.row(i % x.rows()));
     }
     let mut scores = vec![0.0f32; US_BATCH];
     let stats = run_bench("u_s_batched", samples, || {
@@ -159,7 +113,7 @@ fn main() {
     }
     results.push(entry);
 
-    // 2c. The worst case (`u_s_batched_far`): 64 feature windows slid
+    // 1c. The worst case (`u_s_batched_far`): 64 feature windows slid
     //    over the Belgium shift traces' bandwidth samples, every one with
     //    a kernel sum below the log floor. Scoring costs the same at any distance, so this median
     //    should track `u_s_batched`: a product gone subnormal would cost
@@ -197,16 +151,15 @@ fn main() {
     }
     results.push(entry);
 
-    // 3. Stacked vs sequential: the same five replicas, one batched
+    // 2. Stacked vs sequential: the same five replicas, one batched
     //    GEMM against five single-replica forwards.
     let text = std::fs::read_to_string(osap::ARTIFACT).expect("artifact");
     let mut agents = PensieveEnsemble::agents_from_json(&text).expect("replicas parse");
     let mut i = 0usize;
     let stacked = run_bench("stacked_forward", samples, || {
-        let mut e = ens.borrow_mut();
         for _ in 0..FORWARDS_PER_ITER {
-            e.policy_eval(&bank[i % bank.len()]);
-            std::hint::black_box(e.mean_probs());
+            ens.policy_eval(&bank[i % bank.len()]);
+            std::hint::black_box(ens.mean_probs());
             i += 1;
         }
     });

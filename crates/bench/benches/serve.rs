@@ -6,7 +6,7 @@
 //! 1. **Gated round latency** — steady-state `FleetEngine::round` over
 //!    a fixed 256-session fleet (constant work, so the `bench_compare`
 //!    25% gate applies to its median and its zero-allocation claim),
-//!    guarded by U_V and again by U_S.
+//!    guarded by each signal the engine serves: U_V, U_π and U_S.
 //! 2. **Fleet scale** — the same engine at `OSA_BENCH_FLEET` sessions
 //!    (default 100 000): p50/p99 round latency and the derived
 //!    per-decision latency. Informational, not gated — smoke runs
@@ -66,25 +66,23 @@ fn env_usize(key: &str, default: usize) -> usize {
         .unwrap_or(default)
 }
 
-fn owned_ensemble() -> PensieveEnsemble {
-    let text = std::fs::read_to_string(osap::ARTIFACT).expect("missing ensemble artifact");
-    PensieveEnsemble::from_json(&text).expect("artifact parses")
-}
-
-/// Calibrate U_V once on in-distribution validation traces — the α
-/// every fleet below deploys.
-fn calibrated_alpha(video: &VideoModel, cfg: &AbrConfig, split: &Split) -> f32 {
-    let ens = osap::load_ensemble();
-    let mut agent = abr_safe_agent(
-        ens.clone(),
-        ValueDisagreement::new(ens),
-        Monitor::new(DEFAULT_K, f32::INFINITY, DEFAULT_L),
-    );
-    calibrate(
-        &mut agent,
+/// Calibrate `signal` once on in-distribution validation traces — the
+/// α every fleet guarded by it deploys.
+fn calibrated_alpha(
+    signal: &FleetSignal,
+    video: &VideoModel,
+    cfg: &AbrConfig,
+    split: &Split,
+) -> f32 {
+    let mut serve = ServeConfig::default();
+    let val = &split.validation[..4];
+    calibrate_guard(
+        &osap::load_ensemble(),
+        signal,
+        &mut serve,
         video,
         cfg,
-        &split.validation[..4],
+        val,
         DEFAULT_MARGIN,
     )
     .alpha
@@ -108,7 +106,7 @@ fn steady_engine(
         ..ServeConfig::default()
     };
     FleetEngine::new(
-        owned_ensemble(),
+        osap::load_ensemble(),
         signal,
         video.clone(),
         cfg.clone(),
@@ -131,27 +129,13 @@ struct UsGuard {
 
 fn calibrated_us(video: &VideoModel, cfg: &AbrConfig, split: &Split) -> UsGuard {
     let ens = osap::load_ensemble();
-    let svm = osap::fit_us_svm(&ens, video, cfg, &split.train);
-    let mut agent = abr_safe_agent(
-        ens.clone(),
-        NoveltySignal::new(svm.clone()),
-        Monitor::new(DEFAULT_K, f32::INFINITY, DEFAULT_L),
-    );
-    let unanchored = calibrate(
-        &mut agent,
-        video,
-        cfg,
-        &split.validation[..4],
-        DEFAULT_MARGIN,
-    );
-    agent.monitor_mut().set_anchor(Some(unanchored.mu));
-    let anchored = calibrate(
-        &mut agent,
-        video,
-        cfg,
-        &split.validation[..4],
-        DEFAULT_MARGIN,
-    );
+    let svm = osap::fit_svm(&ens, video, cfg, &split.train);
+    let signal = FleetSignal::Novelty(svm.clone());
+    let val = &split.validation[..4];
+    let mut serve = ServeConfig::default();
+    let unanchored = calibrate_guard(&ens, &signal, &mut serve, video, cfg, val, DEFAULT_MARGIN);
+    serve.anchor = Some(unanchored.mu);
+    let anchored = calibrate_guard(&ens, &signal, &mut serve, video, cfg, val, DEFAULT_MARGIN);
     UsGuard {
         svm,
         mu: unanchored.mu,
@@ -209,7 +193,7 @@ fn run_shift(
         ..ServeConfig::default()
     };
     let mut fleet = FleetEngine::new(
-        owned_ensemble(),
+        osap::load_ensemble(),
         FleetSignal::Novelty(guard.svm.clone()),
         video.clone(),
         cfg.clone(),
@@ -278,21 +262,30 @@ fn main() {
     let split = osap::corpus();
     let video = VideoModel::envivio();
     let cfg = AbrConfig::default();
-    let alpha = calibrated_alpha(&video, &cfg, &split);
+    let alpha = calibrated_alpha(&FleetSignal::ValueDisagreement, &video, &cfg, &split);
+    let alpha_pi = calibrated_alpha(&FleetSignal::PolicyDisagreement, &video, &cfg, &split);
     let guard = calibrated_us(&video, &cfg, &split);
     let steady_traces = &split.test[..8];
     let mut results = Vec::new();
 
     // 1. Gated: steady-state round latency, fixed-size fleet — the U_V
-    //    fleet, plus a U_S novelty fleet (per-shard batched SVM scoring)
-    //    under the anchored calibrated guard. In-distribution traces keep
-    //    the novelty fleet observing (untripped), so the U_S case times
-    //    the full per-session scoring work, not a mostly-frozen fleet.
+    //    fleet, a U_π fleet (KL sums over the actor forward's softmaxes,
+    //    no critic), plus a U_S novelty fleet (per-shard batched SVM
+    //    scoring) under the anchored calibrated guard. In-distribution
+    //    traces keep the guarded fleets observing (untripped), so each
+    //    case times the full per-session signal work, not a mostly-frozen
+    //    fleet.
     for (name, signal, a, anchor) in [
         (
             "serve_round_256",
             FleetSignal::ValueDisagreement,
             alpha,
+            None,
+        ),
+        (
+            "serve_round_256_upi",
+            FleetSignal::PolicyDisagreement,
+            alpha_pi,
             None,
         ),
         (

@@ -1,9 +1,9 @@
 //! Figure 1 — in-distribution QoE parity (§3.3).
 //!
-//! The safety layer must be free when nothing is wrong: each guarded
-//! agent (U_S, U_π, U_V, calibrated on the validation split) streams
-//! the held-out Norway test split and must match the unguarded
-//! ensemble-mean policy's QoE with zero false switches. Anchored
+//! The safety layer must be free when nothing is wrong: each guard
+//! (U_S, U_π, U_V, calibrated on the validation split) serves the
+//! held-out Norway test split on the fleet engine and must match the
+//! unguarded ensemble-mean policy's QoE with zero false switches. Anchored
 //! scoring: 0 = Random, 1 = Buffer-Based.
 //!
 //! Writes `artifacts/figures/fig1_in_distribution.json` (deterministic
@@ -40,13 +40,17 @@ fn main() {
     push_row("random", 0.0, f64::NAN, -1, None);
     push_row("bb", 1.0, f64::NAN, -1, None);
 
-    let svm = osap::fit_us_svm(&ens, &video, &cfg, &split.train);
-    let mut unguarded = abr_safe_agent(
-        ens.clone(),
-        NullSignal,
-        Monitor::new(DEFAULT_K, f32::INFINITY, DEFAULT_L),
+    let svm = osap::fit_svm(&ens, &video, &cfg, &split.train);
+    let unguarded = evaluate(
+        &ens,
+        &FleetSignal::Null,
+        &ServeConfig::default(),
+        &video,
+        &cfg,
+        &split.test,
+        false,
     );
-    let score = evaluate_safe_agent(&mut unguarded, &video, &cfg, &split.test);
+    let score = summarize(&unguarded);
     push_row(
         "ensemble-mean",
         normalized(score.mean_qoe, &anch),
@@ -55,21 +59,23 @@ fn main() {
         None,
     );
 
-    for (name, mut agent, cal) in osap::calibrated_signal_agents(
-        &ens,
-        svm.clone(),
-        &video,
-        &cfg,
-        &split.validation,
-        DEFAULT_MARGIN,
-    ) {
-        let score = evaluate_safe_agent(&mut agent, &video, &cfg, &split.test);
+    for guard in osap::calibrated_guards(&ens, svm, &video, &cfg, &split.validation, DEFAULT_MARGIN)
+    {
+        let score = summarize(&evaluate(
+            &ens,
+            &guard.signal,
+            &guard.serve,
+            &video,
+            &cfg,
+            &split.test,
+            false,
+        ));
         push_row(
-            name,
+            guard.name,
             normalized(score.mean_qoe, &anch),
             score.mean_rebuffer_s,
             score.switched_sessions as i64,
-            Some(cal.alpha),
+            Some(guard.cal.alpha),
         );
     }
 

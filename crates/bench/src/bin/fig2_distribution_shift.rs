@@ -2,7 +2,7 @@
 //!
 //! The Norway-trained system streams six Belgium 4G sessions. The
 //! unguarded ensemble-mean policy is out of its depth there; each
-//! guarded agent should detect the shift and hand over to Buffer-Based,
+//! guard should detect the shift and hand over to Buffer-Based,
 //! recovering most of the gap to a BB-from-the-start oracle. Anchors
 //! (0 = Random, 1 = BB) are recomputed *on the Belgium set*, so 1.0 is
 //! what a perfectly-timed switch could approach.
@@ -25,7 +25,7 @@ fn main() {
     let mut rows = Vec::new();
 
     println!("policy            norm QoE   switched/6   mean switch idx");
-    let mut push_row = |name: &str, score: &SafeScore, alpha: Option<f32>| {
+    let mut push_row = |name: &str, score: &Summary, alpha: Option<f32>| {
         let norm = normalized(score.mean_qoe, &anch);
         println!(
             "{name:<16} {norm:+9.3}   {:>10}   {:>15.1}",
@@ -47,25 +47,30 @@ fn main() {
         rows.push(obj(fields));
     };
 
-    let svm = osap::fit_us_svm(&ens, &video, &cfg, &split.train);
-    let mut unguarded = abr_safe_agent(
-        ens.clone(),
-        NullSignal,
-        Monitor::new(DEFAULT_K, f32::INFINITY, DEFAULT_L),
-    );
-    let score = evaluate_safe_agent(&mut unguarded, &video, &cfg, &shifted);
-    push_row("ensemble-mean", &score, None);
-
-    for (name, mut agent, cal) in osap::calibrated_signal_agents(
+    let svm = osap::fit_svm(&ens, &video, &cfg, &split.train);
+    let unguarded = evaluate(
         &ens,
-        svm.clone(),
+        &FleetSignal::Null,
+        &ServeConfig::default(),
         &video,
         &cfg,
-        &split.validation,
-        DEFAULT_MARGIN,
-    ) {
-        let score = evaluate_safe_agent(&mut agent, &video, &cfg, &shifted);
-        push_row(name, &score, Some(cal.alpha));
+        &shifted,
+        false,
+    );
+    push_row("ensemble-mean", &summarize(&unguarded), None);
+
+    for guard in osap::calibrated_guards(&ens, svm, &video, &cfg, &split.validation, DEFAULT_MARGIN)
+    {
+        let runs = evaluate(
+            &ens,
+            &guard.signal,
+            &guard.serve,
+            &video,
+            &cfg,
+            &shifted,
+            false,
+        );
+        push_row(guard.name, &summarize(&runs), Some(guard.cal.alpha));
     }
 
     let report = obj(vec![

@@ -24,38 +24,44 @@ fn main() {
     let video = VideoModel::envivio();
     let cfg = AbrConfig::default();
     let ens = osap::load_ensemble();
-    let svm = osap::fit_us_svm(&ens, &video, &cfg, &split.train);
-    let quiet = split.test[0].clone();
-    let shifted = Dataset::Belgium
-        .generate(1, osap::CORPUS_LEN, 77)
-        .pop()
-        .expect("one Belgium trace");
+    let svm = osap::fit_svm(&ens, &video, &cfg, &split.train);
+    let settings = ["norway", "belgium"];
+    let traces = [
+        split.test[0].clone(),
+        Dataset::Belgium
+            .generate(1, osap::CORPUS_LEN, 77)
+            .pop()
+            .expect("one Belgium trace"),
+    ];
     let mut rows = Vec::new();
 
-    for (name, mut agent, cal) in osap::calibrated_signal_agents(
-        &ens,
-        svm.clone(),
-        &video,
-        &cfg,
-        &split.validation,
-        DEFAULT_MARGIN,
-    ) {
-        for (setting, trace) in [("norway", &quiet), ("belgium", &shifted)] {
-            let run = run_session(&mut agent, &video, &cfg, trace);
+    for guard in osap::calibrated_guards(&ens, svm, &video, &cfg, &split.validation, DEFAULT_MARGIN)
+    {
+        let runs = evaluate(
+            &ens,
+            &guard.signal,
+            &guard.serve,
+            &video,
+            &cfg,
+            &traces,
+            true,
+        );
+        for (setting, run) in settings.iter().zip(&runs) {
             println!(
-                "{name:<5} {setting:<8} {} decisions, switch {:?}",
+                "{:<5} {setting:<8} {} decisions, switch {:?}",
+                guard.name,
                 run.raw.len(),
-                run.switch_index
+                run.first_trip
             );
             rows.push(obj(vec![
-                ("signal", Value::Str(name.into())),
-                ("setting", Value::Str(setting.into())),
-                ("alpha", Value::Num(cal.alpha as f64)),
+                ("signal", Value::Str(guard.name.into())),
+                ("setting", Value::Str((*setting).into())),
+                ("alpha", Value::Num(guard.cal.alpha as f64)),
                 ("raw", series(&run.raw)),
                 ("variance", series(&run.variance)),
                 (
                     "switch_index",
-                    match run.switch_index {
+                    match run.first_trip {
                         Some(i) => Value::Num(i as f64),
                         None => Value::Null,
                     },

@@ -21,32 +21,43 @@ fn main() {
     let video = VideoModel::envivio();
     let cfg = AbrConfig::default();
     let ens = osap::load_ensemble();
-    let svm = osap::fit_us_svm(&ens, &video, &cfg, &split.train);
+    let svm = osap::fit_svm(&ens, &video, &cfg, &split.train);
     let scenarios = osap::ood_scenarios(&split);
-    let mut agents =
-        osap::calibrated_signal_agents(&ens, svm, &video, &cfg, &split.validation, DEFAULT_MARGIN);
+    let traces: Vec<_> = scenarios.iter().map(|(_, t)| t.clone()).collect();
+    let guards =
+        osap::calibrated_guards(&ens, svm, &video, &cfg, &split.validation, DEFAULT_MARGIN);
+    // One engine per signal over the whole suite, then read it scenario
+    // by scenario.
+    let trips: Vec<Vec<Option<usize>>> = guards
+        .iter()
+        .map(|g| {
+            evaluate(&ens, &g.signal, &g.serve, &video, &cfg, &traces, false)
+                .iter()
+                .map(|run| run.first_trip)
+                .collect()
+        })
+        .collect();
     let mut rows = Vec::new();
 
     println!(
         "scenario      {}",
-        agents
+        guards
             .iter()
-            .map(|(n, _, _)| format!("{n:>6}"))
+            .map(|g| format!("{:>6}", g.name))
             .collect::<Vec<_>>()
             .join(" ")
     );
-    for (scenario, trace) in &scenarios {
+    for (s, (scenario, _)) in scenarios.iter().enumerate() {
         let mut fields = vec![("scenario", Value::Str(scenario.clone()))];
         let mut line = format!("{scenario:<13}");
-        for (name, agent, _) in agents.iter_mut() {
-            let run = run_session(agent, &video, &cfg, trace);
+        for (guard, trips) in guards.iter().zip(&trips) {
             line.push_str(&format!(
                 " {:>6}",
-                run.switch_index.map_or("-".to_string(), |i| i.to_string())
+                trips[s].map_or("-".to_string(), |i| i.to_string())
             ));
             fields.push((
-                *name,
-                match run.switch_index {
+                guard.name,
+                match trips[s] {
                     Some(i) => Value::Num(i as f64),
                     None => Value::Null,
                 },

@@ -2,7 +2,7 @@
 //!
 //! The sorted per-session normalized QoE (an empirical CDF) over the
 //! OOD scenario suite, for the unguarded ensemble-mean policy, the
-//! three guarded agents, and Buffer-Based throughout. Guarding shears
+//! three guards, and Buffer-Based throughout. Guarding shears
 //! off the distribution's bad tail — the sessions where the learned
 //! policy would have thrashed — while the upper tail (scenarios the
 //! policy handles fine) is preserved.
@@ -19,7 +19,7 @@ fn main() {
     let video = VideoModel::envivio();
     let cfg = AbrConfig::default();
     let ens = osap::load_ensemble();
-    let svm = osap::fit_us_svm(&ens, &video, &cfg, &split.train);
+    let svm = osap::fit_svm(&ens, &video, &cfg, &split.train);
     let scenarios = osap::ood_scenarios(&split);
     let traces: Vec<_> = scenarios.iter().map(|(_, t)| t.clone()).collect();
     let anch = anchors(&video, &cfg, &traces, osap::CORPUS_SEED);
@@ -43,36 +43,36 @@ fn main() {
         "policy           per-session normalized QoE over {} scenarios",
         traces.len()
     );
-    let mut unguarded = abr_safe_agent(
-        ens.clone(),
-        NullSignal,
-        Monitor::new(DEFAULT_K, f32::INFINITY, DEFAULT_L),
-    );
-    let sessions: Vec<f64> = traces
-        .iter()
-        .map(|t| {
-            let run = run_session(&mut unguarded, &video, &cfg, t);
-            normalized(run.qoe / run.chunks as f64, &anch)
-        })
-        .collect();
-    push_row("ensemble-mean", sessions);
-
-    for (name, mut agent, _cal) in osap::calibrated_signal_agents(
+    let per_session = |runs: Vec<SessionOutcome>| -> Vec<f64> {
+        runs.iter()
+            .map(|run| normalized(run.qoe / run.chunks as f64, &anch))
+            .collect()
+    };
+    let unguarded = evaluate(
         &ens,
-        svm.clone(),
+        &FleetSignal::Null,
+        &ServeConfig::default(),
         &video,
         &cfg,
-        &split.validation,
-        DEFAULT_MARGIN,
-    ) {
-        let sessions: Vec<f64> = traces
-            .iter()
-            .map(|t| {
-                let run = run_session(&mut agent, &video, &cfg, t);
-                normalized(run.qoe / run.chunks as f64, &anch)
-            })
-            .collect();
-        push_row(name, sessions);
+        &traces,
+        false,
+    );
+    push_row("ensemble-mean", per_session(unguarded));
+
+    for guard in osap::calibrated_guards(&ens, svm, &video, &cfg, &split.validation, DEFAULT_MARGIN)
+    {
+        push_row(
+            guard.name,
+            per_session(evaluate(
+                &ens,
+                &guard.signal,
+                &guard.serve,
+                &video,
+                &cfg,
+                &traces,
+                false,
+            )),
+        );
     }
 
     let report = obj(vec![

@@ -1,8 +1,9 @@
 //! Runtime-cost table (§4 remarks) — the safety layer's price tag.
 //!
-//! A compact re-measurement of the `osap_signals` microbench shaped as
-//! the paper's runtime table: per-decision cost of each guarded signal,
-//! the stacked-vs-sequential ensemble forward, and the offline SMO fit,
+//! A compact re-measurement shaped as the paper's runtime table:
+//! per-decision cost of each guarded signal (a steady-state
+//! `FleetEngine` round of 64 sessions, divided by 64), the
+//! stacked-vs-sequential ensemble forward, and the offline SMO fit,
 //! alongside the structural quantities that explain them (support
 //! vector count, replica count). Timings vary run to run — the
 //! authoritative tracked baseline is `BENCH_osap.json`; this artifact
@@ -28,8 +29,8 @@ fn main() {
     let split = osap::corpus();
     let video = VideoModel::envivio();
     let cfg = AbrConfig::default();
-    let ens = osap::load_ensemble();
-    let svm = osap::fit_us_svm(&ens, &video, &cfg, &split.train);
+    let mut ens = osap::load_ensemble();
+    let svm = osap::fit_svm(&ens, &video, &cfg, &split.train);
     let sv_count = svm.diag().expect("fitted").support_vectors;
     let mut rng = Rng::seed_from_u64(9);
     let bank: Vec<Vec<f32>> = (0..16)
@@ -37,13 +38,22 @@ fn main() {
         .collect();
     let mut rows = Vec::new();
 
-    for (name, mut agent) in osap::signal_agents(&ens, svm.clone()) {
-        let mut i = 0usize;
+    for (name, signal) in osap::signals(svm) {
+        let serve = ServeConfig {
+            auto_reset: true,
+            ..ServeConfig::default()
+        };
+        let mut engine = FleetEngine::new(
+            osap::load_ensemble(),
+            signal,
+            video.clone(),
+            cfg.clone(),
+            split.test.clone(),
+            DECISIONS_PER_ITER,
+            &serve,
+        );
         let stats = run_bench(&format!("{name}_decision"), SAMPLES, || {
-            for _ in 0..DECISIONS_PER_ITER {
-                std::hint::black_box(agent.decide(&bank[i % bank.len()]));
-                i += 1;
-            }
+            std::hint::black_box(engine.round());
         });
         rows.push(obj(vec![
             ("item", Value::Str(format!("{name}_per_decision"))),
@@ -58,10 +68,9 @@ fn main() {
     let mut agents = PensieveEnsemble::agents_from_json(&text).expect("replicas parse");
     let mut i = 0usize;
     let stacked = run_bench("stacked_forward", SAMPLES, || {
-        let mut e = ens.borrow_mut();
         for _ in 0..DECISIONS_PER_ITER {
-            e.policy_eval(&bank[i % bank.len()]);
-            std::hint::black_box(e.mean_probs());
+            ens.policy_eval(&bank[i % bank.len()]);
+            std::hint::black_box(ens.mean_probs());
             i += 1;
         }
     });

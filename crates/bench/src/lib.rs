@@ -7,13 +7,18 @@
 //!   4G), `fig3_signal_timeseries`, `fig4_detection_delay`, `fig5_cdf`,
 //!   and `table_runtime`. Each is fully deterministic off the committed
 //!   ensemble artifact and writes a diffable JSON to
-//!   `artifacts/figures/` (see [`osap`], the shared setup). Remaining
-//!   from DESIGN.md §7: the ablation binaries (thresholding, ensemble
-//!   size, detector choice, revert strategy, CC generalization).
+//!   `artifacts/figures/` (see [`osap`], the shared setup). Every
+//!   guarded run is the serving engine (`osa_core::eval::evaluate`).
+//!   Not written yet: the `ablation_kl` (k, l, margin) sweep of ROADMAP
+//!   item 6. Of DESIGN.md §7's other ablations, sticky vs reverse
+//!   switching is measured in `benches/serve.rs`; the detector choice
+//!   went with the kNN/Mahalanobis detectors, and CC generalization is
+//!   parked.
 //! - Microbenchmarks (`benches/`, hand-rolled harness — the offline
 //!   build has no criterion): NN forward/backward, A2C rollout
-//!   throughput, trace generation, ABR engine step, and `osap_signals`
-//!   (per-decision signal cost, SMO fit, stacked-vs-sequential
+//!   throughput, trace generation, ABR engine step, `serve` (guarded
+//!   fleet rounds per signal, fleet scale, reverse switching) and
+//!   `osap_signals` (SMO fit, batched U_S scoring, stacked-vs-sequential
 //!   ensemble forward). Baselines live at the repo root
 //!   (`BENCH_nn.json` … `BENCH_osap.json`) so later performance PRs
 //!   have a trajectory to beat.

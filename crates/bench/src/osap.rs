@@ -4,13 +4,13 @@
 //! Everything downstream of the committed ensemble artifact is built
 //! here exactly once: the Norway corpus contract (shared with
 //! `examples/osap_ensemble_train.rs`), the §3.1 U_S feature harvest +
-//! one-class SVM fit, and the three uncertainty signals wrapped into
-//! boxed [`AbrSafeAgent`]s so figure binaries can sweep them uniformly.
-//! Every piece is deterministic — same artifact, same corpus, same
-//! bits, at any `OSA_THREADS`.
+//! one-class SVM fit, and the three uncertainty signals as calibrated
+//! [`Guard`]s so figure binaries can sweep them uniformly. Every guard
+//! runs on the serving engine ([`evaluate`]). Every piece is
+//! deterministic — same artifact, same corpus, same bits, at any
+//! `OSA_THREADS`.
 
 use osa_abr::prelude::*;
-use osa_abr::HISTORY_LEN;
 use osa_core::prelude::*;
 use osa_nn::tensor::Tensor;
 use osa_ocsvm::prelude::*;
@@ -40,85 +40,109 @@ pub fn corpus() -> Split {
     Split::generate(Dataset::Norway, CORPUS_COUNT, CORPUS_LEN, CORPUS_SEED)
 }
 
-pub fn load_ensemble() -> SharedEnsemble {
+pub fn load_ensemble() -> PensieveEnsemble {
     let text = std::fs::read_to_string(ARTIFACT)
         .expect("missing artifact — run `cargo run --release --example osap_ensemble_train`");
-    shared(PensieveEnsemble::from_json(&text).expect("valid ensemble artifact"))
+    PensieveEnsemble::from_json(&text).expect("valid ensemble artifact")
 }
 
-/// Taps the newest throughput sample (observation column
-/// `HISTORY_LEN − 1`, rescaled back to Mbit/s) while the wrapped agent
-/// streams — the raw material of the §3.1 feature pipeline.
-pub struct RateCollector {
-    pub rates: Vec<f32>,
-}
-
-impl UncertaintySignal for RateCollector {
-    fn name(&self) -> &'static str {
-        "rate-collector"
+/// The §3.1 U_S feature corpus: throughput windows harvested under the
+/// unguarded ensemble-mean policy over the first [`US_FIT_TRACES`] of
+/// `traces`. The per-decision throughput series are concatenated in
+/// trace order, and the windows of every prefix that ends at a trace
+/// boundary are taken — trace 1, traces 1–2, … — so early traces recur.
+/// That is the corpus the deployed fit was made on, and the calibrated
+/// α of every figure depends on its exact windows.
+pub fn us_feature_corpus(
+    ens: &PensieveEnsemble,
+    video: &VideoModel,
+    cfg: &AbrConfig,
+    traces: &[Trace],
+) -> Tensor {
+    let fit = &traces[..US_FIT_TRACES.min(traces.len())];
+    let runs = evaluate(
+        ens,
+        &FleetSignal::Null,
+        &ServeConfig::default(),
+        video,
+        cfg,
+        fit,
+        true,
+    );
+    let mut rates: Vec<f32> = Vec::new();
+    let mut x = Tensor::zeros(0, FEATURE_DIM);
+    for run in &runs {
+        rates.extend_from_slice(&run.tput_mbps);
+        for w in window_features(&rates) {
+            x.push_row(&w);
+        }
     }
-    fn observe(&mut self, obs: &[f32]) -> f32 {
-        self.rates.push(obs[HISTORY_LEN - 1] * 10.0);
-        0.0
-    }
-    fn reset(&mut self) {}
+    x
 }
 
-/// Harvest in-distribution throughput windows under the ensemble-mean
-/// policy over the first [`US_FIT_TRACES`] of `traces` and fit the U_S
-/// one-class SVM on them.
+/// Fit the U_S one-class SVM on [`us_feature_corpus`].
+pub fn fit_svm(
+    ens: &PensieveEnsemble,
+    video: &VideoModel,
+    cfg: &AbrConfig,
+    traces: &[Trace],
+) -> OcSvm {
+    let mut svm = OcSvm::new(OcSvmConfig::default());
+    svm.fit(&us_feature_corpus(ens, video, cfg, traces));
+    svm
+}
+
+/// [`fit_svm`] on a shared ensemble. Kept for `benchmark/` until the
+/// ROADMAP item 2 benchmark PR calls [`fit_svm`].
 pub fn fit_us_svm(
     ens: &SharedEnsemble,
     video: &VideoModel,
     cfg: &AbrConfig,
     traces: &[Trace],
 ) -> OcSvm {
-    let mut collector = abr_safe_agent(
-        ens.clone(),
-        RateCollector { rates: Vec::new() },
-        Monitor::new(DEFAULT_K, f32::INFINITY, DEFAULT_L),
-    );
-    let mut windows: Vec<[f32; FEATURE_DIM]> = Vec::new();
-    for t in &traces[..US_FIT_TRACES.min(traces.len())] {
-        run_session(&mut collector, video, cfg, t);
-        windows.extend(window_features(&collector.signal().rates));
-    }
-    let mut x = Tensor::zeros(windows.len(), FEATURE_DIM);
-    for (i, w) in windows.iter().enumerate() {
-        x.row_mut(i).copy_from_slice(w);
-    }
-    let mut svm = OcSvm::new(OcSvmConfig::default());
-    svm.fit(&x);
-    svm
+    fit_svm(&ens.borrow(), video, cfg, traces)
 }
 
-/// A boxed uncertainty signal, so the three signals share one type.
-pub type DynSignal = Box<dyn UncertaintySignal>;
+/// The paper's three signals, in its order: U_S (classic novelty
+/// detection), U_π, U_V.
+pub fn signals(svm: OcSvm) -> [(&'static str, FleetSignal); 3] {
+    [
+        ("u_s", FleetSignal::Novelty(svm)),
+        ("u_pi", FleetSignal::PolicyDisagreement),
+        ("u_v", FleetSignal::ValueDisagreement),
+    ]
+}
 
-/// A safe agent over any of the three signals, uniformly typed so
-/// figure binaries can iterate over them.
-pub type DynSignalAgent = AbrSafeAgent<DynSignal>;
+/// One calibrated signal: what it trips at, and the engine
+/// configuration that deploys it (paper defaults otherwise: k, l,
+/// sticky, unanchored).
+pub struct Guard {
+    pub name: &'static str,
+    pub signal: FleetSignal,
+    pub serve: ServeConfig,
+    pub cal: Calibration,
+}
 
-/// The paper's three signals as boxed safe agents with α = ∞ (deploy
-/// [`calibrated_signal_agents`] for tripping behavior). Order is the
-/// paper's: U_S (classic novelty detection), U_π, U_V.
-pub fn signal_agents(ens: &SharedEnsemble, svm: OcSvm) -> Vec<(&'static str, DynSignalAgent)> {
-    let signals: Vec<(&'static str, DynSignal)> = vec![
-        ("u_s", Box::new(NoveltySignal::new(svm))),
-        ("u_pi", Box::new(PolicyDisagreement::new(ens.clone()))),
-        ("u_v", Box::new(ValueDisagreement::new(ens.clone()))),
-    ];
-    signals
+/// [`signals`], each calibrated on `traces` at `margin`.
+pub fn calibrated_guards(
+    ens: &PensieveEnsemble,
+    svm: OcSvm,
+    video: &VideoModel,
+    cfg: &AbrConfig,
+    traces: &[Trace],
+    margin: f32,
+) -> Vec<Guard> {
+    signals(svm)
         .into_iter()
         .map(|(name, signal)| {
-            (
+            let mut serve = ServeConfig::default();
+            let cal = calibrate_guard(ens, &signal, &mut serve, video, cfg, traces, margin);
+            Guard {
                 name,
-                abr_safe_agent(
-                    ens.clone(),
-                    signal,
-                    Monitor::new(DEFAULT_K, f32::INFINITY, DEFAULT_L),
-                ),
-            )
+                signal,
+                serve,
+                cal,
+            }
         })
         .collect()
 }
@@ -172,22 +196,4 @@ pub fn ood_scenarios(split: &Split) -> Vec<(String, Trace)> {
         ),
     ));
     scenarios
-}
-
-/// [`signal_agents`], each calibrated on `traces` at `margin`.
-pub fn calibrated_signal_agents(
-    ens: &SharedEnsemble,
-    svm: OcSvm,
-    video: &VideoModel,
-    cfg: &AbrConfig,
-    traces: &[Trace],
-    margin: f32,
-) -> Vec<(&'static str, DynSignalAgent, Calibration)> {
-    signal_agents(ens, svm)
-        .into_iter()
-        .map(|(name, mut agent)| {
-            let cal = calibrate(&mut agent, video, cfg, traces, margin);
-            (name, agent, cal)
-        })
-        .collect()
 }

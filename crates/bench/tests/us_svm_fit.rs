@@ -4,14 +4,14 @@
 //! go back to paying a subnormal product per support vector.
 
 use osa_abr::prelude::*;
-use osa_bench::osap::{corpus, fit_us_svm, load_ensemble};
+use osa_bench::osap::{corpus, fit_svm, load_ensemble};
 use osa_ocsvm::detector::ALPHA_SCALE;
 use osa_ocsvm::exp_fast;
 
 #[test]
 fn deployed_fit_keeps_every_scaled_alpha_above_the_subnormal_range() {
     let split = corpus();
-    let svm = fit_us_svm(
+    let svm = fit_svm(
         &load_ensemble(),
         &VideoModel::envivio(),
         &AbrConfig::default(),

@@ -8,14 +8,15 @@
 //! forward tensors ([`LaneScratch`] inside `LaneSlots`), the SoA
 //! monitor arrays, the per-session slots, and the simulator's outcome
 //! scratch. `auto_reset` session rollover is exercised too — a rolling
-//! fleet is the steady state this engine exists for.
+//! fleet is the steady state this engine exists for. Every signal arm
+//! the engine serves (U_π, U_V, U_S) is measured.
 //!
 //! Lives in its own integration-test binary because `CountingAlloc` is
 //! process-global state.
 
 use osa_abr::prelude::*;
 use osa_bench::counting_alloc::{min_window_allocations, CountingAlloc};
-use osa_bench::osap::{corpus, fit_us_svm, load_ensemble, ARTIFACT};
+use osa_bench::osap::{corpus, fit_svm, load_ensemble};
 use osa_core::prelude::*;
 use osa_core::serve::FleetEngine;
 
@@ -29,18 +30,12 @@ const WARMUP_ROUNDS: usize = 16;
 const WINDOWS: usize = 4;
 const ROUNDS_PER_WINDOW: usize = 20;
 
-fn owned_ensemble() -> PensieveEnsemble {
-    let text = std::fs::read_to_string(ARTIFACT)
-        .expect("missing artifact — run `cargo run --release --example osap_ensemble_train`");
-    PensieveEnsemble::from_json(&text).expect("artifact parses")
-}
-
 #[test]
 fn steady_state_fleet_rounds_are_allocation_free() {
     let split = corpus();
     let video = VideoModel::envivio();
     let cfg = AbrConfig::default();
-    let svm = fit_us_svm(&load_ensemble(), &video, &cfg, &split.train);
+    let svm = fit_svm(&load_ensemble(), &video, &cfg, &split.train);
     let traces = split.test[..8].to_vec();
 
     // Reverse switching on and a finite threshold: the measured loop
@@ -53,31 +48,29 @@ fn steady_state_fleet_rounds_are_allocation_free() {
         auto_reset: true,
         ..ServeConfig::default()
     };
-    let mut u_v = FleetEngine::new(
-        owned_ensemble(),
-        FleetSignal::ValueDisagreement,
-        video.clone(),
-        cfg.clone(),
-        traces.clone(),
-        SESSIONS,
-        &serve,
-    );
-    let mut u_s = FleetEngine::new(
-        owned_ensemble(),
-        FleetSignal::Novelty(svm),
-        video,
-        cfg,
-        traces,
-        SESSIONS,
-        &serve,
-    );
+    let engine = |signal: FleetSignal| {
+        FleetEngine::new(
+            load_ensemble(),
+            signal,
+            video.clone(),
+            cfg.clone(),
+            traces.clone(),
+            SESSIONS,
+            &serve,
+        )
+    };
+    let mut u_pi = engine(FleetSignal::PolicyDisagreement);
+    let mut u_v = engine(FleetSignal::ValueDisagreement);
+    let mut u_s = engine(FleetSignal::Novelty(svm));
 
     for _ in 0..WARMUP_ROUNDS {
+        u_pi.round();
         u_v.round();
         u_s.round();
     }
 
     let min = min_window_allocations(WINDOWS, ROUNDS_PER_WINDOW, || {
+        std::hint::black_box(u_pi.round());
         std::hint::black_box(u_v.round());
         std::hint::black_box(u_s.round());
     });
@@ -85,8 +78,10 @@ fn steady_state_fleet_rounds_are_allocation_free() {
         min, 0,
         "steady-state fleet round touched the heap ({min} allocations in \
          the cleanest of {WINDOWS} windows of {ROUNDS_PER_WINDOW} rounds \
-         across U_V and U_S engines of {SESSIONS} sessions)"
+         across U_π, U_V and U_S engines of {SESSIONS} sessions)"
     );
+    let t = u_pi.telemetry();
+    assert!(t.total_switches > 0, "α = 1e-4 must trip U_π sessions");
     // The loop must have exercised the trip path, not idled quietly
     // (recovery is the same allocation-free state-machine write; its
     // behavior is pinned in `serve_determinism.rs`).

@@ -2,8 +2,8 @@
 //!
 //! The trip threshold cannot be universal — each signal lives on its own
 //! scale (KL nats, value units, SVM margins). The paper calibrates on
-//! traces drawn from the training distribution: run the safe agent with
-//! an infinite threshold (so it never switches), then find the smallest
+//! traces drawn from the training distribution: serve them with an
+//! infinite threshold (so nothing switches), then find the smallest
 //! α that produces zero false switches on those sessions *under the
 //! l-consecutive rule* — the largest min-of-l-consecutive window
 //! variances observed — and install `α = margin × that`.
@@ -12,19 +12,20 @@
 //! out-of-distribution inputs hold the variance above α for l straight
 //! decisions within a few steps of the shift.
 //!
-//! Calibration respects whatever anchor mode the monitor is in (see
-//! [`Monitor::set_anchor`](crate::monitor::Monitor::set_anchor)) and
-//! does not change it: on this corpus, anchoring the variance at the
-//! quiet level traded away U_V's outage and rate-cap detections without
-//! rescuing any signal, so the sample-mean default stands.
+//! Calibration respects whatever anchor mode the configuration is in
+//! ([`ServeConfig::anchor`]) and does not change it: on this corpus,
+//! anchoring the variance at the quiet level traded away U_V's outage
+//! and rate-cap detections without rescuing any signal, so the
+//! sample-mean default stands. U_S opts in: calibrate once unanchored
+//! for μ₀, anchor there, calibrate again.
 
 use osa_abr::sim::AbrConfig;
 use osa_abr::video::VideoModel;
 use osa_trace::Trace;
 
-use crate::eval::{run_session_into, SessionRun};
-use crate::safe_agent::{SafeAgent, SafetyPolicy};
-use crate::signal::UncertaintySignal;
+use crate::ensemble::PensieveEnsemble;
+use crate::eval::evaluate;
+use crate::serve::{FleetSignal, ServeConfig};
 
 /// Headroom factor over the in-distribution maximum variance.
 pub const DEFAULT_MARGIN: f32 = 2.0;
@@ -36,32 +37,32 @@ pub struct Calibration {
     pub l: usize,
     pub k: usize,
     /// Mean in-distribution raw signal level (diagnostic; also the
-    /// value to hand [`Monitor::set_anchor`](crate::monitor::Monitor::set_anchor)
-    /// when opting into anchored variance).
+    /// value to install as [`ServeConfig::anchor`] when opting into
+    /// anchored variance).
     pub mu: f32,
     /// Smallest threshold with zero calibration-set switches given l
     /// (largest in-distribution min-of-l-consecutive window variance).
     pub max_variance: f32,
 }
 
-/// Calibrate `agent`'s monitor on in-distribution `traces` and install
-/// the resulting α. The agent is left reset and ready to deploy.
-pub fn calibrate<S, P, F>(
-    agent: &mut SafeAgent<S, P, F>,
+/// Calibrate `signal`'s threshold under `serve`'s (k, l), anchor and
+/// reverse policy on in-distribution `traces`, and install the
+/// resulting α in `serve.alpha`. The traces run as one engine with one
+/// session per trace ([`evaluate`]); the statistics reduce trace by
+/// trace, in trace order.
+pub fn calibrate_guard(
+    ens: &PensieveEnsemble,
+    signal: &FleetSignal,
+    serve: &mut ServeConfig,
     video: &VideoModel,
     cfg: &AbrConfig,
     traces: &[Trace],
     margin: f32,
-) -> Calibration
-where
-    S: UncertaintySignal,
-    P: SafetyPolicy,
-    F: SafetyPolicy,
-{
+) -> Calibration {
     assert!(!traces.is_empty(), "calibration needs traces");
     assert!(margin >= 1.0, "margin below 1 would trip in distribution");
-    agent.monitor_mut().set_alpha(f32::INFINITY);
-    let l = agent.monitor().l();
+    serve.alpha = f32::INFINITY;
+    let l = serve.l;
 
     // A session trips at threshold α iff some run of l consecutive
     // variances all exceed α — i.e. iff the max-over-runs of the
@@ -73,9 +74,7 @@ where
     let mut raw_sum = 0.0f64;
     let mut raw_n = 0usize;
     let mut max_variance = 0.0f32;
-    let mut run = SessionRun::default();
-    for t in traces {
-        run_session_into(agent, video, cfg, t, &mut run);
+    for run in evaluate(ens, signal, serve, video, cfg, traces, true) {
         raw_sum += run.raw.iter().map(|&v| v as f64).sum::<f64>();
         raw_n += run.raw.len();
         for w in run.variance.windows(l) {
@@ -87,39 +86,21 @@ where
     // A degenerate constant signal has zero variance everywhere; keep α
     // strictly positive so exact zeros never count as exceedances.
     let alpha = (max_variance * margin).max(1e-12);
-    agent.monitor_mut().set_alpha(alpha);
-    agent.reset();
+    serve.alpha = alpha;
     Calibration {
         alpha,
-        l: agent.monitor().l(),
-        k: agent.monitor().k(),
+        l,
+        k: serve.k,
         mu,
         max_variance,
     }
 }
 
-/// [`calibrate`] under the name U_S call sites use.
-pub use self::calibrate as calibrate_novelty;
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::run_session;
-    use crate::monitor::Monitor;
-    use crate::safe_agent::BufferFallback;
-
-    /// Echoes the newest-throughput column — noisy in proportion to the
-    /// link itself.
-    struct Echo;
-    impl UncertaintySignal for Echo {
-        fn name(&self) -> &'static str {
-            "echo"
-        }
-        fn observe(&mut self, obs: &[f32]) -> f32 {
-            obs[osa_abr::HISTORY_LEN - 1]
-        }
-        fn reset(&mut self) {}
-    }
+    use osa_nn::rng::Rng;
+    use osa_pensieve::{PensieveAgent, PensieveConfig};
 
     #[test]
     fn calibrated_agent_never_trips_on_its_calibration_set() {
@@ -133,18 +114,28 @@ mod tests {
                 Trace::new(format!("wavy{i}"), 1.0, mbps)
             })
             .collect();
-        let mut agent = SafeAgent::new(
-            Echo,
-            Monitor::new(5, f32::INFINITY, 3),
-            BufferFallback::default(),
-            BufferFallback::default(),
-        );
-        let cal = calibrate(&mut agent, &video, &cfg, &traces, 2.0);
-        assert!(cal.max_variance > 0.0, "echo signal must vary");
-        assert!((cal.alpha - cal.max_variance * 2.0).abs() < 1e-9);
-        for t in &traces {
-            let run = run_session(&mut agent, &video, &cfg, t);
-            assert_eq!(run.switch_index, None, "false switch on {}", t.id);
+        let agents: Vec<PensieveAgent> = (0..5)
+            .map(|s| PensieveAgent::new(PensieveConfig::tiny(), &mut Rng::seed_from_u64(s)))
+            .collect();
+        let ens = PensieveEnsemble::from_agents(&agents).unwrap();
+        for signal in [
+            FleetSignal::PolicyDisagreement,
+            FleetSignal::ValueDisagreement,
+        ] {
+            let mut serve = ServeConfig::default();
+            let cal = calibrate_guard(&ens, &signal, &mut serve, &video, &cfg, &traces, 2.0);
+            assert!(cal.max_variance > 0.0, "the signal must vary");
+            assert_eq!(serve.alpha, cal.alpha);
+            assert!((cal.alpha - cal.max_variance * 2.0).abs() < 1e-9);
+            for run in evaluate(&ens, &signal, &serve, &video, &cfg, &traces, false) {
+                assert_eq!(run.first_trip, None, "false switch");
+            }
+            // At margin 1 the calibration set sits exactly on α: still
+            // quiet, since only a variance above α is an exceedance.
+            calibrate_guard(&ens, &signal, &mut serve, &video, &cfg, &traces, 1.0);
+            for run in evaluate(&ens, &signal, &serve, &video, &cfg, &traces, false) {
+                assert_eq!(run.first_trip, None, "false switch at margin 1");
+            }
         }
     }
 }

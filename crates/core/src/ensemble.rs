@@ -15,17 +15,13 @@
 //! grouped GEMM** — see `osa_nn::stacked`. `BENCH_osap.json` pins this
 //! against five sequential `Sequential` forwards.
 //!
-//! # Shared forward between acting and U_π
-//!
-//! The safe agent *acts* with the ensemble-mean distribution (argmax),
-//! which needs exactly the stacked actor forward U_π also needs. The
-//! ensemble therefore caches the most recent policy evaluation with a
-//! `fresh` flag: when the U_π signal observes an observation first, the
-//! subsequent [`PensieveEnsemble::act`] on the same observation reuses
-//! the cached mean — the *marginal* cost of U_π is just the KL sums.
+//! The signals themselves are computed by the serving engine
+//! ([`crate::serve`]) off its batched forwards, with the per-session
+//! reductions defined at the bottom of this module. The stacked nets are
+//! reference-counted, so the engines [`crate::eval`] builds to evaluate
+//! or calibrate a guard share them instead of copying them.
 
-use std::cell::RefCell;
-use std::rc::Rc;
+use std::sync::Arc;
 
 use osa_abr::{NUM_BITRATES, OBS_DIM};
 use osa_nn::json::{obj, NonFiniteError, Value};
@@ -35,39 +31,33 @@ use osa_nn::tensor::Tensor;
 use osa_nn::workspace::Workspace;
 use osa_pensieve::{PensieveAgent, PensieveConfig};
 
-use crate::signal::UncertaintySignal;
-
 /// Serialized-ensemble format version (bumped on any layout change).
 pub const ENSEMBLE_FORMAT_VERSION: u32 = 1;
 
-/// Probability floor for the U_π KL sum (see
-/// [`PensieveEnsemble::policy_disagreement`]).
+/// Probability floor for the U_π KL sum (see `policy_spread`).
 pub const KL_FLOOR: f32 = 1e-6;
 
-/// A stacked ensemble of Pensieve replicas: the mean-policy actor the
-/// safe agent runs, and the disagreement statistics behind U_π and U_V.
+/// A stacked ensemble of Pensieve replicas: the mean-policy actor and
+/// the critic towers the serving engine runs for U_π and U_V.
 pub struct PensieveEnsemble {
     cfg: PensieveConfig,
     replicas: usize,
     /// Members averaged after discarding the `replicas − keep` largest
     /// disagreements (§3.1: keep 3 of 5).
     keep: usize,
-    actor: StackedNet,
-    critic: StackedNet,
+    actor: Arc<StackedNet>,
+    critic: Arc<StackedNet>,
     /// Int8 copies of the nets for the offline f32-vs-int8 measurement
     /// probe, present once [`calibrate_int8`] has run. Never serves.
     ///
     /// [`calibrate_int8`]: PensieveEnsemble::calibrate_int8
     quant: Option<(QuantStacked, QuantStacked)>,
-    // Reused scratch — all paths below are allocation-free after warm-up.
+    // Reused scratch for `policy_eval` — allocation-free after warm-up.
     ws: Workspace,
     x: Tensor,
     logits: Tensor,
-    values: Tensor,
     probs: Tensor,
     mean_probs: Vec<f32>,
-    devs: Vec<f32>,
-    fresh: bool,
 }
 
 impl PensieveEnsemble {
@@ -95,17 +85,14 @@ impl PensieveEnsemble {
             cfg,
             replicas,
             keep: replicas.saturating_sub(2).max(1),
-            actor,
-            critic,
+            actor: Arc::new(actor),
+            critic: Arc::new(critic),
             quant: None,
             ws: Workspace::new(),
             x: Tensor::zeros(1, OBS_DIM),
             logits: Tensor::zeros(0, 0),
-            values: Tensor::zeros(0, 0),
             probs: Tensor::zeros(replicas, NUM_BITRATES),
             mean_probs: vec![0.0; NUM_BITRATES],
-            devs: Vec::with_capacity(replicas),
-            fresh: false,
         })
     }
 
@@ -115,6 +102,16 @@ impl PensieveEnsemble {
 
     pub fn keep(&self) -> usize {
         self.keep
+    }
+
+    /// Handles on the stacked `(actor, critic)` for an engine that
+    /// serves alongside this ensemble instead of consuming it. Only
+    /// [`crate::eval`] takes them, for engines that never outlive the
+    /// call — the invariant [`into_serving_nets`] relies on.
+    ///
+    /// [`into_serving_nets`]: PensieveEnsemble::into_serving_nets
+    pub(crate) fn shared_nets(&self) -> (Arc<StackedNet>, Arc<StackedNet>) {
+        (Arc::clone(&self.actor), Arc::clone(&self.critic))
     }
 
     /// Build int8 copies of the actor and critic for the offline
@@ -130,30 +127,28 @@ impl PensieveEnsemble {
     }
 
     /// Consume the ensemble into its nets: `(actor, critic, int8 probe
-    /// pair)`. The fleet engine serves the f32 pair and drops the third
-    /// element; the int8 pair (present after [`calibrate_int8`]) is for
-    /// offline measurement only.
+    /// pair)`, for `benchmark/`'s traced shadow round. The int8 pair
+    /// (present after [`calibrate_int8`]) is for offline measurement
+    /// only.
     ///
     /// [`calibrate_int8`]: PensieveEnsemble::calibrate_int8
     pub fn into_serving_nets(
         self,
     ) -> (StackedNet, StackedNet, Option<(QuantStacked, QuantStacked)>) {
-        (self.actor, self.critic, self.quant)
+        let sole = |net: Arc<StackedNet>| {
+            Arc::into_inner(net).expect("evaluation engines never outlive their ensemble borrow")
+        };
+        (sole(self.actor), sole(self.critic), self.quant)
     }
 
     pub fn config(&self) -> PensieveConfig {
         self.cfg
     }
 
-    /// Drop any cached policy evaluation (session boundary).
-    pub fn invalidate(&mut self) {
-        self.fresh = false;
-    }
-
     /// Stacked actor forward of one observation: per-replica softmax and
-    /// the ensemble-mean distribution, cached for the next [`act`].
+    /// the ensemble-mean distribution (see [`mean_probs`]).
     ///
-    /// [`act`]: PensieveEnsemble::act
+    /// [`mean_probs`]: PensieveEnsemble::mean_probs
     pub fn policy_eval(&mut self, obs: &[f32]) {
         self.x.row_mut(0).copy_from_slice(obs);
         self.actor
@@ -162,7 +157,6 @@ impl PensieveEnsemble {
             softmax_row(self.logits.row(r), self.probs.row_mut(r));
         }
         replica_mean(&self.probs, self.replicas, 1, 0, &mut self.mean_probs);
-        self.fresh = true;
     }
 
     /// Ensemble-mean action distribution of the last [`policy_eval`].
@@ -172,71 +166,11 @@ impl PensieveEnsemble {
         &self.mean_probs
     }
 
-    /// Per-replica action distributions of the last [`policy_eval`]
-    /// (`replicas × NUM_BITRATES`), e.g. for disagreement ablations.
-    ///
-    /// [`policy_eval`]: PensieveEnsemble::policy_eval
-    pub fn replica_probs(&self) -> &Tensor {
-        &self.probs
-    }
-
     /// Act with the ensemble-mean policy: argmax of the mean
     /// distribution (ties → lowest level, matching `Policy::greedy`).
-    /// Reuses the cached forward when a U_π observation of this decision
-    /// already ran it; the cache is consumed, so each decision computes
-    /// at most one actor forward.
     pub fn act(&mut self, obs: &[f32]) -> usize {
-        if !self.fresh {
-            self.policy_eval(obs);
-        }
-        self.fresh = false;
-        argmax(&self.mean_probs)
-    }
-
-    /// Raw U_π: per-replica `KL(π_r ‖ π_mean)`, discard the top-2
-    /// outliers, average the kept members.
-    ///
-    /// Actions carrying less than [`KL_FLOOR`] probability in a replica
-    /// are skipped and the mean is floored at the same value: trained
-    /// softmaxes routinely push losing actions into denormals (and a
-    /// denormal divided by the replica count underflows to 0), turning
-    /// the textbook sum into `±inf` over action mass that couldn't
-    /// matter less. The floored KL stays within `ln(1/KL_FLOOR)` per
-    /// action of the exact value on any meaningful disagreement.
-    pub fn policy_disagreement(&mut self, obs: &[f32]) -> f32 {
         self.policy_eval(obs);
-        self.devs.clear();
-        for r in 0..self.replicas {
-            let mut kl = 0.0f32;
-            for (j, &p) in self.probs.row(r).iter().enumerate() {
-                if p > KL_FLOOR {
-                    kl += p * (p / self.mean_probs[j].max(KL_FLOOR)).ln();
-                }
-            }
-            self.devs.push(kl.max(0.0));
-        }
-        self.keep_mean()
-    }
-
-    /// Stacked critic forward: per-replica state values into `values`
-    /// (`replicas × 1`).
-    pub fn value_eval(&mut self, obs: &[f32]) {
-        self.x.row_mut(0).copy_from_slice(obs);
-        self.critic
-            .forward_into(&self.x, &mut self.ws, &mut self.values);
-    }
-
-    /// Raw U_V: per-replica distance of the value estimate from the
-    /// ensemble mean, discard the top-2 outliers, average the kept
-    /// members.
-    pub fn value_disagreement(&mut self, obs: &[f32]) -> f32 {
-        self.value_eval(obs);
-        value_spread(&self.values, self.replicas, 1, 0, self.keep, &mut self.devs)
-    }
-
-    /// Mean of the `keep` smallest entries of `devs` (outlier discard).
-    fn keep_mean(&mut self) -> f32 {
-        trimmed_mean(&mut self.devs, self.keep)
+        argmax(&self.mean_probs)
     }
 
     /// Serialize as `{format_version, replicas: [PensieveAgent docs]}`.
@@ -294,9 +228,9 @@ impl PensieveEnsemble {
 
 // The per-session reductions below read a replica-major batch: the
 // stacked forward of `b` sessions puts replica `r` of session `s` on row
-// `r·b + s`. The per-stream ensemble is the batch of one (`b = 1`), and
-// the fleet engine calls the same functions per shard, so both paths
-// produce the same bits.
+// `r·b + s`. `policy_eval` is the batch of one (`b = 1`), and the fleet
+// engine calls the same functions per shard, so both produce the same
+// bits.
 
 /// Mean over session `s`'s replica rows of `t`, column by column, into
 /// `out` (one entry per column).
@@ -320,6 +254,39 @@ pub(crate) fn argmax(p: &[f32]) -> usize {
         }
     }
     best
+}
+
+/// Raw U_π of session `s` off per-replica action distributions `probs`
+/// and their ensemble mean `mean`: each replica's `KL(π_r ‖ π_mean)`,
+/// averaged over the `keep` smallest. `devs` is caller-owned scratch.
+///
+/// Actions carrying less than [`KL_FLOOR`] probability in a replica are
+/// skipped and the mean is floored at the same value: trained softmaxes
+/// routinely push losing actions into denormals (and a denormal divided
+/// by the replica count underflows to 0), turning the textbook sum into
+/// `±inf` over action mass that couldn't matter less. The floored KL
+/// stays within `ln(1/KL_FLOOR)` per action of the exact value on any
+/// meaningful disagreement.
+pub(crate) fn policy_spread(
+    probs: &Tensor,
+    mean: &[f32],
+    replicas: usize,
+    b: usize,
+    s: usize,
+    keep: usize,
+    devs: &mut Vec<f32>,
+) -> f32 {
+    devs.clear();
+    for r in 0..replicas {
+        let mut kl = 0.0f32;
+        for (j, &p) in probs.row(r * b + s).iter().enumerate() {
+            if p > KL_FLOOR {
+                kl += p * (p / mean[j].max(KL_FLOOR)).ln();
+            }
+        }
+        devs.push(kl.max(0.0));
+    }
+    trimmed_mean(devs, keep)
 }
 
 /// Raw U_V of session `s` off a critic forward `values` (one column):
@@ -365,68 +332,6 @@ pub(crate) fn softmax_row(logits: &[f32], probs: &mut [f32]) {
     }
 }
 
-/// The ensemble shared between the acting policy and the U_π/U_V
-/// signals of one [`crate::safe_agent::SafeAgent`].
-pub type SharedEnsemble = Rc<RefCell<PensieveEnsemble>>;
-
-/// Wrap an ensemble for sharing.
-pub fn shared(ens: PensieveEnsemble) -> SharedEnsemble {
-    Rc::new(RefCell::new(ens))
-}
-
-/// U_π — agent-ensemble KL-divergence-to-mean (§3.1). Observing runs
-/// the stacked actor forward and leaves it cached for the decision's
-/// `act`, so this signal's marginal cost is the KL computation alone.
-pub struct PolicyDisagreement {
-    ens: SharedEnsemble,
-}
-
-impl PolicyDisagreement {
-    pub fn new(ens: SharedEnsemble) -> Self {
-        PolicyDisagreement { ens }
-    }
-}
-
-impl UncertaintySignal for PolicyDisagreement {
-    fn name(&self) -> &'static str {
-        "u_pi"
-    }
-
-    fn observe(&mut self, obs: &[f32]) -> f32 {
-        self.ens.borrow_mut().policy_disagreement(obs)
-    }
-
-    fn reset(&mut self) {
-        self.ens.borrow_mut().invalidate();
-    }
-}
-
-/// U_V — value-ensemble distance-to-mean (§3.1). Costs one stacked
-/// critic forward per decision on top of the acting forward.
-pub struct ValueDisagreement {
-    ens: SharedEnsemble,
-}
-
-impl ValueDisagreement {
-    pub fn new(ens: SharedEnsemble) -> Self {
-        ValueDisagreement { ens }
-    }
-}
-
-impl UncertaintySignal for ValueDisagreement {
-    fn name(&self) -> &'static str {
-        "u_v"
-    }
-
-    fn observe(&mut self, obs: &[f32]) -> f32 {
-        self.ens.borrow_mut().value_disagreement(obs)
-    }
-
-    fn reset(&mut self) {
-        self.ens.borrow_mut().invalidate();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -465,6 +370,18 @@ mod tests {
         }
     }
 
+    /// (U_π, U_V) of one observation through the engine's reductions at
+    /// a batch of one.
+    fn spreads(ens: &mut PensieveEnsemble, o: &[f32]) -> (f32, f32) {
+        ens.policy_eval(o);
+        let (replicas, keep) = (ens.replicas, ens.keep);
+        let mut devs = Vec::new();
+        let u_pi = policy_spread(&ens.probs, &ens.mean_probs, replicas, 1, 0, keep, &mut devs);
+        let mut values = Tensor::zeros(0, 0);
+        ens.critic.forward_into(&ens.x, &mut ens.ws, &mut values);
+        (u_pi, value_spread(&values, replicas, 1, 0, keep, &mut devs))
+    }
+
     #[test]
     fn disagreement_of_identical_replicas_is_zero() {
         let one = PensieveAgent::new(PensieveConfig::tiny(), &mut Rng::seed_from_u64(9));
@@ -475,22 +392,12 @@ mod tests {
         let o = obs(1);
         // Mathematically zero; the mean-of-5 rounds in f32, so the KL
         // comes out at ~1e-8 rather than exactly 0.
-        assert!(ens.policy_disagreement(&o).abs() < 1e-6);
-        assert!(ens.value_disagreement(&o).abs() < 1e-6);
+        let (u_pi, u_v) = spreads(&mut ens, &o);
+        assert!(u_pi.abs() < 1e-6 && u_v.abs() < 1e-6, "{u_pi} {u_v}");
         // Distinct replicas must actually disagree.
         let mut ens = PensieveEnsemble::from_agents(&agents(5)).unwrap();
-        assert!(ens.policy_disagreement(&o) > 0.0);
-        assert!(ens.value_disagreement(&o) > 0.0);
-    }
-
-    #[test]
-    fn act_consumes_the_cached_forward() {
-        let mut ens = PensieveEnsemble::from_agents(&agents(5)).unwrap();
-        let o = obs(7);
-        ens.policy_disagreement(&o);
-        let cached = ens.act(&o);
-        let fresh = ens.act(&o);
-        assert_eq!(cached, fresh);
+        let (u_pi, u_v) = spreads(&mut ens, &o);
+        assert!(u_pi > 0.0 && u_v > 0.0, "{u_pi} {u_v}");
     }
 
     #[test]
@@ -502,13 +409,10 @@ mod tests {
         let mut a = PensieveEnsemble::from_agents(&reps).unwrap();
         let mut b = PensieveEnsemble::from_agents(&loaded).unwrap();
         let o = obs(11);
+        let (a, b) = (spreads(&mut a, &o), spreads(&mut b, &o));
         assert_eq!(
-            a.policy_disagreement(&o).to_bits(),
-            b.policy_disagreement(&o).to_bits()
-        );
-        assert_eq!(
-            a.value_disagreement(&o).to_bits(),
-            b.value_disagreement(&o).to_bits()
+            (a.0.to_bits(), a.1.to_bits()),
+            (b.0.to_bits(), b.1.to_bits())
         );
     }
 
@@ -575,10 +479,10 @@ mod tests {
 
     #[test]
     fn keep_discards_the_top_two() {
-        let mut ens = PensieveEnsemble::from_agents(&agents(5)).unwrap();
+        let ens = PensieveEnsemble::from_agents(&agents(5)).unwrap();
         assert_eq!(ens.keep(), 3);
-        ens.devs = vec![5.0, 0.5, 100.0, 1.0, 1.5];
-        assert!((ens.keep_mean() - 1.0).abs() < 1e-6);
+        let mut devs = [5.0, 0.5, 100.0, 1.0, 1.5];
+        assert!((trimmed_mean(&mut devs, ens.keep()) - 1.0).abs() < 1e-6);
     }
 
     /// Non-finite logits through the decision reductions: softmax of a

@@ -1,116 +1,148 @@
-//! Session-level evaluation of a [`SafeAgent`] and the normalized
+//! Evaluating a guard on the serving engine, and the normalized
 //! scoring (0 = Random, 1 = Buffer-Based, §3.3) every figure binary
 //! shares.
+//!
+//! [`evaluate`] serves a test set as one [`FleetEngine`] with one
+//! session per trace and `auto_reset` off: each trace streams one video
+//! from trace time 0, the same protocol as `osa_abr::evaluate_policy`.
+//! Calibration, the figures and the examples all measure the code that
+//! serves fleets.
 
 use osa_abr::eval::evaluate_policy;
 use osa_abr::policy::{BufferBased, RandomPolicy};
 use osa_abr::sim::{AbrConfig, SessionCursor};
 use osa_abr::video::VideoModel;
-use osa_abr::OBS_DIM;
+use osa_abr::{HISTORY_LEN, OBS_DIM};
 use osa_nn::tensor::Tensor;
 use osa_trace::Trace;
 
 use crate::ensemble::PensieveEnsemble;
-use crate::safe_agent::{SafeAgent, SafetyPolicy};
-use crate::signal::UncertaintySignal;
+use crate::serve::{FleetEngine, FleetSignal, ServeConfig};
 
-/// Everything one trace's streaming session produced: QoE accounting
-/// plus the per-decision signal time series the paper's figures plot.
+/// What one trace's session produced under a guard.
 #[derive(Clone, Debug, Default)]
-pub struct SessionRun {
+pub struct SessionOutcome {
     /// Sum of per-chunk linear QoE.
     pub qoe: f64,
     pub rebuffer_s: f64,
-    pub bitrate_mbps: f64,
     pub chunks: u64,
-    /// Raw signal value at each decision (frozen at the last observed
-    /// value while the signal is skipped on a sticky fallback).
-    pub raw: Vec<f32>,
-    /// k-window variance at each decision.
-    pub variance: Vec<f32>,
-    /// Decision index at which the agent *first* switched to the
+    /// Decision index at which the session *first* switched to the
     /// fallback.
-    pub switch_index: Option<usize>,
+    pub first_trip: Option<usize>,
     /// Learned→fallback switches (> 1 only with reverse switching).
     pub switches: usize,
-    /// Fallback→learned recoveries (0 without reverse switching).
-    pub recoveries: usize,
+    /// Per-decision series, recorded only on request. `raw` is the
+    /// value the monitor consumed ([`FleetEngine::raw`]: frozen while a
+    /// sticky fallback is not observing), `variance` the k-window
+    /// variance after it, and `tput_mbps` the newest throughput sample
+    /// the observation carried — the U_S feature pipeline's input.
+    pub raw: Vec<f32>,
+    pub variance: Vec<f32>,
+    pub tput_mbps: Vec<f32>,
 }
 
-impl SessionRun {
-    /// Empty the accounting while keeping the time-series capacity, so
-    /// a reused buffer stays allocation-free across sessions.
-    fn clear(&mut self) {
-        self.qoe = 0.0;
-        self.rebuffer_s = 0.0;
-        self.bitrate_mbps = 0.0;
-        self.chunks = 0;
-        self.raw.clear();
-        self.variance.clear();
-        self.switch_index = None;
-        self.switches = 0;
-        self.recoveries = 0;
-    }
-}
-
-/// Stream one trace end to end under `agent` (reset first), recording
-/// the signal time series. One 48-chunk session, started at trace
-/// time 0 — the same protocol as `osa_abr::evaluate_policy`.
-///
-/// Allocates a fresh [`SessionRun`] per call; loops that run many
-/// sessions (calibration, [`evaluate_safe_agent`]) use
-/// [`run_session_into`] with a reused buffer instead.
-pub fn run_session<S, P, F>(
-    agent: &mut SafeAgent<S, P, F>,
+/// Serve one session per trace of `traces` under `signal` and `serve`'s
+/// monitor settings (its `auto_reset` is ignored), run to completion on
+/// the current `osa-runtime` pool. `series` records the per-decision
+/// series of each [`SessionOutcome`]. The engine shares `ens`'s stacked
+/// nets; results are bit-identical at any worker count.
+pub fn evaluate(
+    ens: &PensieveEnsemble,
+    signal: &FleetSignal,
+    serve: &ServeConfig,
     video: &VideoModel,
     cfg: &AbrConfig,
-    trace: &Trace,
-) -> SessionRun
-where
-    S: UncertaintySignal,
-    P: SafetyPolicy,
-    F: SafetyPolicy,
-{
-    let mut out = SessionRun::default();
-    run_session_into(agent, video, cfg, trace, &mut out);
+    traces: &[Trace],
+    series: bool,
+) -> Vec<SessionOutcome> {
+    assert!(!traces.is_empty(), "evaluation needs traces");
+    let n = traces.len();
+    let serve = ServeConfig {
+        auto_reset: false,
+        ..serve.clone()
+    };
+    let mut engine = FleetEngine::sharing(
+        ens,
+        signal.clone(),
+        video.clone(),
+        cfg.clone(),
+        traces.to_vec(),
+        n,
+        &serve,
+    );
+    let mut out = vec![SessionOutcome::default(); n];
+    let mut obs = Tensor::zeros(n, OBS_DIM);
+    let mut active = vec![false; n];
+    loop {
+        if series {
+            engine.sim().fill_observations(&mut obs);
+            for (i, o) in out.iter_mut().enumerate() {
+                active[i] = engine.sim().active(i);
+                if active[i] {
+                    o.tput_mbps.push(obs.get(i, HISTORY_LEN - 1) * 10.0);
+                }
+            }
+        }
+        let more = engine.round();
+        if series {
+            for (i, o) in out.iter_mut().enumerate() {
+                if active[i] {
+                    o.raw.push(engine.raw(i));
+                    o.variance.push(engine.monitors().variance(i));
+                }
+            }
+        }
+        if !more {
+            break;
+        }
+    }
+    for (i, o) in out.iter_mut().enumerate() {
+        o.qoe = engine.sim().qoe_total(i);
+        o.rebuffer_s = engine.sim().rebuffer_total(i);
+        o.chunks = engine.sim().chunks_total(i);
+        o.first_trip = engine.monitors().tripped_at(i);
+        o.switches = engine.monitors().switches(i);
+    }
     out
 }
 
-/// [`run_session`] into a caller-owned buffer, borrowing every input:
-/// no `VideoModel`/`Trace` clones, no per-session vector allocations
-/// once `out`'s time series have warmed up. The single-session engine
-/// is a stack-held [`SessionCursor`], which shares `step_chunk` /
-/// `encode_obs` with the batched `MultiSession` path — same bits,
-/// none of the per-session setup cost.
-pub fn run_session_into<S, P, F>(
-    agent: &mut SafeAgent<S, P, F>,
-    video: &VideoModel,
-    cfg: &AbrConfig,
-    trace: &Trace,
-    out: &mut SessionRun,
-) where
-    S: UncertaintySignal,
-    P: SafetyPolicy,
-    F: SafetyPolicy,
-{
-    agent.reset();
-    out.clear();
-    let mut cur = SessionCursor::new();
-    let mut obs = [0.0f32; OBS_DIM];
-    while !cur.done(video) {
-        cur.encode_obs(video, &mut obs);
-        let level = agent.decide(&obs[..]);
-        out.raw.push(agent.last_raw());
-        out.variance.push(agent.last_variance());
-        let o = cur.step(video, cfg, trace, level);
-        out.qoe += o.reward;
-        out.rebuffer_s += o.rebuffer_s;
-        out.bitrate_mbps += video.bitrate_mbps(level);
-        out.chunks += 1;
+/// Aggregate of a guard over a trace set (one session per trace).
+#[derive(Clone, Debug)]
+pub struct Summary {
+    /// Mean linear QoE per chunk — comparable to
+    /// `osa_abr::PolicyScore::mean_qoe`.
+    pub mean_qoe: f64,
+    pub mean_rebuffer_s: f64,
+    /// Sessions that switched to the fallback.
+    pub switched_sessions: usize,
+    /// Mean first-trip decision index over the switched sessions (NaN
+    /// when none switched).
+    pub mean_switch_index: f64,
+}
+
+/// Sum the sessions in trace order and average.
+pub fn summarize(runs: &[SessionOutcome]) -> Summary {
+    let (mut qoe, mut rebuf, mut chunks) = (0.0f64, 0.0f64, 0u64);
+    let (mut switched, mut switch_sum) = (0usize, 0.0f64);
+    for run in runs {
+        qoe += run.qoe;
+        rebuf += run.rebuffer_s;
+        chunks += run.chunks;
+        if let Some(i) = run.first_trip {
+            switched += 1;
+            switch_sum += i as f64;
+        }
     }
-    out.switch_index = agent.switch_index();
-    out.switches = agent.switches();
-    out.recoveries = agent.recoveries();
+    Summary {
+        mean_qoe: qoe / chunks as f64,
+        mean_rebuffer_s: rebuf / runs.len() as f64,
+        switched_sessions: switched,
+        mean_switch_index: if switched > 0 {
+            switch_sum / switched as f64
+        } else {
+            f64::NAN
+        },
+    }
 }
 
 /// Collect the observation rows the learned policy actually sees while
@@ -121,6 +153,9 @@ pub fn run_session_into<S, P, F>(
 /// observations of each session are kept. Fully deterministic: same
 /// ensemble + traces → bit-identical rows, and therefore bit-identical
 /// calibrated activation scales.
+///
+/// Kept for `benchmark/`'s int8 probe until the ROADMAP item 2
+/// benchmark PR removes the probe.
 pub fn calibration_observations(
     ens: &mut PensieveEnsemble,
     video: &VideoModel,
@@ -146,62 +181,6 @@ pub fn calibration_observations(
         }
     }
     Tensor::from_rows(&rows)
-}
-
-/// Aggregate of a safe agent over a trace set (one session per trace).
-#[derive(Clone, Debug)]
-pub struct SafeScore {
-    /// Mean linear QoE per chunk — comparable to
-    /// `osa_abr::PolicyScore::mean_qoe`.
-    pub mean_qoe: f64,
-    pub mean_rebuffer_s: f64,
-    pub sessions: usize,
-    pub chunks: u64,
-    /// Sessions in which the agent switched to the fallback.
-    pub switched_sessions: usize,
-    /// Mean switch decision index over the switched sessions.
-    pub mean_switch_index: f64,
-}
-
-/// Run one session per trace and aggregate.
-pub fn evaluate_safe_agent<S, P, F>(
-    agent: &mut SafeAgent<S, P, F>,
-    video: &VideoModel,
-    cfg: &AbrConfig,
-    traces: &[Trace],
-) -> SafeScore
-where
-    S: UncertaintySignal,
-    P: SafetyPolicy,
-    F: SafetyPolicy,
-{
-    assert!(!traces.is_empty(), "evaluate_safe_agent needs traces");
-    let (mut qoe, mut rebuf, mut chunks) = (0.0f64, 0.0f64, 0u64);
-    let mut switched = 0usize;
-    let mut switch_sum = 0.0f64;
-    let mut run = SessionRun::default();
-    for t in traces {
-        run_session_into(agent, video, cfg, t, &mut run);
-        qoe += run.qoe;
-        rebuf += run.rebuffer_s;
-        chunks += run.chunks;
-        if let Some(i) = run.switch_index {
-            switched += 1;
-            switch_sum += i as f64;
-        }
-    }
-    SafeScore {
-        mean_qoe: qoe / chunks as f64,
-        mean_rebuffer_s: rebuf / traces.len() as f64,
-        sessions: traces.len(),
-        chunks,
-        switched_sessions: switched,
-        mean_switch_index: if switched > 0 {
-            switch_sum / switched as f64
-        } else {
-            f64::NAN
-        },
-    }
 }
 
 /// The two QoE anchors of the normalized score.
@@ -231,48 +210,138 @@ pub fn normalized(qoe: f64, anchors: &Anchors) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::monitor::Monitor;
-    use crate::safe_agent::BufferFallback;
+    use osa_abr::NUM_BITRATES;
+    use osa_nn::rng::Rng;
+    use osa_pensieve::{PensieveAgent, PensieveConfig};
 
-    struct Quiet;
-    impl UncertaintySignal for Quiet {
-        fn name(&self) -> &'static str {
-            "quiet"
-        }
-        fn observe(&mut self, _obs: &[f32]) -> f32 {
-            0.0
-        }
-        fn reset(&mut self) {}
+    fn tiny_ensemble() -> PensieveEnsemble {
+        let agents: Vec<PensieveAgent> = (0..5)
+            .map(|s| PensieveAgent::new(PensieveConfig::tiny(), &mut Rng::seed_from_u64(s)))
+            .collect();
+        PensieveEnsemble::from_agents(&agents).unwrap()
     }
 
-    fn trace() -> Trace {
-        Trace::new("flat", 1.0, vec![3.0; 300])
+    fn traces() -> Vec<Trace> {
+        (0..3)
+            .map(|i| {
+                let mbps: Vec<f32> = (0..300)
+                    .map(|t| 2.5 + 0.8 * ((t as f32 * 0.7 + i as f32).sin()))
+                    .collect();
+                Trace::new(format!("wavy{i}"), 1.0, mbps)
+            })
+            .collect()
+    }
+
+    /// An α = ∞ guard never switches, so it must reproduce the unguarded
+    /// fleet's QoE bit for bit, whatever signal it computes.
+    #[test]
+    fn quiet_safe_agent_reproduces_its_policy_exactly() {
+        let ens = tiny_ensemble();
+        let (video, cfg) = (VideoModel::envivio(), AbrConfig::default());
+        let serve = ServeConfig::default();
+        let run =
+            |signal: FleetSignal| evaluate(&ens, &signal, &serve, &video, &cfg, &traces(), true);
+        let unguarded = run(FleetSignal::Null);
+        for signal in [
+            FleetSignal::PolicyDisagreement,
+            FleetSignal::ValueDisagreement,
+        ] {
+            for (got, want) in run(signal).iter().zip(&unguarded) {
+                assert_eq!(got.qoe.to_bits(), want.qoe.to_bits());
+                assert_eq!(got.rebuffer_s.to_bits(), want.rebuffer_s.to_bits());
+                assert_eq!(got.first_trip, None);
+                assert_eq!(got.raw.len(), got.chunks as usize);
+                assert!(got.raw.iter().any(|&v| v > 0.0), "the signal is computed");
+            }
+        }
+        assert!(unguarded[0].raw.iter().all(|&v| v == 0.0));
+    }
+
+    /// The trip decision itself acts through the fallback, and a sticky
+    /// guard stays switched: the raw value freezes at the trip while
+    /// the session keeps streaming on Buffer-Based.
+    #[test]
+    fn switches_on_the_trip_decision_and_stays_switched() {
+        let mut ens = tiny_ensemble();
+        let (video, cfg) = (VideoModel::envivio(), AbrConfig::default());
+        let trace = &traces()[..1];
+        // k = 2, α = 0, l = 1: the first full window, decision 1, trips.
+        let serve = ServeConfig {
+            k: 2,
+            alpha: 0.0,
+            l: 1,
+            ..ServeConfig::default()
+        };
+        let signal = FleetSignal::ValueDisagreement;
+        let run = evaluate(&ens, &signal, &serve, &video, &cfg, trace, true).remove(0);
+        assert_eq!((run.first_trip, run.switches), (Some(1), 1));
+        let frozen = |v: &[f32]| v[2..].iter().all(|x| x.to_bits() == v[1].to_bits());
+        assert!(frozen(&run.raw) && frozen(&run.variance));
+        assert_ne!(run.raw[0].to_bits(), run.raw[1].to_bits());
+
+        // Reference stream: the learned action at decision 0, Buffer-Based
+        // from the trip decision on.
+        let bb = BufferBased::default();
+        let mut cur = SessionCursor::new();
+        let mut obs = [0.0f32; OBS_DIM];
+        let (mut qoe, mut j) = (0.0f64, 0);
+        while !cur.done(&video) {
+            cur.encode_obs(&video, &mut obs);
+            let level = if j == 0 {
+                ens.act(&obs)
+            } else {
+                bb.level_for_buffer(obs[2 * HISTORY_LEN + NUM_BITRATES] as f64 * 10.0)
+            };
+            qoe += cur.step(&video, &cfg, &trace[0], level).reward;
+            j += 1;
+        }
+        assert_eq!(run.qoe.to_bits(), qoe.to_bits());
     }
 
     #[test]
-    fn quiet_safe_agent_reproduces_its_policy_exactly() {
-        // With a never-tripping signal and BB on both sides, the safe
-        // agent must score exactly like plain BB.
-        let video = VideoModel::envivio();
-        let cfg = AbrConfig::default();
-        let mut agent = SafeAgent::new(
-            Quiet,
-            Monitor::new(5, f32::INFINITY, 3),
-            BufferFallback::default(),
-            BufferFallback::default(),
+    fn series_cover_every_decision() {
+        let ens = tiny_ensemble();
+        let (video, cfg) = (VideoModel::envivio(), AbrConfig::default());
+        let runs = evaluate(
+            &ens,
+            &FleetSignal::PolicyDisagreement,
+            &ServeConfig::default(),
+            &video,
+            &cfg,
+            &traces(),
+            true,
         );
-        let run = run_session(&mut agent, &video, &cfg, &trace());
-        let bb = evaluate_policy(&video, &cfg, &[trace()], &mut BufferBased::default(), 0);
-        assert_eq!(run.qoe / run.chunks as f64, bb.mean_qoe);
-        assert_eq!(run.switch_index, None);
-        assert_eq!(run.raw.len(), run.chunks as usize);
+        for run in &runs {
+            let n = run.chunks as usize;
+            assert_eq!(n, video.chunk_count());
+            assert_eq!(
+                (run.raw.len(), run.variance.len(), run.tput_mbps.len()),
+                (n, n, n)
+            );
+            // The first observation carries no throughput sample yet.
+            assert_eq!(run.tput_mbps[0], 0.0);
+            assert!(run.tput_mbps[1..].iter().all(|&v| v > 0.0));
+        }
+        let quiet = evaluate(
+            &ens,
+            &FleetSignal::PolicyDisagreement,
+            &ServeConfig::default(),
+            &video,
+            &cfg,
+            &traces(),
+            false,
+        );
+        assert!(quiet
+            .iter()
+            .all(|r| r.raw.is_empty() && r.tput_mbps.is_empty()));
     }
 
     #[test]
     fn anchors_order_on_steady_links() {
         let video = VideoModel::envivio();
         let cfg = AbrConfig::default();
-        let a = anchors(&video, &cfg, &[trace()], 7);
+        let flat = [Trace::new("flat", 1.0, vec![3.0; 300])];
+        let a = anchors(&video, &cfg, &flat, 7);
         assert!(a.bb_qoe > a.random_qoe);
         assert_eq!(normalized(a.bb_qoe, &a), 1.0);
         assert_eq!(normalized(a.random_qoe, &a), 0.0);

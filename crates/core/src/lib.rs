@@ -1,31 +1,31 @@
 //! `osa-core` — the OSAP framework, the paper's contribution
 //! (DESIGN.md §1 row 8).
 //!
-//! Online safety assurance as described in §2 of the paper:
+//! Online safety assurance as described in §2 of the paper, implemented
+//! once: signal → k-window variance → l consecutive exceedances →
+//! Buffer-Based.
 //!
-//! - [`signal`] — the [`UncertaintySignal`] trait plus U_S
-//!   ([`NoveltySignal`], novelty detection via [`osa_ocsvm`]);
-//! - [`ensemble`] — the stacked Pensieve replica ensemble (i = 5,
-//!   top-2 outliers discarded) with U_π ([`PolicyDisagreement`],
-//!   KL-to-mean) and U_V ([`ValueDisagreement`], value
-//!   distance-to-mean); inference is one grouped GEMM per layer across
-//!   all replicas (`osa_nn::stacked`), never five sequential forwards;
-//! - [`monitor`] — k-window variance smoothing and
-//!   l-consecutive-exceedance thresholding (§2.5), implemented once in
-//!   struct-of-arrays form for whole fleets; the per-stream [`Monitor`]
-//!   is a fleet of one;
-//! - [`calibrate`] — (α, l) calibration against in-distribution traces;
-//! - [`safe_agent`] — the [`SafeAgent`] wrapper: learned policy while
-//!   quiet, Buffer-Based once tripped, sticky by default with opt-in
-//!   hysteresis-based reverse switching
-//!   ([`ReverseConfig`](monitor::ReverseConfig));
-//! - [`eval`] — session runs with signal time series, and the
-//!   normalized 0 = Random / 1 = BB scoring (§3.3) shared by every
-//!   figure binary;
-//! - [`serve`] — the fleet-scale serving engine: 100k+ concurrent
-//!   sessions with [`FleetMonitors`](monitor::FleetMonitors), sharded across
+//! - [`serve`] — [`FleetEngine`], the one decision path: 100k+
+//!   concurrent sessions in struct-of-arrays form, sharded across
 //!   `osa-runtime` lanes, decided by session-major batched stacked
-//!   forwards.
+//!   forwards, guarded by a [`FleetSignal`]: U_π (KL-to-mean), U_V
+//!   (value distance-to-mean) or U_S (one-class SVM novelty via
+//!   [`osa_ocsvm`]);
+//! - [`ensemble`] — the stacked Pensieve replica ensemble (i = 5,
+//!   top-2 outliers discarded) and the per-session U_π/U_V reductions;
+//!   inference is one grouped GEMM per layer across all replicas
+//!   (`osa_nn::stacked`), never five sequential forwards;
+//! - [`monitor`] — k-window variance smoothing and
+//!   l-consecutive-exceedance thresholding (§2.5) for whole fleets,
+//!   sticky by default with opt-in hysteresis-based reverse switching
+//!   ([`ReverseConfig`](monitor::ReverseConfig));
+//! - [`eval`] — [`evaluate`]: one engine session per trace, with the
+//!   per-decision signal series on request, and the normalized
+//!   0 = Random / 1 = BB scoring (§3.3) shared by every figure binary;
+//! - [`calibrate`] — (α, l) calibration against in-distribution traces,
+//!   on the same engine;
+//! - [`compat`] — the names `benchmark/` still calls, as thin
+//!   constructors over the above.
 //!
 //! # Determinism
 //!
@@ -37,29 +37,24 @@
 #![forbid(unsafe_code)]
 
 pub mod calibrate;
+pub mod compat;
 pub mod ensemble;
 pub mod eval;
 pub mod monitor;
-pub mod safe_agent;
 pub mod serve;
-pub mod signal;
 
-pub use calibrate::{calibrate, calibrate_novelty, Calibration, DEFAULT_MARGIN};
-pub use ensemble::{
-    shared, PensieveEnsemble, PolicyDisagreement, SharedEnsemble, ValueDisagreement,
-    ENSEMBLE_FORMAT_VERSION,
+pub use calibrate::{calibrate_guard, Calibration, DEFAULT_MARGIN};
+pub use compat::{
+    abr_safe_agent, calibrate, calibrate_novelty, shared, AbrSafeAgent, NoveltySignal,
+    SharedEnsemble, ValueDisagreement,
 };
+pub use ensemble::{PensieveEnsemble, ENSEMBLE_FORMAT_VERSION};
 pub use eval::{
-    anchors, calibration_observations, evaluate_safe_agent, normalized, run_session,
-    run_session_into, Anchors, SafeScore, SessionRun,
+    anchors, calibration_observations, evaluate, normalized, summarize, Anchors, SessionOutcome,
+    Summary,
 };
 pub use monitor::{Monitor, ReverseConfig, DEFAULT_K};
-pub use safe_agent::{
-    abr_safe_agent, AbrSafeAgent, BufferFallback, EnsemblePolicy, SafeAgent, SafetyPolicy,
-    BUFFER_COL,
-};
 pub use serve::{FleetEngine, FleetSignal, FleetTelemetry, ServeConfig};
-pub use signal::{NoveltySignal, NullSignal, UncertaintySignal};
 
 /// Ensemble size the paper uses for U_π and U_V (§3.1).
 pub const ENSEMBLE_SIZE: usize = 5;
@@ -72,22 +67,18 @@ pub const DEFAULT_L: usize = 3;
 
 /// One-stop import for downstream crates, examples, and tests.
 pub mod prelude {
-    pub use crate::calibrate::{calibrate, calibrate_novelty, Calibration, DEFAULT_MARGIN};
-    pub use crate::ensemble::{
-        shared, PensieveEnsemble, PolicyDisagreement, SharedEnsemble, ValueDisagreement,
-        ENSEMBLE_FORMAT_VERSION,
+    pub use crate::calibrate::{calibrate_guard, Calibration, DEFAULT_MARGIN};
+    pub use crate::compat::{
+        abr_safe_agent, calibrate, calibrate_novelty, shared, AbrSafeAgent, NoveltySignal,
+        SharedEnsemble, ValueDisagreement,
     };
+    pub use crate::ensemble::{PensieveEnsemble, ENSEMBLE_FORMAT_VERSION};
     pub use crate::eval::{
-        anchors, calibration_observations, evaluate_safe_agent, normalized, run_session,
-        run_session_into, Anchors, SafeScore, SessionRun,
+        anchors, calibration_observations, evaluate, normalized, summarize, Anchors,
+        SessionOutcome, Summary,
     };
     pub use crate::monitor::{Monitor, ReverseConfig, DEFAULT_K};
-    pub use crate::safe_agent::{
-        abr_safe_agent, AbrSafeAgent, BufferFallback, EnsemblePolicy, SafeAgent, SafetyPolicy,
-        BUFFER_COL,
-    };
     pub use crate::serve::{FleetEngine, FleetSignal, FleetTelemetry, ServeConfig};
-    pub use crate::signal::{NoveltySignal, NullSignal, UncertaintySignal};
     pub use crate::{DEFAULT_L, ENSEMBLE_KEEP, ENSEMBLE_SIZE};
 }
 

@@ -6,13 +6,13 @@
 //! *variance of the last k values* and only declares uncertainty when
 //! that variance exceeds a calibrated threshold α for l consecutive
 //! decisions. Once tripped, a monitor stays tripped — the paper's
-//! SafeAgent defaults to the safe policy for the rest of the session
-//! (no reverse switching). That sticky behavior is the default here.
+//! guarded agent defaults to the safe policy for the rest of the
+//! session (no reverse switching). That sticky behavior is the default
+//! here.
 //!
 //! The state machine exists once, in struct-of-arrays form:
 //! [`FleetMonitors`] holds one monitor per session for the fleet
-//! engine, and [`Monitor`] is a one-session view over it for the
-//! per-stream [`SafeAgent`](crate::safe_agent::SafeAgent).
+//! engine, and [`Monitor`] is a one-session view over it.
 //!
 //! # Failing closed
 //!
@@ -305,7 +305,9 @@ fn index_opt(v: u32) -> Option<usize> {
     }
 }
 
-/// One guarded stream's monitor: a one-session [`FleetMonitors`].
+/// One guarded stream's monitor: a one-session [`FleetMonitors`]. Kept
+/// as the monitor settings `benchmark/` hands to
+/// [`abr_safe_agent`](crate::compat::abr_safe_agent).
 pub struct Monitor(FleetMonitors);
 
 impl Monitor {
@@ -346,6 +348,20 @@ impl Monitor {
     pub fn set_anchor(&mut self, anchor: Option<f32>) {
         self.0.anchor = anchor;
         self.reset();
+    }
+
+    /// These settings as a fleet configuration (default shard and
+    /// `auto_reset`).
+    pub(crate) fn serve_config(&self) -> ServeConfig {
+        let m = &self.0;
+        ServeConfig {
+            k: m.k,
+            alpha: m.alpha,
+            l: m.l,
+            anchor: m.anchor,
+            reverse: m.reverse,
+            ..ServeConfig::default()
+        }
     }
 
     pub fn k(&self) -> usize {

@@ -1,14 +1,14 @@
-//! Fleet-scale SafeAgent serving: 100k+ concurrent guarded ABR
-//! sessions, decided by session-major batched ensemble inference.
+//! Fleet-scale guarded serving: 100k+ concurrent guarded ABR sessions,
+//! decided by session-major batched ensemble inference.
 //!
-//! [`crate::run_session`] exercises the safety layer one stream at a
-//! time; a CDN front-end runs *fleets*. [`FleetEngine`] holds the whole
-//! fleet in struct-of-arrays form — the `osa_abr::MultiSession`
-//! simulator for the streaming state, [`FleetMonitors`] for the
-//! per-session safety state (k-window variance rings, l-counters, and
-//! the switch/recovery state machines — the same implementation a
-//! per-stream [`crate::Monitor`] runs as a fleet of one), and per-session
-//! [`FeatureWindow`]s when the fleet is guarded by U_S.
+//! [`FleetEngine`] is the one implementation of the paper's switching
+//! rule: it serves fleets, and [`crate::eval`] runs it one session per
+//! trace for calibration and the figures. It holds the whole fleet in
+//! struct-of-arrays form — the `osa_abr::MultiSession` simulator for
+//! the streaming state, [`FleetMonitors`] for the per-session safety
+//! state (k-window variance rings, l-counters, and the switch/recovery
+//! state machines), and per-session [`FeatureWindow`]s when the fleet
+//! is guarded by U_S.
 //!
 //! # One decision round
 //!
@@ -19,8 +19,9 @@
 //!    whole shard (`(replicas · shard) × dim` — *session-major*, every
 //!    replica of every session in a single grouped GEMM per layer), a
 //!    per-session softmax/mean/argmax for the learned action, and the
-//!    guarding signal's raw value (a batched critic forward for U_V, a
-//!    feature-window score for U_S). Lanes write only their own slice
+//!    guarding signal's raw value (KL sums over the same softmaxes for
+//!    U_π, a batched critic forward for U_V, a feature-window score for
+//!    U_S). Lanes write only their own slice
 //!    of [`SessionSlot`]s and their own [`LaneSlots`] scratch.
 //! 2. **Serial apply** — in session order: fold each raw value into the
 //!    session's monitor, pick the learned or fallback action, then
@@ -44,6 +45,8 @@
 //! consecutive in-threshold variances, with a re-trip lock against
 //! oscillation. Off by default — the paper's sticky behavior.
 
+use std::sync::Arc;
+
 use osa_abr::policy::BufferBased;
 use osa_abr::sim::{AbrConfig, MultiSession};
 use osa_abr::video::VideoModel;
@@ -57,7 +60,9 @@ use osa_ocsvm::OcSvm;
 use osa_runtime::{LaneSlots, ThreadPool};
 use osa_trace::Trace;
 
-use crate::ensemble::{argmax, replica_mean, softmax_row, value_spread, PensieveEnsemble};
+use crate::ensemble::{
+    argmax, policy_spread, replica_mean, softmax_row, value_spread, PensieveEnsemble,
+};
 pub use crate::monitor::FleetMonitors;
 use crate::monitor::ReverseConfig;
 use crate::{DEFAULT_K, DEFAULT_L};
@@ -66,16 +71,19 @@ use crate::{DEFAULT_K, DEFAULT_L};
 // One value per engine (not per session), so the OcSvm payload's size
 // difference against the unit variants costs nothing.
 #[allow(clippy::large_enum_variant)]
+#[derive(Clone)]
 pub enum FleetSignal {
     /// Never trips — the unguarded learned policy (baseline fleets).
     Null,
+    /// U_π: per-session KL divergence of each replica's action
+    /// distribution from the ensemble mean (top-2 discarded), over the
+    /// softmaxes the actor forward already produced for the action.
+    PolicyDisagreement,
     /// U_V: per-session value disagreement off the batched stacked
-    /// critic forward. The fleet counterpart of
-    /// [`crate::ValueDisagreement`].
+    /// critic forward.
     ValueDisagreement,
     /// U_S: per-session throughput [`FeatureWindow`]s scored by a
-    /// fitted one-class SVM. The fleet counterpart of
-    /// [`crate::NoveltySignal`].
+    /// fitted one-class SVM.
     Novelty(OcSvm),
 }
 
@@ -86,7 +94,9 @@ pub struct ServeConfig {
     pub k: usize,
     pub alpha: f32,
     pub l: usize,
-    /// See [`crate::Monitor::set_anchor`].
+    /// `Some(μ₀)` anchors every monitor's variance at the calibrated
+    /// in-distribution signal level instead of the window's own mean
+    /// (see [`FleetMonitors`]).
     pub anchor: Option<f32>,
     /// `Some` arms hysteresis-based reverse switching on every monitor.
     pub reverse: Option<ReverseConfig>,
@@ -118,8 +128,8 @@ impl Default for ServeConfig {
 /// window (per-session signal state must live in the sharded slice so
 /// lanes can mutate it without aliasing).
 struct SessionSlot {
-    /// Raw signal value of this round (U_S: the last scored value, held
-    /// through warm-up like `NoveltySignal::last`).
+    /// Raw signal value of this round; held while the monitor is not
+    /// observing (a sticky fallback), and for U_S through warm-up.
     raw: f32,
     /// Learned (ensemble-mean argmax) action of this round.
     learned: u8,
@@ -216,8 +226,8 @@ pub struct FleetTelemetry {
 /// per [`FleetEngine::round`].
 pub struct FleetEngine {
     sim: MultiSession,
-    actor: StackedNet,
-    critic: StackedNet,
+    actor: Arc<StackedNet>,
+    critic: Arc<StackedNet>,
     replicas: usize,
     keep: usize,
     signal: FleetSignal,
@@ -247,9 +257,24 @@ impl FleetEngine {
         n: usize,
         serve: &ServeConfig,
     ) -> FleetEngine {
+        FleetEngine::sharing(&ens, signal, video, cfg, traces, n, serve)
+    }
+
+    /// [`FleetEngine::new`] serving `ens`'s stacked nets without
+    /// consuming it — for [`crate::eval`]'s engines, which never outlive
+    /// the borrow.
+    pub(crate) fn sharing(
+        ens: &PensieveEnsemble,
+        signal: FleetSignal,
+        video: VideoModel,
+        cfg: AbrConfig,
+        traces: Vec<Trace>,
+        n: usize,
+        serve: &ServeConfig,
+    ) -> FleetEngine {
         let replicas = ens.replicas();
         let keep = ens.keep();
-        let (actor, critic, _) = ens.into_serving_nets();
+        let (actor, critic) = ens.shared_nets();
         let sim = MultiSession::new(video, cfg, traces, n, serve.auto_reset);
         FleetEngine {
             sim,
@@ -289,6 +314,14 @@ impl FleetEngine {
 
     pub fn monitors(&self) -> &FleetMonitors {
         &self.monitors
+    }
+
+    /// The raw signal value session `i`'s monitor last consumed: this
+    /// round's while it observes, frozen while a sticky fallback does
+    /// not (0 before the first round, and for U_S until its feature
+    /// window is warm).
+    pub fn raw(&self, i: usize) -> f32 {
+        self.slots[i].raw
     }
 
     /// One decision round for the whole fleet on the current
@@ -366,10 +399,9 @@ impl FleetEngine {
                 self.monitors.update(i, self.slots[i].raw);
             }
             self.actions[i] = if self.monitors.tripped(i) {
-                // Same rounding as `BufferFallback`: the observation
-                // stores buffer/10 as f32, the policy reads it ×10 in
-                // f64 — replicated exactly so fleet and per-session
-                // agents pick identical levels at the thresholds.
+                // Buffer-Based reads the buffer level the way the
+                // observation row encodes it: buffer/10 stored as f32,
+                // read back ×10 in f64.
                 let buf_obs = (self.sim.buffer_s(i) / 10.0) as f32;
                 self.bb.level_for_buffer(buf_obs as f64 * 10.0)
             } else {
@@ -510,28 +542,45 @@ fn decide_shard(
     // Learned action: one grouped actor GEMM per layer for the whole
     // shard, rows replica-major (`row = r·b + s`), then the softmax →
     // mean-over-replicas → argmax reductions `PensieveEnsemble::act`
-    // runs at b = 1.
+    // runs at b = 1. U_π reads the same softmaxes and mean. A session
+    // whose monitor is not observing keeps its last raw value.
     actor.forward_into(&scratch.x, &mut scratch.ws, &mut scratch.logits);
     scratch.probs.resize_shape(replicas * b, NUM_BITRATES);
     for row in 0..replicas * b {
         softmax_row(scratch.logits.row(row), scratch.probs.row_mut(row));
     }
+    let u_pi = matches!(signal, FleetSignal::PolicyDisagreement);
     for (s_i, slot) in slots.iter_mut().enumerate() {
         replica_mean(&scratch.probs, replicas, b, s_i, &mut scratch.mean);
         slot.learned = argmax(&scratch.mean) as u8;
+        if u_pi && monitors.observing(first + s_i) {
+            slot.raw = policy_spread(
+                &scratch.probs,
+                &scratch.mean,
+                replicas,
+                b,
+                s_i,
+                keep,
+                &mut scratch.devs,
+            );
+        }
     }
 
-    // Raw signal values.
+    // Raw signal values of the other signals.
     match signal {
         FleetSignal::Null => {
             for slot in slots.iter_mut() {
                 slot.raw = 0.0;
             }
         }
+        FleetSignal::PolicyDisagreement => {}
         FleetSignal::ValueDisagreement => {
             critic.forward_into(&scratch.x, &mut scratch.ws, &mut scratch.values);
             for (s_i, slot) in slots.iter_mut().enumerate() {
-                slot.raw = value_spread(&scratch.values, replicas, b, s_i, keep, &mut scratch.devs);
+                if monitors.observing(first + s_i) {
+                    slot.raw =
+                        value_spread(&scratch.values, replicas, b, s_i, keep, &mut scratch.devs);
+                }
             }
         }
         FleetSignal::Novelty(svm) => {
@@ -545,8 +594,7 @@ fn decide_shard(
             for (s_i, slot) in slots.iter_mut().enumerate() {
                 let i = first + s_i;
                 // A sticky (or locked) fallback stops observing — its
-                // feature window freezes, exactly like the scalar
-                // `NoveltySignal` behind a tripped monitor.
+                // feature window freezes with the monitor's ring.
                 if !monitors.observing(i) {
                     continue;
                 }

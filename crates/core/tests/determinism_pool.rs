@@ -5,8 +5,8 @@
 //! workloads under pools of 1, 2, 4, and 8 workers (via
 //! `osa_runtime::with_pool`, overriding `OSA_THREADS`) and demand the
 //! exact bits back every time: ensemble inference (the stacked batched
-//! GEMM fans out over the pool), each signal's raw/variance time
-//! series, and the SafeAgent's switch decisions.
+//! GEMM fans out over the pool), each signal's calibration and raw/
+//! variance time series on the serving engine, and its switch decisions.
 
 use osa_abr::prelude::*;
 use osa_core::prelude::*;
@@ -25,11 +25,10 @@ fn artifact_text() -> String {
         .expect("missing artifact — run `cargo run --release --example osap_ensemble_train`")
 }
 
-/// Fresh ensemble per invocation: the scratch caches inside a shared
-/// ensemble carry across calls, which would make later pool widths see
-/// different warm-up state than the first.
-fn load_shared(text: &str) -> SharedEnsemble {
-    shared(PensieveEnsemble::from_json(text).expect("artifact parses"))
+/// Fresh ensemble per invocation, so no width sees another's warm
+/// scratch state.
+fn load(text: &str) -> PensieveEnsemble {
+    PensieveEnsemble::from_json(text).expect("artifact parses")
 }
 
 /// Run `f` under each pool width and assert every width reproduces the
@@ -57,22 +56,20 @@ fn ensemble_inference_bits_are_pool_invariant() {
     let split = Split::generate(Dataset::Norway, 60, 400, 2020);
     let video = VideoModel::envivio();
     let cfg = AbrConfig::default();
-    assert_pool_invariant("stacked policy/value forward", || {
-        // Drive real observations through the ensemble via a session,
-        // then capture the last decision's full probability tensor.
-        let ens = load_shared(&text);
-        let mut agent = abr_safe_agent(
-            ens.clone(),
-            NullSignal,
-            Monitor::new(DEFAULT_K, f32::INFINITY, DEFAULT_L),
-        );
-        let run = run_session(&mut agent, &video, &cfg, &split.test[0]);
-        let mut e = ens.borrow_mut();
-        let obs = vec![0.25f32; osa_abr::OBS_DIM];
-        e.policy_eval(&obs);
-        let mut bits: Vec<u32> = e.mean_probs().iter().map(|p| p.to_bits()).collect();
-        bits.extend(e.replica_probs().data().iter().map(|p| p.to_bits()));
-        bits.push(e.value_disagreement(&obs).to_bits());
+    assert_pool_invariant("stacked policy forward + unguarded session", || {
+        let mut ens = load(&text);
+        let run = evaluate(
+            &ens,
+            &FleetSignal::Null,
+            &ServeConfig::default(),
+            &video,
+            &cfg,
+            &split.test[..1],
+            false,
+        )
+        .remove(0);
+        ens.policy_eval(&[0.25f32; osa_abr::OBS_DIM]);
+        let bits: Vec<u32> = ens.mean_probs().iter().map(|p| p.to_bits()).collect();
         (run.qoe.to_bits(), run.chunks, bits)
     });
 }
@@ -83,53 +80,32 @@ fn signal_series_and_switches_are_pool_invariant() {
     let split = Split::generate(Dataset::Norway, 60, 400, 2020);
     let video = VideoModel::envivio();
     let cfg = AbrConfig::default();
-    let shifted = Dataset::Belgium.generate(1, 400, 77).pop().unwrap();
+    let traces = [
+        split.test[0].clone(),
+        Dataset::Belgium.generate(1, 400, 77).pop().unwrap(),
+    ];
 
     // U_π and U_V over one in-distribution and one shifted session;
     // calibration runs too, so α itself must be pool-invariant.
     assert_pool_invariant("U_pi/U_V series + switch indices", || {
         type SessionBits = (u32, Vec<u32>, Vec<u32>, Option<usize>);
-        let ens = load_shared(&text);
+        let ens = load(&text);
         let mut out: Vec<SessionBits> = Vec::new();
-        let mut u_pi = abr_safe_agent(
-            ens.clone(),
-            PolicyDisagreement::new(ens.clone()),
-            Monitor::new(DEFAULT_K, f32::INFINITY, DEFAULT_L),
-        );
-        let mut u_v = abr_safe_agent(
-            ens.clone(),
-            ValueDisagreement::new(ens.clone()),
-            Monitor::new(DEFAULT_K, f32::INFINITY, DEFAULT_L),
-        );
-        let cal_pi = calibrate(
-            &mut u_pi,
-            &video,
-            &cfg,
-            &split.validation[..4],
-            DEFAULT_MARGIN,
-        );
-        let cal_v = calibrate(
-            &mut u_v,
-            &video,
-            &cfg,
-            &split.validation[..4],
-            DEFAULT_MARGIN,
-        );
-        for trace in [&split.test[0], &shifted] {
-            let run = run_session(&mut u_pi, &video, &cfg, trace);
-            out.push((
-                cal_pi.alpha.to_bits(),
-                run.raw.iter().map(|v| v.to_bits()).collect(),
-                run.variance.iter().map(|v| v.to_bits()).collect(),
-                run.switch_index,
-            ));
-            let run = run_session(&mut u_v, &video, &cfg, trace);
-            out.push((
-                cal_v.alpha.to_bits(),
-                run.raw.iter().map(|v| v.to_bits()).collect(),
-                run.variance.iter().map(|v| v.to_bits()).collect(),
-                run.switch_index,
-            ));
+        for signal in [
+            FleetSignal::PolicyDisagreement,
+            FleetSignal::ValueDisagreement,
+        ] {
+            let mut serve = ServeConfig::default();
+            let val = &split.validation[..4];
+            let cal = calibrate_guard(&ens, &signal, &mut serve, &video, &cfg, val, DEFAULT_MARGIN);
+            for run in evaluate(&ens, &signal, &serve, &video, &cfg, &traces, true) {
+                out.push((
+                    cal.alpha.to_bits(),
+                    run.raw.iter().map(|v| v.to_bits()).collect(),
+                    run.variance.iter().map(|v| v.to_bits()).collect(),
+                    run.first_trip,
+                ));
+            }
         }
         out
     });

@@ -51,13 +51,17 @@ fn ensemble_mean_policy_beats_random_on_test_split() {
     let split = corpus();
     let video = VideoModel::envivio();
     let cfg = AbrConfig::default();
-    let mut agent = abr_safe_agent(
-        shared(load()),
-        NullSignal,
-        Monitor::new(DEFAULT_K, f32::INFINITY, DEFAULT_L),
-    );
     let anch = anchors(&video, &cfg, &split.test, 2020);
-    let score = evaluate_safe_agent(&mut agent, &video, &cfg, &split.test);
+    let runs = evaluate(
+        &load(),
+        &FleetSignal::Null,
+        &ServeConfig::default(),
+        &video,
+        &cfg,
+        &split.test,
+        false,
+    );
+    let score = summarize(&runs);
     let norm = normalized(score.mean_qoe, &anch);
     // Observed +1.106 at training time; leave slack for deliberate
     // retrains but catch real regressions.
@@ -65,7 +69,10 @@ fn ensemble_mean_policy_beats_random_on_test_split() {
         norm > 0.8,
         "committed ensemble scored {norm:.3} normalized (expected > 0.8)"
     );
-    assert_eq!(score.switched_sessions, 0, "NullSignal must never trip");
+    assert_eq!(
+        score.switched_sessions, 0,
+        "the unguarded fleet never trips"
+    );
 }
 
 #[test]
@@ -73,20 +80,13 @@ fn disagreement_signals_are_finite_and_small_in_distribution() {
     let split = corpus();
     let video = VideoModel::envivio();
     let cfg = AbrConfig::default();
-    let ens = shared(load());
+    let ens = load();
     for (signal, name) in [
-        (
-            Box::new(PolicyDisagreement::new(ens.clone())) as Box<dyn UncertaintySignal>,
-            "u_pi",
-        ),
-        (Box::new(ValueDisagreement::new(ens.clone())), "u_v"),
+        (FleetSignal::PolicyDisagreement, "u_pi"),
+        (FleetSignal::ValueDisagreement, "u_v"),
     ] {
-        let mut agent = abr_safe_agent(
-            ens.clone(),
-            signal,
-            Monitor::new(DEFAULT_K, f32::INFINITY, DEFAULT_L),
-        );
-        let run = run_session(&mut agent, &video, &cfg, &split.test[0]);
+        let serve = ServeConfig::default();
+        let run = evaluate(&ens, &signal, &serve, &video, &cfg, &split.test[..1], true).remove(0);
         assert!(!run.raw.is_empty());
         for &v in &run.raw {
             assert!(

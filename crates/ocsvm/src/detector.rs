@@ -1,12 +1,11 @@
 //! Novelty detectors behind the U_S uncertainty signal.
 //!
-//! The paper's classic-ND baseline is a one-class SVM ([`OcSvm`]); the
-//! [`KnnDetector`] and [`MahalanobisDetector`] ablations answer "does the
-//! headline ordering depend on the detector choice?" All three share one
-//! [`NoveltyDetector`] contract: `fit` on a matrix of in-distribution
-//! feature rows, then score queries — higher means more novel — either
-//! one row at a time ([`NoveltyDetector::score`]) or a whole batch in
-//! one call ([`NoveltyDetector::score_batch_into`]).
+//! The paper's classic-ND baseline is a one-class SVM ([`OcSvm`]), the
+//! one implementation of the [`NoveltyDetector`] contract: `fit` on a
+//! matrix of in-distribution feature rows, then score queries — higher
+//! means more novel — either one row at a time
+//! ([`NoveltyDetector::score`]) or a whole batch in one call
+//! ([`NoveltyDetector::score_batch_into`]).
 //!
 //! # The batched scoring engine
 //!
@@ -49,16 +48,9 @@ pub trait NoveltyDetector {
     /// Score every row of `x` into `out` in one call. Bit-identical to
     /// scoring the rows one at a time with [`NoveltyDetector::score`] —
     /// for [`OcSvm`] the batch *is* the canonical path and the scalar
-    /// call delegates here; the default implementation loops the scalar
-    /// path, which keeps that contract trivially true for detectors
-    /// without a batched kernel. Panics if `out.len() != x.rows()` or
-    /// before `fit`.
-    fn score_batch_into(&self, x: &Tensor, out: &mut [f32]) {
-        assert_eq!(x.rows(), out.len(), "score_batch_into output length");
-        for (i, o) in out.iter_mut().enumerate() {
-            *o = self.score(x.row(i));
-        }
-    }
+    /// call delegates here. Panics if `out.len() != x.rows()` or before
+    /// `fit`.
+    fn score_batch_into(&self, x: &Tensor, out: &mut [f32]);
 }
 
 /// Per-dimension standardization statistics of a training set.
@@ -115,22 +107,6 @@ impl Standardizer {
         for (j, zv) in z.iter_mut().enumerate() {
             *zv = (x[j] - self.mean[j]) / self.std[j];
         }
-    }
-
-    /// Squared distance between the standardized query and an already
-    /// standardized row, accumulated in ascending dimension order.
-    /// Dimension checks are `debug_assert!` — this sits inside the k-NN
-    /// scan's hot loop and the caller validates once per query.
-    #[inline]
-    fn d2_to_standardized(&self, x: &[f32], zrow: &[f32]) -> f32 {
-        debug_assert_eq!(x.len(), self.mean.len(), "standardizer dimension");
-        debug_assert_eq!(zrow.len(), self.mean.len(), "standardizer dimension");
-        let mut d2 = 0.0f32;
-        for j in 0..x.len() {
-            let d = (x[j] - self.mean[j]) / self.std[j] - zrow[j];
-            d2 += d * d;
-        }
-        d2
     }
 }
 
@@ -479,210 +455,6 @@ impl NoveltyDetector for OcSvm {
     }
 }
 
-/// Largest `k` supported by the allocation-free k-best scan.
-pub const KNN_MAX_K: usize = 64;
-
-/// k-nearest-neighbor ablation: novelty = distance (in standardized
-/// space) to the k-th nearest training row. Training rows beyond `cap`
-/// are kept by deterministic striding so scoring cost stays bounded.
-#[derive(Clone, Debug)]
-pub struct KnnDetector {
-    k: usize,
-    cap: usize,
-    std: Standardizer,
-    train: Tensor,
-}
-
-impl KnnDetector {
-    /// Panics if `k == 0`, `k > KNN_MAX_K`, or `cap < k`.
-    pub fn new(k: usize, cap: usize) -> KnnDetector {
-        assert!((1..=KNN_MAX_K).contains(&k), "k must be in 1..={KNN_MAX_K}");
-        assert!(cap >= k, "cap must hold at least k rows");
-        KnnDetector {
-            k,
-            cap,
-            std: Standardizer::default(),
-            train: Tensor::zeros(0, 0),
-        }
-    }
-
-    pub fn stored_rows(&self) -> usize {
-        self.train.rows()
-    }
-}
-
-impl Default for KnnDetector {
-    fn default() -> Self {
-        KnnDetector::new(5, 2048)
-    }
-}
-
-impl NoveltyDetector for KnnDetector {
-    fn name(&self) -> &'static str {
-        "knn"
-    }
-
-    fn fit(&mut self, x: &Tensor) {
-        assert!(x.rows() >= self.k, "need at least k training rows");
-        self.std = Standardizer::fit(x);
-        let z = self.std.apply(x);
-        if x.rows() <= self.cap {
-            self.train = z;
-            return;
-        }
-        // Deterministic stride subsample: row ⌊i·n/cap⌋ for i in 0..cap.
-        let n = x.rows();
-        let mut kept = Tensor::zeros(self.cap, x.cols());
-        for i in 0..self.cap {
-            kept.row_mut(i).copy_from_slice(z.row(i * n / self.cap));
-        }
-        self.train = kept;
-    }
-
-    fn score(&self, x: &[f32]) -> f32 {
-        assert!(self.train.rows() > 0, "KnnDetector::score before fit");
-        assert_eq!(x.len(), self.std.mean.len(), "feature dimension");
-        // k smallest squared distances via insertion into a fixed array.
-        let mut best = [f32::INFINITY; KNN_MAX_K];
-        for i in 0..self.train.rows() {
-            let d2 = self.std.d2_to_standardized(x, self.train.row(i));
-            if d2 < best[self.k - 1] {
-                let mut j = self.k - 1;
-                while j > 0 && best[j - 1] > d2 {
-                    best[j] = best[j - 1];
-                    j -= 1;
-                }
-                best[j] = d2;
-            }
-        }
-        best[self.k - 1].sqrt()
-    }
-}
-
-/// Mahalanobis-distance ablation: novelty = `√((x−μ)ᵀ Σ⁻¹ (x−μ))` with
-/// a ridge-regularized covariance, fitted and inverted in f64.
-#[derive(Clone, Debug, Default)]
-pub struct MahalanobisDetector {
-    mean: Vec<f64>,
-    /// Row-major d×d inverse covariance.
-    inv: Vec<f64>,
-    dim: usize,
-}
-
-impl MahalanobisDetector {
-    pub fn new() -> MahalanobisDetector {
-        MahalanobisDetector::default()
-    }
-}
-
-impl NoveltyDetector for MahalanobisDetector {
-    fn name(&self) -> &'static str {
-        "mahalanobis"
-    }
-
-    fn fit(&mut self, x: &Tensor) {
-        let (n, d) = (x.rows(), x.cols());
-        assert!(n > 0, "cannot fit Mahalanobis on an empty training set");
-        let mut mean = vec![0.0f64; d];
-        for i in 0..n {
-            for (m, &v) in mean.iter_mut().zip(x.row(i)) {
-                *m += v as f64;
-            }
-        }
-        for m in &mut mean {
-            *m /= n as f64;
-        }
-        let mut cov = vec![0.0f64; d * d];
-        for i in 0..n {
-            let row = x.row(i);
-            for a in 0..d {
-                let da = row[a] as f64 - mean[a];
-                for b in 0..d {
-                    cov[a * d + b] += da * (row[b] as f64 - mean[b]);
-                }
-            }
-        }
-        for v in &mut cov {
-            *v /= n as f64;
-        }
-        // Ridge proportional to the average variance keeps the inverse
-        // well-conditioned even for degenerate (constant) dimensions.
-        let trace: f64 = (0..d).map(|a| cov[a * d + a]).sum();
-        let ridge = 1e-6 * (trace / d as f64).max(1e-12);
-        for a in 0..d {
-            cov[a * d + a] += ridge;
-        }
-        self.inv = invert(&cov, d);
-        self.mean = mean;
-        self.dim = d;
-    }
-
-    fn score(&self, x: &[f32]) -> f32 {
-        assert!(self.dim > 0, "MahalanobisDetector::score before fit");
-        assert_eq!(x.len(), self.dim, "feature dimension");
-        let d = self.dim;
-        let mut q = 0.0f64;
-        for a in 0..d {
-            let ya = x[a] as f64 - self.mean[a];
-            let mut row = 0.0f64;
-            for (b, &xb) in x.iter().enumerate() {
-                row += self.inv[a * d + b] * (xb as f64 - self.mean[b]);
-            }
-            q += ya * row;
-        }
-        (q.max(0.0)).sqrt() as f32
-    }
-}
-
-/// Gauss-Jordan inverse with partial pivoting. Panics on a singular
-/// matrix (ruled out by the ridge in `fit`).
-fn invert(m: &[f64], d: usize) -> Vec<f64> {
-    let mut a = m.to_vec();
-    let mut inv = vec![0.0f64; d * d];
-    for i in 0..d {
-        inv[i * d + i] = 1.0;
-    }
-    for col in 0..d {
-        let pivot = (col..d)
-            .max_by(|&r1, &r2| {
-                a[r1 * d + col]
-                    .abs()
-                    .partial_cmp(&a[r2 * d + col].abs())
-                    .unwrap()
-            })
-            .unwrap();
-        assert!(
-            a[pivot * d + col].abs() > 1e-300,
-            "singular covariance matrix"
-        );
-        if pivot != col {
-            for j in 0..d {
-                a.swap(col * d + j, pivot * d + j);
-                inv.swap(col * d + j, pivot * d + j);
-            }
-        }
-        let p = a[col * d + col];
-        for j in 0..d {
-            a[col * d + j] /= p;
-            inv[col * d + j] /= p;
-        }
-        for r in 0..d {
-            if r == col {
-                continue;
-            }
-            let f = a[r * d + col];
-            if f == 0.0 {
-                continue;
-            }
-            for j in 0..d {
-                a[r * d + j] -= f * a[col * d + j];
-                inv[r * d + j] -= f * inv[col * d + j];
-            }
-        }
-    }
-    inv
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -702,23 +474,13 @@ mod tests {
     }
 
     #[test]
-    fn every_detector_ranks_far_points_above_training_points() {
+    fn ocsvm_ranks_far_points_above_training_points() {
         let x = cluster(120, 4, 1.0, 11);
-        let detectors: Vec<Box<dyn NoveltyDetector>> = vec![
-            Box::new(OcSvm::new(OcSvmConfig::default())),
-            Box::new(KnnDetector::default()),
-            Box::new(MahalanobisDetector::new()),
-        ];
-        for mut det in detectors {
-            det.fit(&x);
-            let inlier = det.score(x.row(0));
-            let outlier = det.score(&far_point(4));
-            assert!(
-                outlier > inlier,
-                "{}: outlier {outlier} <= inlier {inlier}",
-                det.name()
-            );
-        }
+        let mut det = OcSvm::new(OcSvmConfig::default());
+        det.fit(&x);
+        let inlier = det.score(x.row(0));
+        let outlier = det.score(&far_point(4));
+        assert!(outlier > inlier, "outlier {outlier} <= inlier {inlier}");
     }
 
     #[test]
@@ -738,29 +500,5 @@ mod tests {
         }
         // Monotone: a far point scores strictly above a near one.
         assert!(det.score(&[9.0, 9.0, 9.0]) > det.score(&[0.1, -0.2, 0.05]));
-    }
-
-    #[test]
-    fn knn_cap_subsamples_deterministically() {
-        let x = cluster(500, 3, 2.0, 7);
-        let mut a = KnnDetector::new(3, 100);
-        let mut b = KnnDetector::new(3, 100);
-        a.fit(&x);
-        b.fit(&x);
-        assert_eq!(a.stored_rows(), 100);
-        let q = [2.0f32, 2.1, 1.9];
-        assert_eq!(a.score(&q).to_bits(), b.score(&q).to_bits());
-    }
-
-    #[test]
-    fn mahalanobis_of_the_mean_is_zero() {
-        let x = cluster(200, 5, -1.0, 23);
-        let mut det = MahalanobisDetector::new();
-        det.fit(&x);
-        let mean: Vec<f32> = (0..5)
-            .map(|j| (0..200).map(|i| x.row(i)[j]).sum::<f32>() / 200.0)
-            .collect();
-        assert!(det.score(&mean) < 1e-2);
-        assert!(det.score(&far_point(5)) > 10.0);
     }
 }

@@ -5,20 +5,23 @@
 //! positive semi-definite for γ > 0 (Mercer), which the property tests
 //! spot-check on random Gram matrices.
 //!
-//! # One kernel, two uses
+//! # One kernel, one reference
 //!
-//! [`rbf`] is the solver's kernel: the squared distance accumulates in
-//! ascending index order, so `K(a, b)` is bit-identical to `K(b, a)`
-//! (each term `(aᵢ−bᵢ)²` equals `(bᵢ−aᵢ)²` exactly in IEEE arithmetic).
-//! The scorer in [`crate::detector`] instead *decomposes* the distance
-//! — `‖a − b‖² = ‖a‖² + ‖b‖² − 2·a·b` — with the support-vector norms
-//! precomputed at fit time and the cross terms computed per row, eight
-//! support vectors at a time, in the lane-8 order of [`dot8`]. The two
-//! orders agree to f32 rounding but not bit-for-bit; the scorer uses its
-//! order at every batch size, so scores never depend on how queries
-//! were grouped.
+//! [`rbf`] is the tests' independent reference kernel: the squared
+//! distance accumulates in ascending index order, so `K(a, b)` is
+//! bit-identical to `K(b, a)` (each term `(aᵢ−bᵢ)²` equals `(bᵢ−aᵢ)²`
+//! exactly in IEEE arithmetic), and the property tests check symmetry,
+//! bounds and PSD Gram matrices on it. Neither production path calls
+//! it. The SMO solver builds its kernel rows in `smo::kernel_row` from
+//! GEMM cross terms, and the scorer in [`crate::detector`] *decomposes*
+//! the distance — `‖a − b‖² = ‖a‖² + ‖b‖² − 2·a·b` — with the
+//! support-vector norms precomputed at fit time and the cross terms
+//! computed per row, eight support vectors at a time, in the lane-8
+//! order of [`dot8`]. These orders agree with [`rbf`] to f32 rounding
+//! but not bit-for-bit; the scorer uses its order at every batch size,
+//! so scores never depend on how queries were grouped.
 //!
-//! Both share one exponential, [`exp_fast`]: branchless polynomial
+//! Solver and scorer share one exponential, [`exp_fast`]: branchless polynomial
 //! arithmetic that LLVM auto-vectorizes across the eight support
 //! vectors of a block, bit-deterministic on every input, < 5·10⁻⁷ max
 //! relative error (tested against `f32::exp` below). With about 650

@@ -1,13 +1,10 @@
-//! Batch-size and pool-width invariance of the novelty scorers.
+//! Batch-size and pool-width invariance of the novelty scorer.
 //!
 //! The batched engine's contract (`detector.rs`): scoring a window
 //! through `score_batch_into` returns the same bits no matter how the
 //! batch is grouped — sizes 1, 3, 16, 257 all agree with each other and
 //! with the scalar `score` path, at every pool width. For [`OcSvm`] the
-//! batch *is* the canonical path (scalar delegates to a batch of one);
-//! for [`KnnDetector`] and [`MahalanobisDetector`] the default trait
-//! implementation loops the scalar path, so the same sweep pins the
-//! trait contract for detectors without a batched kernel.
+//! batch *is* the canonical path (scalar delegates to a batch of one).
 
 use osa_nn::rng::Rng;
 use osa_nn::tensor::Tensor;
@@ -42,7 +39,7 @@ fn training_and_queries() -> (Tensor, Tensor) {
 }
 
 /// Score all queries through batches of `size` (last batch ragged).
-fn batched_scores(det: &dyn NoveltyDetector, queries: &Tensor, size: usize) -> Vec<f32> {
+fn batched_scores(det: &OcSvm, queries: &Tensor, size: usize) -> Vec<f32> {
     let mut out = vec![0.0f32; queries.rows()];
     let mut chunk = Tensor::zeros(0, queries.cols());
     let mut start = 0;
@@ -59,47 +56,38 @@ fn batched_scores(det: &dyn NoveltyDetector, queries: &Tensor, size: usize) -> V
 }
 
 #[test]
-fn every_detector_is_batch_size_and_pool_width_invariant() {
+fn ocsvm_is_batch_size_and_pool_width_invariant() {
     let (train, queries) = training_and_queries();
-    let detectors: Vec<Box<dyn NoveltyDetector>> = vec![
-        Box::new(OcSvm::new(OcSvmConfig::default())),
-        Box::new(KnnDetector::default()),
-        Box::new(MahalanobisDetector::new()),
-    ];
-    for mut det in detectors {
-        det.fit(&train);
-        // Reference: the scalar path at pool width 1.
-        let reference: Vec<u32> = {
-            let pool = ThreadPool::new(1);
-            with_pool(&pool, || {
-                (0..queries.rows())
-                    .map(|i| det.score(queries.row(i)).to_bits())
-                    .collect()
-            })
-        };
-        assert!(
-            reference.iter().any(|&b| f32::from_bits(b) > 0.0),
-            "{}: query set never left the learned region",
-            det.name()
-        );
-        for width in POOL_WIDTHS {
-            let pool = ThreadPool::new(width);
-            with_pool(&pool, || {
-                for size in BATCH_SIZES {
-                    let got = batched_scores(det.as_ref(), &queries, size);
-                    for (i, (&g, &want)) in got.iter().zip(&reference).enumerate() {
-                        assert_eq!(
-                            g.to_bits(),
-                            want,
-                            "{}: batch {size}, pool {width}, query {i}: \
-                             {g} != {}",
-                            det.name(),
-                            f32::from_bits(want)
-                        );
-                    }
+    let mut det = OcSvm::new(OcSvmConfig::default());
+    det.fit(&train);
+    // Reference: the scalar path at pool width 1.
+    let reference: Vec<u32> = {
+        let pool = ThreadPool::new(1);
+        with_pool(&pool, || {
+            (0..queries.rows())
+                .map(|i| det.score(queries.row(i)).to_bits())
+                .collect()
+        })
+    };
+    assert!(
+        reference.iter().any(|&b| f32::from_bits(b) > 0.0),
+        "query set never left the learned region"
+    );
+    for width in POOL_WIDTHS {
+        let pool = ThreadPool::new(width);
+        with_pool(&pool, || {
+            for size in BATCH_SIZES {
+                let got = batched_scores(&det, &queries, size);
+                for (i, (&g, &want)) in got.iter().zip(&reference).enumerate() {
+                    assert_eq!(
+                        g.to_bits(),
+                        want,
+                        "batch {size}, pool {width}, query {i}: {g} != {}",
+                        f32::from_bits(want)
+                    );
                 }
-            });
-        }
+            }
+        });
     }
 }
 

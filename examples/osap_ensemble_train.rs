@@ -104,16 +104,19 @@ fn main() {
         agents.push(agent);
     }
 
-    // Score the ensemble-mean policy (what the SafeAgent runs while
-    // quiet) on the held-out test split against the anchors.
-    let ens = shared(PensieveEnsemble::from_agents(&agents).expect("replicas share one arch"));
-    let mut unguarded = abr_safe_agent(
-        ens.clone(),
-        NullSignal,
-        Monitor::new(DEFAULT_K, f32::INFINITY, DEFAULT_L),
-    );
+    // Score the ensemble-mean policy (what a guard serves while quiet)
+    // on the held-out test split against the anchors.
+    let ens = PensieveEnsemble::from_agents(&agents).expect("replicas share one arch");
     let anch = anchors(&video, &cfg, &split.test, CORPUS_SEED);
-    let score = evaluate_safe_agent(&mut unguarded, &video, &cfg, &split.test);
+    let score = summarize(&evaluate(
+        &ens,
+        &FleetSignal::Null,
+        &ServeConfig::default(),
+        &video,
+        &cfg,
+        &split.test,
+        false,
+    ));
     let norm = normalized(score.mean_qoe, &anch);
     println!("\ntest-split scores:");
     println!("policy              mean QoE   normalized");

@@ -2,11 +2,12 @@
 //!
 //! Builds the paper's §3.1 pipeline from the committed ensemble
 //! artifact: fit the U_S one-class SVM on in-distribution throughput
-//! windows, stand up U_S and U_V safe agents over the 5-replica
-//! Pensieve ensemble, calibrate (α, l) on the validation split, then
-//! deploy on one in-distribution Norway session (must stay quiet) and
-//! one Belgium 4G session (distribution shift — both signals must trip,
-//! and the decision-aware U_V at least as early as the input-side U_S).
+//! windows, guard the 5-replica Pensieve ensemble with U_S and with
+//! U_V, calibrate (α, l) on the validation split, then deploy on one
+//! in-distribution Norway session (must stay quiet) and one Belgium 4G
+//! session (distribution shift — both signals must trip, and the
+//! decision-aware U_V at least as early as the input-side U_S). Every
+//! run is the fleet serving engine, one session per trace.
 //! The whole run executes twice and must produce identical transcripts
 //! — the safety layer is bit-deterministic at any `OSA_THREADS`.
 //!
@@ -17,7 +18,7 @@
 use osa::abr::prelude::*;
 use osa::core::prelude::*;
 use osa::trace::prelude::*;
-use osa_bench::osap::fit_us_svm;
+use osa_bench::osap::fit_svm;
 
 /// Corpus contract shared with `examples/osap_ensemble_train.rs`.
 const CORPUS_COUNT: usize = 60;
@@ -45,30 +46,24 @@ fn run_once() -> Vec<String> {
         "/artifacts/pensieve_ensemble_norway.json"
     ))
     .expect("run `cargo run --release --example osap_ensemble_train` first");
-    let ens = shared(PensieveEnsemble::from_json(&text).expect("valid ensemble artifact"));
+    let ens = PensieveEnsemble::from_json(&text).expect("valid ensemble artifact");
     let mut lines = Vec::new();
 
     // U_S one-class SVM, fitted on throughput windows harvested from
     // in-distribution sessions driven by the ensemble-mean policy.
-    let svm = fit_us_svm(&ens, &video, &cfg, &split.train);
+    let svm = fit_svm(&ens, &video, &cfg, &split.train);
     let diag = svm.diag().expect("fitted");
     lines.push(format!(
         "U_S one-class SVM: {} support vectors ({} bounded), KKT gap {:.3e}",
         diag.support_vectors, diag.bounded_svs, diag.kkt_gap
     ));
 
-    let mut u_s = abr_safe_agent(
-        ens.clone(),
-        NoveltySignal::new(svm),
-        Monitor::new(DEFAULT_K, f32::INFINITY, DEFAULT_L),
-    );
-    let mut u_v = abr_safe_agent(
-        ens.clone(),
-        ValueDisagreement::new(ens.clone()),
-        Monitor::new(DEFAULT_K, f32::INFINITY, DEFAULT_L),
-    );
-    let cal_s = calibrate(&mut u_s, &video, &cfg, &split.validation, DEFAULT_MARGIN);
-    let cal_v = calibrate(&mut u_v, &video, &cfg, &split.validation, DEFAULT_MARGIN);
+    let u_s = FleetSignal::Novelty(svm);
+    let u_v = FleetSignal::ValueDisagreement;
+    let (mut serve_s, mut serve_v) = (ServeConfig::default(), ServeConfig::default());
+    let val = &split.validation;
+    let cal_s = calibrate_guard(&ens, &u_s, &mut serve_s, &video, &cfg, val, DEFAULT_MARGIN);
+    let cal_v = calibrate_guard(&ens, &u_v, &mut serve_v, &video, &cfg, val, DEFAULT_MARGIN);
     lines.push(format!(
         "calibrated: U_S alpha {:.4e}, U_V alpha {:.4e} (k {}, l {}, margin {DEFAULT_MARGIN})",
         cal_s.alpha, cal_v.alpha, cal_s.k, cal_s.l
@@ -76,16 +71,22 @@ fn run_once() -> Vec<String> {
 
     // Deployment: a held-out Norway session (in-distribution) and a
     // Belgium 4G session (the paper's distribution-shift scenario).
-    let quiet = split.test[0].clone();
-    let shifted = Dataset::Belgium
-        .generate(1, CORPUS_LEN, 77)
-        .pop()
-        .expect("one Belgium trace");
-
-    let s_quiet = run_session(&mut u_s, &video, &cfg, &quiet).switch_index;
-    let s_shift = run_session(&mut u_s, &video, &cfg, &shifted).switch_index;
-    let v_quiet = run_session(&mut u_v, &video, &cfg, &quiet).switch_index;
-    let v_shift = run_session(&mut u_v, &video, &cfg, &shifted).switch_index;
+    let deploy = [
+        split.test[0].clone(),
+        Dataset::Belgium
+            .generate(1, CORPUS_LEN, 77)
+            .pop()
+            .expect("one Belgium trace"),
+    ];
+    let trips = |signal: &FleetSignal, serve: &ServeConfig| -> Vec<Option<usize>> {
+        evaluate(&ens, signal, serve, &video, &cfg, &deploy, false)
+            .iter()
+            .map(|run| run.first_trip)
+            .collect()
+    };
+    let (s_trips, v_trips) = (trips(&u_s, &serve_s), trips(&u_v, &serve_v));
+    let (s_quiet, s_shift) = (s_trips[0], s_trips[1]);
+    let (v_quiet, v_shift) = (v_trips[0], v_trips[1]);
     lines.push(trip_report("U_S", s_quiet, s_shift));
     lines.push(trip_report("U_V", v_quiet, v_shift));
 

@@ -19,7 +19,7 @@ use osa::abr::prelude::*;
 use osa::core::prelude::*;
 use osa::core::serve::FleetEngine;
 use osa::trace::prelude::*;
-use osa_bench::osap::fit_us_svm;
+use osa_bench::osap::fit_svm;
 
 /// Corpus contract shared with `examples/osap_ensemble_train.rs`.
 const CORPUS_COUNT: usize = 60;
@@ -56,46 +56,30 @@ fn run_once() -> Vec<String> {
     let split = Split::generate(Dataset::Norway, CORPUS_COUNT, CORPUS_LEN, CORPUS_SEED);
     let video = VideoModel::envivio();
     let cfg = AbrConfig::default();
-    let ens = shared(load_ensemble());
-    let svm = fit_us_svm(&ens, &video, &cfg, &split.train);
+    let ens = load_ensemble();
+    let svm = fit_svm(&ens, &video, &cfg, &split.train);
 
     // Two-pass calibration: unanchored for the in-distribution score
     // mean μ₀, anchored there for α (see `benches/serve.rs`).
-    let mut agent = abr_safe_agent(
-        ens.clone(),
-        NoveltySignal::new(svm.clone()),
-        Monitor::new(DEFAULT_K, f32::INFINITY, DEFAULT_L),
-    );
-    let unanchored = calibrate(
-        &mut agent,
-        &video,
-        &cfg,
-        &split.validation[..4],
-        DEFAULT_MARGIN,
-    );
-    agent.monitor_mut().set_anchor(Some(unanchored.mu));
-    let anchored = calibrate(
-        &mut agent,
-        &video,
-        &cfg,
-        &split.validation[..4],
-        DEFAULT_MARGIN,
-    );
+    let signal = FleetSignal::Novelty(svm);
+    let val = &split.validation[..4];
+    let mut serve = ServeConfig::default();
+    let unanchored = calibrate_guard(&ens, &signal, &mut serve, &video, &cfg, val, DEFAULT_MARGIN);
+    serve.anchor = Some(unanchored.mu);
+    let anchored = calibrate_guard(&ens, &signal, &mut serve, &video, &cfg, val, DEFAULT_MARGIN);
 
     let mut lines = vec![format!(
         "calibration: U_S alpha {:.4e} anchored at {:.4e}",
         anchored.alpha, unanchored.mu
     )];
     let serve = ServeConfig {
-        alpha: anchored.alpha,
-        anchor: Some(unanchored.mu),
         reverse: Some(ReverseConfig::new(3, 8)),
         shard: 16,
-        ..ServeConfig::default()
+        ..serve
     };
     let mut fleet = FleetEngine::new(
-        load_ensemble(),
-        FleetSignal::Novelty(svm),
+        ens,
+        signal,
         video,
         cfg,
         fleet_traces(&split),

@@ -14,8 +14,8 @@
 //! | [`trace`] | `osa-trace` | implemented: six throughput datasets (Markov-modulated mobile-like + 4 i.i.d. samplers), deterministic splits, fault injection, JSON caching; pooled corpus generation |
 //! | [`abr`] | `osa-abr` | implemented: multi-session chunk-level streaming engine (trace-driven link, 80 ms RTT, EnvivioDash3-style video, §3.1 linear QoE), batched pool-parallel `step_all` bit-identical at any worker count, BB/Random baselines, `AbrEnv` adapter |
 //! | [`pensieve`] | `osa-pensieve` | implemented: branched Conv1d actor-critic over the ABR state encoding, A2C training, batched greedy inference, bit-exact JSON persistence (`artifacts/pensieve_norway.json`) |
-//! | [`ocsvm`] | `osa-ocsvm` | implemented: Schölkopf ν-one-class SVM (RBF kernel, SMO solver), §3.1 throughput-window feature pipeline, kNN/Mahalanobis ablation detectors behind `NoveltyDetector` |
-//! | [`core`] | `osa-core` | implemented: U_S/U_π/U_V uncertainty signals, stacked 5-replica ensemble, k-window/l-consecutive monitor, (α, l) calibration, `SafeAgent`, normalized scoring |
+//! | [`ocsvm`] | `osa-ocsvm` | implemented: Schölkopf ν-one-class SVM (RBF kernel, SMO solver, batched fused scoring), §3.1 throughput-window feature pipeline |
+//! | [`core`] | `osa-core` | implemented: `FleetEngine`, the one guarded decision path (U_S/U_π/U_V signals over a stacked 5-replica ensemble, k-window/l-consecutive monitor, Buffer-Based fallback), engine-backed evaluation and (α, l) calibration, normalized scoring |
 #![forbid(unsafe_code)]
 
 pub use osa_abr as abr;
@@ -110,36 +110,38 @@ mod tests {
         assert!((0..4).all(|i| sim.chunks_total(i) == 1));
     }
 
-    /// The facade must expose the safety layer end-to-end: a SafeAgent
-    /// over a toy signal trips on a variance jump and hands over to the
-    /// fallback.
+    /// The facade must expose the safety layer end-to-end: a guarded
+    /// fleet session trips on a variance jump and hands over to the
+    /// fallback, while the same session unguarded never does.
     #[test]
     fn facade_reaches_safety_layer() {
+        use crate::abr::prelude::*;
         use crate::core::prelude::*;
+        use crate::nn::prelude::Rng;
+        use crate::pensieve::{PensieveAgent, PensieveConfig};
+        use crate::trace::Trace;
 
-        struct Echo;
-        impl UncertaintySignal for Echo {
-            fn name(&self) -> &'static str {
-                "echo"
-            }
-            fn observe(&mut self, obs: &[f32]) -> f32 {
-                obs[0]
-            }
-            fn reset(&mut self) {}
-        }
-        struct Level(usize);
-        impl SafetyPolicy for Level {
-            fn name(&self) -> &'static str {
-                "const"
-            }
-            fn decide(&mut self, _obs: &[f32]) -> usize {
-                self.0
-            }
-        }
-        let mut agent = SafeAgent::new(Echo, Monitor::new(2, 0.1, 1), Level(5), Level(0));
-        assert_eq!(agent.decide(&[0.0][..]), 5);
-        assert_eq!(agent.decide(&[10.0][..]), 0, "variance jump must trip");
-        assert!(agent.tripped());
+        let agents: Vec<PensieveAgent> = (0..5)
+            .map(|s| PensieveAgent::new(PensieveConfig::tiny(), &mut Rng::seed_from_u64(s)))
+            .collect();
+        let ens = PensieveEnsemble::from_agents(&agents).unwrap();
+        let traces = [Trace::new("t", 1.0, vec![3.0; 300])];
+        let (video, cfg) = (VideoModel::envivio(), AbrConfig::default());
+        let signal = FleetSignal::ValueDisagreement;
+        let run = |serve: &ServeConfig| evaluate(&ens, &signal, serve, &video, &cfg, &traces, true);
+        // α = 0: the first full 2-window of U_V values is a jump.
+        let guarded = ServeConfig {
+            k: 2,
+            alpha: 0.0,
+            l: 1,
+            ..ServeConfig::default()
+        };
+        let tripped = run(&guarded).remove(0);
+        assert_eq!(tripped.first_trip, Some(1), "variance jump must trip");
+        assert!(tripped.variance[1] > 0.0);
+        let quiet = run(&ServeConfig::default()).remove(0);
+        assert_eq!(quiet.first_trip, None);
+        assert_eq!(quiet.chunks, tripped.chunks);
     }
 
     /// The domain crates' shape constants are reachable through the
