@@ -13,19 +13,21 @@
 //! ~650 support vectors. The engine decomposes the distance,
 //! `‖z − svᵢ‖² = ‖z‖² + ‖svᵢ‖² − 2·z·svᵢ`, with the support-vector norms
 //! precomputed at fit time and each query standardized exactly once.
-//! Each row then makes one fused pass over the support vectors, stored
-//! feature-major, eight at a time: the eight cross terms, the distances,
-//! the exponentials and the α-weighted sum, vectorized across the eight
-//! support vectors. The stored α are pre-scaled by [`ALPHA_SCALE`] so no
+//! Rows then go through the support vectors four at a time, two rows
+//! per 16-lane register, in one fused pass over blocks of eight support
+//! vectors stored feature-major: the cross terms, the distances, the
+//! exponentials and the α-weighted sums of all four rows, vectorized
+//! across (row, support vector) lanes. Each block is loaded once per
+//! group of four. The stored α are pre-scaled by [`ALPHA_SCALE`] so no
 //! product goes subnormal, and a far window costs what a near one does.
 //!
 //! The batched path is the *canonical* computation: the scalar `score`
 //! delegates to a batch of one, so scores are bit-identical at every
-//! batch size — rows are computed independently (and sharded by row
-//! across the pool), so grouping queries can never change a row's bits,
-//! at any `OSA_THREADS`. Scratch lives in a thread-local [`Workspace`]
-//! arena, so neither path allocates after its first call on a given
-//! thread.
+//! batch size — every lane runs one row's operation sequence and lanes
+//! never mix, so grouping queries (and sharding rows across the pool)
+//! can never change a row's bits, at any `OSA_THREADS`. Scratch lives
+//! in a thread-local [`Workspace`] arena, so neither path allocates
+//! after its first call on a given thread.
 
 use crate::kernel::{exp_fast, sq_norm};
 use crate::smo::{solve_one_class, SmoConfig, SmoResult};
@@ -144,10 +146,11 @@ pub struct OcSvm {
     /// Support-vector count (the stored vectors below are zero-padded
     /// to a whole number of `KLANES` blocks).
     nsv: usize,
-    /// Standardized support vectors, feature-major: feature `p` of
-    /// support vector `s` at `svs_t[p · nsv.next_multiple_of(KLANES) + s]`,
-    /// so one load reads a feature of a `KLANES`-SV block.
-    svs_t: Vec<f32>,
+    /// Standardized support vectors in blocks of `KLANES`, each block
+    /// feature-major: feature `p` of support vector `s` at
+    /// `sv_blocks[(s / KLANES · d + p) · KLANES + s mod KLANES]`, so one
+    /// load reads a feature of a block and a block is contiguous.
+    sv_blocks: Vec<f32>,
     /// Dual coefficient of each support vector times [`ALPHA_SCALE`]
     /// (f32 is plenty for the score sum; the solver works in f64).
     sv_alphas: Vec<f32>,
@@ -182,7 +185,7 @@ impl OcSvm {
             std: Standardizer::default(),
             gamma: 0.0,
             nsv: 0,
-            svs_t: Vec::new(),
+            sv_blocks: Vec::new(),
             sv_alphas: Vec::new(),
             sv_norms: Vec::new(),
             rho: 0.0,
@@ -212,17 +215,23 @@ impl OcSvm {
     }
 
     /// Kernel expansions `Σᵢ αᵢ K(z(xⱼ), svᵢ)` for every row of `x` in
-    /// one pass: standardize the batch, then one fused pass per row over
-    /// the support vectors, eight at a time — cross terms, distances,
-    /// exponentials and the α-weighted sum, vectorized across the eight.
-    /// Rows are independent, so a large batch is split by row across the
-    /// `osa-runtime` pool without moving a bit. This is the canonical
-    /// evaluation — the scalar accessors ([`OcSvm::decision`],
-    /// [`OcSvm::raw_score`], [`NoveltyDetector::score`]) all route
-    /// through it as a batch of one, so results are bit-identical at
-    /// every batch size and pool width. The cost per row does not depend on the query: every
-    /// product stays a normal f32 (see [`ALPHA_SCALE`]). Panics if
-    /// called before `fit`, on a query-width mismatch, or if
+    /// one call. Rows go through the support vectors four at a time, two
+    /// per 16-lane register: each group of four is standardized and
+    /// staged once, then one pass over the support-vector blocks computes
+    /// cross terms, distances, exponentials and the α-weighted sums of
+    /// all four (see [`OcSvm::group_sums`]). Every lane holds one (row,
+    /// support vector) pair and runs the one-row operation sequence, so a
+    /// row's bits never depend on its group-mates. A row range that is
+    /// not a multiple of four pads its last group with zero rows whose
+    /// sums are discarded. Rows are independent, so a large batch is
+    /// split by row across the `osa-runtime` pool without moving a bit.
+    /// This is the canonical evaluation — the scalar accessors
+    /// ([`OcSvm::decision`], [`OcSvm::raw_score`],
+    /// [`NoveltyDetector::score`]) all route through it as a batch of
+    /// one, so results are bit-identical at every batch size and pool
+    /// width. The cost per row does not depend on the query: every
+    /// product stays a normal f32 (see [`ALPHA_SCALE`]). Panics if called
+    /// before `fit`, on a query-width mismatch, or if
     /// `out.len() != x.rows()`.
     pub fn kernel_sums_into(&self, x: &Tensor, out: &mut [f32]) {
         assert!(self.nsv > 0, "OcSvm::score before fit");
@@ -230,90 +239,97 @@ impl OcSvm {
         assert_eq!(x.cols(), d, "feature dimension");
         assert_eq!(x.rows(), out.len(), "kernel_sums_into output length");
         let s = x.rows();
-        if s == 0 {
-            return;
-        }
-        let mut z = SCORE_ARENA.with(|w| w.borrow_mut().take(s, d));
-        for i in 0..s {
-            self.std.apply_row_into(x.row(i), z.row_mut(i));
-        }
         par_rows(out, s, 1, s * d * self.nsv, |rows, o| {
-            for (i, o) in rows.zip(o) {
-                *o = self.kernel_sum_row(z.row(i));
+            // One group's staging: d broadcast features, then the
+            // broadcast ‖z‖², and d floats for one standardized row.
+            let mut stage = SCORE_ARENA.with(|w| w.borrow_mut().take(1, (d + 1) * QUAD + d));
+            let (q, z) = stage.data_mut().split_at_mut((d + 1) * QUAD);
+            let (q, _) = q.as_chunks_mut::<PAIR>();
+            let (q, _) = q.as_chunks_mut::<2>();
+            for (g, og) in o.chunks_mut(GROUP).enumerate() {
+                let first = rows.start + g * GROUP;
+                for r in 0..GROUP {
+                    if r < og.len() {
+                        self.std.apply_row_into(x.row(first + r), z);
+                    } else {
+                        z.fill(0.0);
+                    }
+                    let (reg, lanes) = (r / 2, r % 2 * KLANES..(r % 2 + 1) * KLANES);
+                    for (q, &v) in q.iter_mut().zip(z.iter()) {
+                        q[reg][lanes.clone()].fill(v);
+                    }
+                    q[d][reg][lanes].fill(sq_norm(z));
+                }
+                let sums = self.group_sums(q);
+                og.copy_from_slice(&sums[..og.len()]);
             }
+            SCORE_ARENA.with(|w| w.borrow_mut().recycle(stage));
         });
-        SCORE_ARENA.with(|w| w.borrow_mut().recycle(z));
     }
 
-    /// One row's kernel sum: support vector `s` accumulates into lane
-    /// `s mod KLANES`, the lanes fold through [`fold8`], and the exact
-    /// `2⁻⁶⁴` undoes [`ALPHA_SCALE`]. The last block's zero padding has
-    /// α = 0, so for a finite query its lanes add exactly `+0.0`.
-    #[inline]
-    fn kernel_sum_row(&self, z: &[f32]) -> f32 {
-        let xn = sq_norm(z);
-        let mut lanes = [0.0f32; KLANES];
-        for s0 in (0..self.nsv).step_by(KLANES) {
-            let t = self.block_terms(z, xn, s0);
-            for (lane, &v) in lanes.iter_mut().zip(&t) {
-                *lane += v;
-            }
-        }
-        fold8(lanes) * ALPHA_UNSCALE
-    }
-
-    /// `αᵢ·exp(-γ‖z − svᵢ‖²)` for the `KLANES` support vectors from
-    /// `s0`, vectorized across them. Each cross term `z·svᵢ` has one
-    /// accumulator per lane: feature `p` lands in lane `p mod KLANES` in
-    /// ascending `p`, and the lanes fold through the [`fold8`] tree —
-    /// the `osa-nn` lane-8 contract, so it has the bits of
-    /// [`dot8`](crate::kernel::dot8) and of a GEMM cross term. The
+    /// Kernel sums of one staged group of four rows. Rows 0 and 1 share
+    /// the first 16-lane register (row 0 in lanes 0–7, row 1 in lanes
+    /// 8–15), rows 2 and 3 the second: `q[p]` holds feature `p` of the
+    /// four rows, each broadcast over its row's eight lanes, and `q[d]`
+    /// their `‖z‖²`. Each support-vector block's features, norms and α
+    /// are loaded once and serve all four rows.
+    ///
+    /// Per block, every lane runs the one-row sequence: the cross term
+    /// `z·svᵢ` has one accumulator per lane, feature `p` lands in lane
+    /// `p mod KLANES` in ascending `p` and the lanes fold through the
+    /// [`fold8`] tree — the `osa-nn` lane-8 contract, so it has the bits
+    /// of [`dot8`](crate::kernel::dot8) and of a GEMM cross term. The
     /// squared distance is reconstructed as `‖z‖² + ‖svᵢ‖² − 2·z·svᵢ`;
     /// the floor at 0 guards it against tiny negative values from
     /// cancellation (exact zero is guaranteed only when the operands are
-    /// bit-identical, e.g. a query that *is* a support vector). It
-    /// passes NaN through, so a non-finite query yields a NaN sum rather
-    /// than `K = 1`, the most in-distribution value.
-    #[inline(always)]
-    fn block_terms(&self, z: &[f32], xn: f32, s0: usize) -> [f32; KLANES] {
-        let stride = self.nsv.next_multiple_of(KLANES);
-        let mut acc = [[0.0f32; KLANES]; KLANES];
-        let madd = |lane: &mut [f32; KLANES], p: usize| {
-            let sv: &[f32; KLANES] = self.svs_t[p * stride + s0..][..KLANES]
-                .try_into()
-                .expect("lane group");
-            for j in 0..KLANES {
-                lane[j] += z[p] * sv[j];
+    /// bit-identical, e.g. a query that *is* a support vector). It passes
+    /// NaN through, so a non-finite query yields a NaN sum rather than
+    /// `K = 1`, the most in-distribution value. Support vector `s` adds
+    /// `αₛ·exp(−γd²)` into lane `s mod KLANES` of its row; after the last
+    /// block each row's eight lanes fold through [`fold8`] and the exact
+    /// `2⁻⁶⁴` undoes [`ALPHA_SCALE`]. The last block's zero padding has
+    /// α = 0, so for a finite query its lanes add exactly `+0.0`.
+    ///
+    /// Out of line on purpose: alone in its function, the block loop
+    /// keeps its 16 accumulators and the exponential's constants in
+    /// registers.
+    #[inline(never)]
+    fn group_sums(&self, q: &[Quad]) -> [f32; GROUP] {
+        let d = q.len() - 1;
+        let (feats, xn) = (&q[..d], &q[d]);
+        let blocks = self.sv_blocks.chunks_exact(d * KLANES);
+        let norms = self.sv_norms.as_chunks::<KLANES>().0;
+        let alphas = self.sv_alphas.as_chunks::<KLANES>().0;
+        let mut sums: Quad = [[0.0; PAIR]; 2];
+        for ((block, norms), alphas) in blocks.zip(norms).zip(alphas) {
+            let sv = block.as_chunks::<KLANES>().0;
+            let mut acc: [Quad; KLANES] = [[[0.0; PAIR]; 2]; KLANES];
+            for (q, sv) in feats.chunks(KLANES).zip(sv.chunks(KLANES)) {
+                for l in 0..KLANES {
+                    if l < q.len() && l < sv.len() {
+                        let sv = pair(&sv[l]);
+                        for (acc, q) in acc[l].iter_mut().zip(&q[l]) {
+                            for j in 0..PAIR {
+                                acc[j] += q[j] * sv[j];
+                            }
+                        }
+                    }
+                }
             }
-        };
-        let k = z.len();
-        let mut p = 0;
-        while p + KLANES <= k {
-            for (l, lane) in acc.iter_mut().enumerate() {
-                madd(lane, p + l);
-            }
-            p += KLANES;
-        }
-        let rem = k - p; // tail: feature p + l lands in lane l
-        for (l, lane) in acc.iter_mut().enumerate() {
-            if l < rem {
-                madd(lane, p + l);
+            let (norms, alphas) = (pair(norms), pair(alphas));
+            for (g, (sums, xn)) in sums.iter_mut().zip(xn).enumerate() {
+                for j in 0..PAIR {
+                    let a = |l: usize| acc[l][g][j];
+                    let cross = ((a(0) + a(1)) + (a(2) + a(3))) + ((a(4) + a(5)) + (a(6) + a(7)));
+                    let d2 = floor_nan(xn[j] + norms[j] - 2.0 * cross, 0.0);
+                    sums[j] += alphas[j] * exp_fast(-self.gamma * d2);
+                }
             }
         }
-        let norms: &[f32; KLANES] = self.sv_norms[s0..][..KLANES]
-            .try_into()
-            .expect("lane group");
-        let alphas: &[f32; KLANES] = self.sv_alphas[s0..][..KLANES]
-            .try_into()
-            .expect("lane group");
-        let mut terms = [0.0f32; KLANES];
-        for j in 0..KLANES {
-            let cross = ((acc[0][j] + acc[1][j]) + (acc[2][j] + acc[3][j]))
-                + ((acc[4][j] + acc[5][j]) + (acc[6][j] + acc[7][j]));
-            let d2 = floor_nan(xn + norms[j] - 2.0 * cross, 0.0);
-            terms[j] = alphas[j] * exp_fast(-self.gamma * d2);
-        }
-        terms
+        std::array::from_fn(|r| {
+            let row = &sums[r / 2][r % 2 * KLANES..][..KLANES];
+            fold8(row.try_into().expect("row lanes")) * ALPHA_UNSCALE
+        })
     }
 
     fn kernel_sum(&self, x: &[f32]) -> f32 {
@@ -327,8 +343,30 @@ impl OcSvm {
     }
 }
 
+/// Rows scored per pass over the support vectors.
+const GROUP: usize = 4;
+
+/// Lanes of one register: two rows of `KLANES` support vectors each.
+const PAIR: usize = 2 * KLANES;
+
+/// Lanes of one group of four rows.
+const QUAD: usize = GROUP * KLANES;
+
+/// One value per lane of two rows: the first in lanes 0–7, the second
+/// in lanes 8–15.
+type Pair = [f32; PAIR];
+
+/// One value per lane of a group: rows 0–1, then rows 2–3.
+type Quad = [Pair; 2];
+
+/// A block's eight support-vector values, once for each row of a pair.
+#[inline(always)]
+fn pair(v: &[f32; KLANES]) -> Pair {
+    std::array::from_fn(|j| v[j % KLANES])
+}
+
 thread_local! {
-    /// Scratch for the batched scorer: the standardized query block.
+    /// Scratch for the batched scorer: one group's staged queries.
     /// Thread-local (mirroring the pack arena in `osa_nn::tensor`) so
     /// scoring stays `&self` and allocation-free after the first call
     /// per thread — each fleet lane warms its own pool once.
@@ -383,10 +421,10 @@ impl NoveltyDetector for OcSvm {
         let sv_idx: Vec<usize> = (0..x.rows()).filter(|&i| r.alphas[i] > 0.0).collect();
         let (nsv, d) = (sv_idx.len(), x.cols());
         let stride = nsv.next_multiple_of(KLANES);
-        let mut svs_t = vec![0.0f32; d * stride];
+        let mut sv_blocks = vec![0.0f32; d * stride];
         for (s, &i) in sv_idx.iter().enumerate() {
             for (p, &v) in z.row(i).iter().enumerate() {
-                svs_t[p * stride + s] = v;
+                sv_blocks[(s / KLANES * d + p) * KLANES + s % KLANES] = v;
             }
         }
         let mut sv_alphas = vec![0.0f32; stride];
@@ -410,7 +448,7 @@ impl NoveltyDetector for OcSvm {
             "a scaled dual coefficient times the exp floor is subnormal"
         );
         self.nsv = nsv;
-        self.svs_t = svs_t;
+        self.sv_blocks = sv_blocks;
         self.sv_alphas = sv_alphas;
         self.sv_norms = sv_norms;
         self.rho = r.rho as f32;

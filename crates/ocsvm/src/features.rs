@@ -64,7 +64,11 @@ impl FeatureWindow {
     }
 
     /// Mean and population standard deviation of the sample ring, summed
-    /// oldest-first so the result is independent of the ring phase.
+    /// oldest-first so the result is independent of the ring phase. A
+    /// NaN or ±∞ sample makes both non-finite: the variance is a sum of
+    /// squares from `+0.0`, never negative for finite samples, so it is
+    /// not clamped — a clamp would turn a NaN variance into std 0, the
+    /// most stable-looking link there is.
     fn window_stats(&self) -> (f32, f32) {
         let n = FEATURE_WINDOW as f32;
         let mut sum = 0.0f32;
@@ -77,7 +81,7 @@ impl FeatureWindow {
             let d = self.chronological(i) - mean;
             var += d * d;
         }
-        (mean, (var / n).max(0.0).sqrt())
+        (mean, (var / n).sqrt())
     }
 
     /// `i`-th sample in chronological order (0 = oldest) of a full ring.
@@ -177,6 +181,41 @@ mod tests {
         b.write(&mut fb);
         for (x, y) in fa.iter().zip(&fb) {
             assert_eq!(x.to_bits(), y.to_bits());
+        }
+    }
+
+    #[test]
+    fn a_non_finite_sample_makes_mean_and_std_non_finite() {
+        // One hostile sample among finite ones: every pair whose
+        // 10-sample window holds it must be non-finite in both features
+        // (a std of 0 would read as the most stable link), and every
+        // other pair stays finite.
+        let bad_at = 12;
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let rates: Vec<f32> = (0..40)
+                .map(|i| {
+                    if i == bad_at {
+                        bad
+                    } else {
+                        1.0 + 0.1 * i as f32
+                    }
+                })
+                .collect();
+            let mut w = FeatureWindow::new();
+            for (i, &r) in rates.iter().enumerate() {
+                w.push(r);
+                if i + 1 < FEATURE_WINDOW {
+                    continue;
+                }
+                let (mean, std) = w.window_stats();
+                let holds_bad = (i + 1 - FEATURE_WINDOW..=i).contains(&bad_at);
+                assert_eq!(
+                    !mean.is_finite(),
+                    holds_bad,
+                    "{bad} at push {i}: mean {mean}"
+                );
+                assert_eq!(!std.is_finite(), holds_bad, "{bad} at push {i}: std {std}");
+            }
         }
     }
 

@@ -16,14 +16,16 @@
 //! GEMM cross terms, and the scorer in [`crate::detector`] *decomposes*
 //! the distance — `‖a − b‖² = ‖a‖² + ‖b‖² − 2·a·b` — with the
 //! support-vector norms precomputed at fit time and the cross terms
-//! computed per row, eight support vectors at a time, in the lane-8
-//! order of [`dot8`]. These orders agree with [`rbf`] to f32 rounding
-//! but not bit-for-bit; the scorer uses its order at every batch size,
-//! so scores never depend on how queries were grouped.
+//! computed per (row, support vector) lane, four rows and eight support
+//! vectors per pass, in the lane-8 order of [`dot8`]. These orders
+//! agree with [`rbf`] to f32 rounding but not bit-for-bit; the scorer
+//! uses its order at every batch size, so scores never depend on how
+//! queries were grouped.
 //!
 //! Solver and scorer share one exponential, [`exp_fast`]: branchless polynomial
-//! arithmetic that LLVM auto-vectorizes across the eight support
-//! vectors of a block, bit-deterministic on every input, < 5·10⁻⁷ max
+//! arithmetic that LLVM auto-vectorizes across the lanes of a block
+//! (two rows × eight support vectors per 16-lane register in the
+//! scorer), bit-deterministic on every input, < 5·10⁻⁷ max
 //! relative error (tested against `f32::exp` below). With about 650
 //! support vectors per decision, the exponential and the ten-feature
 //! cross terms are the whole U_S cost; `expf` calls through libm would

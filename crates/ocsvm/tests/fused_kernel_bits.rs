@@ -19,12 +19,19 @@
 //! the self term), rows bracketing the decision boundary (score ≈ 0),
 //! a radial sweep through the range where the reference's products go
 //! subnormal, and far windows whose sums floor.
+//!
+//! The scorer runs four rows per pass, two per 16-lane register, and
+//! pads a row range that is not a multiple of four with zero rows. The
+//! grouped tests below pin that every padding remainder, at every pool
+//! width, keeps the reference bits, and that lanes never mix: a
+//! non-finite window in any group position poisons only its own row.
 
 use osa_nn::rng::Rng;
 use osa_nn::tensor::{fold8, Tensor, KLANES};
 use osa_ocsvm::detector::LOG_FLOOR;
 use osa_ocsvm::prelude::*;
 use osa_ocsvm::{exp_fast, sq_norm};
+use osa_runtime::{with_pool, ThreadPool};
 
 /// The earlier scorer, fitted exactly as `OcSvm::fit` fits.
 struct Reference {
@@ -225,24 +232,36 @@ fn check(train: &Tensor, cfg: OcSvmConfig) {
     svm.kernel_sums_into(train, &mut sums);
     assert!(sums.iter().all(|&s| s > 0.0 && s.is_finite()));
 
-    // Non-finite windows still score non-finite, in a batch whose other
-    // rows keep their bits.
+    // Non-finite windows still score non-finite, and lanes never mix:
+    // in two full groups of four (rows 0–1 share a register, 2–3 the
+    // other), a hostile window in any position leaves the other seven
+    // rows at their clean bits.
     let mut batch = Tensor::zeros(0, FEATURE_DIM);
-    for i in 0..3 {
-        batch.push_row(train.row(i));
+    for i in 0..8 {
+        batch.push_row(train.row(i % train.rows()));
     }
-    let mut clean = vec![0.0f32; 3];
+    let mut clean = vec![0.0f32; batch.rows()];
     svm.score_batch_into(&batch, &mut clean);
+    let mut out = vec![0.0f32; batch.rows()];
     for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
-        for f in 0..FEATURE_DIM {
-            let mut x = batch.clone();
-            x.set(1, f, bad);
-            let mut out = vec![0.0f32; 3];
-            svm.score_batch_into(&x, &mut out);
-            assert!(!out[1].is_finite(), "{bad} in feature {f}: {}", out[1]);
-            assert!(!reference.score(reference.kernel_sums(&x)[1]).is_finite());
-            for r in [0, 2] {
-                assert_eq!(out[r].to_bits(), clean[r].to_bits());
+        for pos in 0..batch.rows() {
+            for f in 0..FEATURE_DIM {
+                let mut x = batch.clone();
+                x.set(pos, f, bad);
+                svm.score_batch_into(&x, &mut out);
+                assert!(
+                    !out[pos].is_finite(),
+                    "{bad} in row {pos}, feature {f}: {}",
+                    out[pos]
+                );
+                assert!(!reference.score(reference.kernel_sums(&x)[pos]).is_finite());
+                for r in (0..batch.rows()).filter(|&r| r != pos) {
+                    assert_eq!(
+                        out[r].to_bits(),
+                        clean[r].to_bits(),
+                        "{bad} in row {pos}, feature {f} moved row {r}"
+                    );
+                }
             }
         }
     }
@@ -274,5 +293,107 @@ fn every_scaled_dual_coefficient_keeps_the_exp_floor_normal() {
         let d = svm.diag().expect("fitted");
         let floor = d.min_alpha * osa_ocsvm::detector::ALPHA_SCALE * exp_fast(-87.0);
         assert!(floor.is_normal(), "n {n}: min α {:e}", d.min_alpha);
+    }
+}
+
+/// A fit whose support-vector count puts a batch of 7 or more rows over
+/// the pool's work threshold, so those batches split across lanes at
+/// row ranges that are not multiples of four.
+fn grouped_fixture() -> (Tensor, Reference, OcSvm) {
+    let train = training(1000, 0x6A0F);
+    let cfg = OcSvmConfig {
+        nu: 0.5,
+        ..OcSvmConfig::default()
+    };
+    let reference = Reference::fit(&train, &cfg);
+    let mut svm = OcSvm::new(cfg);
+    svm.fit(&train);
+    assert!(svm.support_vectors() >= 500, "{}", svm.support_vectors());
+    (train, reference, svm)
+}
+
+/// Kernel sums and scores of `x` against the reference, bit for bit
+/// (kernel sums only where the reference sum is at or above the floor).
+fn assert_matches_reference(svm: &OcSvm, reference: &Reference, x: &Tensor, what: &str) {
+    let want = reference.kernel_sums(x);
+    let mut sums = vec![0.0f32; x.rows()];
+    svm.kernel_sums_into(x, &mut sums);
+    let mut scores = vec![0.0f32; x.rows()];
+    svm.score_batch_into(x, &mut scores);
+    for i in 0..x.rows() {
+        if want[i] >= LOG_FLOOR {
+            assert_eq!(
+                sums[i].to_bits(),
+                want[i].to_bits(),
+                "{what}, row {i}: kernel sum"
+            );
+        }
+        let ref_score = reference.score(want[i]);
+        assert_eq!(
+            scores[i].to_bits(),
+            ref_score.to_bits(),
+            "{what}, row {i}: score {} vs reference {ref_score}",
+            scores[i]
+        );
+    }
+}
+
+#[test]
+fn every_padding_remainder_at_every_pool_width_matches_the_reference() {
+    let (train, reference, svm) = grouped_fixture();
+    let q = queries(&train, &reference, 0x9A1D);
+    let sizes = (1..=9).chain([63, 64, 65]);
+    for size in sizes {
+        // Rows spread over the whole query set: support vectors, sweep
+        // rows near and far, boundary brackets.
+        let mut x = Tensor::zeros(0, FEATURE_DIM);
+        for i in 0..size {
+            x.push_row(q.row((i * 7919 + size * 31) % q.rows()));
+        }
+        for width in [1, 2, 4, 8] {
+            let pool = ThreadPool::new(width);
+            with_pool(&pool, || {
+                assert_matches_reference(
+                    &svm,
+                    &reference,
+                    &x,
+                    &format!("batch {size}, pool {width}"),
+                )
+            });
+        }
+    }
+}
+
+#[test]
+fn a_group_mixing_floored_and_near_windows_keeps_every_rows_bits() {
+    let (train, reference, svm) = grouped_fixture();
+    // Far windows: the data mean pushed 40 standard deviations out
+    // along a few directions, every one of them floored on the
+    // reference.
+    let mut far = Tensor::zeros(0, FEATURE_DIM);
+    for k in 0..4 {
+        let row: Vec<f32> = (0..FEATURE_DIM)
+            .map(|j| {
+                let sign = if (j + k) % 3 == 0 { -1.0 } else { 1.0 };
+                reference.mean[j] + sign * 40.0 * reference.std[j]
+            })
+            .collect();
+        far.push_row(&row);
+    }
+    assert!(reference.kernel_sums(&far).iter().all(|&k| k < LOG_FLOOR));
+    for pattern in [
+        [true, false, false, true],
+        [false, true, true, false],
+        [true, true, false, true],
+    ] {
+        let mut x = Tensor::zeros(0, FEATURE_DIM);
+        for (i, &is_far) in pattern.iter().enumerate() {
+            x.push_row(if is_far {
+                far.row(i)
+            } else {
+                train.row(i * 13)
+            });
+        }
+        assert_matches_reference(&svm, &reference, &x, &format!("pattern {pattern:?}"));
     }
 }
