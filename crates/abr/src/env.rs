@@ -15,9 +15,9 @@
 
 use osa_mdp::env::{Env, Step};
 use osa_nn::rng::Rng;
-use osa_trace::{link, Trace};
+use osa_trace::Trace;
 
-use crate::sim::{encode_obs, step_chunk, AbrConfig};
+use crate::sim::{checked_period_bytes, encode_obs, step_chunk, AbrConfig};
 use crate::video::VideoModel;
 use crate::{HISTORY_LEN, NUM_BITRATES, OBS_DIM};
 
@@ -28,6 +28,8 @@ pub struct AbrEnv {
     video: VideoModel,
     cfg: AbrConfig,
     traces: Vec<Trace>,
+    /// Period capacity of each trace, computed once.
+    period_bytes: Vec<f64>,
     random_start: bool,
     // Episode state.
     trace_idx: usize,
@@ -44,17 +46,10 @@ impl AbrEnv {
     /// an empty corpus or a trace with zero capacity everywhere.
     pub fn new(video: VideoModel, cfg: AbrConfig, traces: Vec<Trace>) -> Self {
         assert!(!traces.is_empty(), "AbrEnv needs at least one trace");
-        for t in &traces {
-            assert!(t.is_wellformed(), "malformed trace {}", t.id);
-            assert!(
-                link::bytes_per_period(t) > 0.0,
-                "trace {} has zero capacity everywhere",
-                t.id
-            );
-        }
         AbrEnv {
             video,
             cfg,
+            period_bytes: checked_period_bytes(&traces),
             traces,
             random_start: true,
             trace_idx: 0,
@@ -150,6 +145,7 @@ impl Env for AbrEnv {
             &self.video,
             &self.cfg,
             &self.traces[self.trace_idx],
+            self.period_bytes[self.trace_idx],
             self.time_s,
             self.buffer_s,
             self.next_chunk,

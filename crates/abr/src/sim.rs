@@ -9,7 +9,9 @@
 //!
 //! 1. the request spends one RTT (80 ms) in flight, then the payload
 //!    streams over the trace-driven link: `delay = rtt +
-//!    transfer_time(trace, t + rtt, size(k, a))` ([`osa_trace::link`]);
+//!    transfer_time(trace, per, t + rtt, size(k, a))`
+//!    ([`osa_trace::link`]; `per` is the trace's period capacity, which
+//!    [`MultiSession`] and [`crate::env::AbrEnv`] compute once per trace);
 //! 2. playback drains the buffer during the download; if it runs dry the
 //!    client rebuffers for `max(0, delay − buffer)` seconds;
 //! 3. the finished chunk adds 4 s of video; if the buffer would exceed
@@ -88,7 +90,9 @@ pub struct ChunkOutcome {
 
 /// Advance one session by one chunk download — the single transition
 /// function shared by [`MultiSession`] and [`crate::env::AbrEnv`], which
-/// is what makes the two bit-equal by construction.
+/// is what makes the two bit-equal by construction. `period_bytes` is
+/// [`link::bytes_per_period`]`(trace)`, computed once per trace by the
+/// caller.
 ///
 /// Panics (via the assertion on `delay`) if `trace` has zero capacity
 /// everywhere; [`MultiSession::new`] and `AbrEnv::new` reject such
@@ -98,6 +102,7 @@ pub fn step_chunk(
     video: &VideoModel,
     cfg: &AbrConfig,
     trace: &Trace,
+    period_bytes: f64,
     time_s: f64,
     buffer_s: f64,
     chunk: usize,
@@ -107,7 +112,7 @@ pub fn step_chunk(
     assert!(level < NUM_BITRATES, "bitrate level {level} out of range");
     let size = video.size_bytes(chunk, level);
     // The link idles during the request RTT; bytes flow from t + rtt.
-    let delay = cfg.rtt_s + link::transfer_time(trace, time_s + cfg.rtt_s, size);
+    let delay = cfg.rtt_s + link::transfer_time(trace, period_bytes, time_s + cfg.rtt_s, size);
     assert!(
         delay.is_finite(),
         "chunk download never completes (dead trace)"
@@ -230,12 +235,14 @@ impl SessionCursor {
 
     /// Download the next chunk at `level`, folding the outcome into the
     /// session state exactly like [`MultiSession::step_all`]'s apply
-    /// phase. Panics if the session is already [`done`](Self::done).
+    /// phase; `period_bytes` is [`link::bytes_per_period`]`(trace)`.
+    /// Panics if the session is already [`done`](Self::done).
     pub fn step(
         &mut self,
         video: &VideoModel,
         cfg: &AbrConfig,
         trace: &Trace,
+        period_bytes: f64,
         level: usize,
     ) -> ChunkOutcome {
         assert!(!self.done(video), "session already finished");
@@ -243,6 +250,7 @@ impl SessionCursor {
             video,
             cfg,
             trace,
+            period_bytes,
             self.time_s,
             self.buffer_s,
             self.next_chunk,
@@ -277,6 +285,22 @@ impl SessionCursor {
     }
 }
 
+/// [`link::bytes_per_period`] of every trace, checking each on the way:
+/// panics on a malformed trace or one with zero capacity everywhere (a
+/// download on it would never finish). [`MultiSession`] and
+/// [`crate::env::AbrEnv`] keep the result for [`step_chunk`].
+pub(crate) fn checked_period_bytes(traces: &[Trace]) -> Vec<f64> {
+    traces
+        .iter()
+        .map(|t| {
+            assert!(t.is_wellformed(), "malformed trace {}", t.id);
+            let per = link::bytes_per_period(t);
+            assert!(per > 0.0, "trace {} has zero capacity everywhere", t.id);
+            per
+        })
+        .collect()
+}
+
 /// Struct-of-arrays batch of concurrent streaming sessions.
 ///
 /// Session `i` starts on trace `i mod traces.len()` at its beginning.
@@ -289,6 +313,8 @@ pub struct MultiSession {
     video: VideoModel,
     cfg: AbrConfig,
     traces: Vec<Trace>,
+    /// [`link::bytes_per_period`] of each trace, computed once.
+    period_bytes: Vec<f64>,
     auto_reset: bool,
     // Per-session state, indexed 0..n.
     trace_of: Vec<u32>,
@@ -324,19 +350,13 @@ impl MultiSession {
     ) -> Self {
         assert!(!traces.is_empty(), "MultiSession needs at least one trace");
         assert!(n > 0, "MultiSession needs at least one session");
-        for t in &traces {
-            assert!(t.is_wellformed(), "malformed trace {}", t.id);
-            assert!(
-                link::bytes_per_period(t) > 0.0,
-                "trace {} has zero capacity everywhere",
-                t.id
-            );
-        }
+        let period_bytes = checked_period_bytes(&traces);
         let trace_of: Vec<u32> = (0..n).map(|i| (i % traces.len()) as u32).collect();
         MultiSession {
             video,
             cfg,
             traces,
+            period_bytes,
             auto_reset,
             trace_of,
             time_s: vec![0.0; n],
@@ -390,6 +410,7 @@ impl MultiSession {
                 video,
                 cfg,
                 traces,
+                period_bytes,
                 trace_of,
                 time_s,
                 buffer_s,
@@ -403,10 +424,12 @@ impl MultiSession {
                 for (off, slot) in slots.iter_mut().enumerate() {
                     let i = first + off;
                     *slot = if active[i] {
+                        let t = trace_of[i] as usize;
                         step_chunk(
                             video,
                             cfg,
-                            &traces[trace_of[i] as usize],
+                            &traces[t],
+                            period_bytes[t],
                             time_s[i],
                             buffer_s[i],
                             next_chunk[i] as usize,
@@ -577,13 +600,27 @@ mod tests {
         Trace::new("flat", 1.0, vec![mbps; 10])
     }
 
+    fn flat_period(mbps: f32) -> f64 {
+        link::bytes_per_period(&flat_trace(mbps))
+    }
+
     #[test]
     fn step_chunk_known_values_on_flat_link() {
         // 8 Mbit/s = 10⁶ B/s; lowest level chunk = 150 000 B → 0.15 s
         // transfer + 0.08 s RTT = 0.23 s delay. All values exact.
         let video = VideoModel::constant_bitrate();
         let cfg = AbrConfig::default();
-        let o = step_chunk(&video, &cfg, &flat_trace(8.0), 0.0, 0.0, 0, 0, 0);
+        let o = step_chunk(
+            &video,
+            &cfg,
+            &flat_trace(8.0),
+            flat_period(8.0),
+            0.0,
+            0.0,
+            0,
+            0,
+            0,
+        );
         let tol = 1e-12;
         assert!((o.delay_s - 0.23).abs() < tol);
         // Empty buffer stalls for the whole delay.
@@ -601,7 +638,17 @@ mod tests {
         let cfg = AbrConfig::default();
         // Buffer nearly full: 59 s. Download takes 0.23 s → drain to
         // 58.77, fill to 62.77, sleep 2.77 back to the 60 s cap.
-        let o = step_chunk(&video, &cfg, &flat_trace(8.0), 100.0, 59.0, 3, 0, 0);
+        let o = step_chunk(
+            &video,
+            &cfg,
+            &flat_trace(8.0),
+            flat_period(8.0),
+            100.0,
+            59.0,
+            3,
+            0,
+            0,
+        );
         assert_eq!(o.rebuffer_s, 0.0);
         assert_eq!(o.new_buffer_s, 60.0);
         assert!((o.sleep_s - 2.77).abs() < 1e-12);
@@ -615,9 +662,29 @@ mod tests {
             rebuf_penalty: 0.0, // isolate the smoothness term
             ..AbrConfig::default()
         };
-        let up = step_chunk(&video, &cfg, &flat_trace(50.0), 0.0, 10.0, 1, 0, 5);
+        let up = step_chunk(
+            &video,
+            &cfg,
+            &flat_trace(50.0),
+            flat_period(50.0),
+            0.0,
+            10.0,
+            1,
+            0,
+            5,
+        );
         assert_eq!(up.reward, 4.3 - (4.3 - 0.3));
-        let down = step_chunk(&video, &cfg, &flat_trace(50.0), 0.0, 10.0, 1, 5, 0);
+        let down = step_chunk(
+            &video,
+            &cfg,
+            &flat_trace(50.0),
+            flat_period(50.0),
+            0.0,
+            10.0,
+            1,
+            5,
+            0,
+        );
         assert_eq!(down.reward, 0.3 - (4.3 - 0.3));
     }
 
@@ -693,7 +760,7 @@ mod tests {
             cur.encode_obs(&video, &mut cur_obs);
             assert_eq!(batch_obs.row(0), &cur_obs[..], "obs diverged at chunk {k}");
             let level = k % NUM_BITRATES; // exercise every level
-            let o = cur.step(&video, &cfg, &trace, level);
+            let o = cur.step(&video, &cfg, &trace, link::bytes_per_period(&trace), level);
             sim.step_all(&[level]);
             assert_eq!(o, sim.outcomes()[0], "outcome diverged at chunk {k}");
             assert_eq!(cur.time_s().to_bits(), sim.time_s(0).to_bits());

@@ -188,3 +188,85 @@ fn observations_stay_finite_and_bounded() {
         }
     }
 }
+
+/// `MultiSession` computes each trace's period capacity once; every
+/// outcome must be bit-identical to `step_chunk` with the capacity
+/// recomputed for that chunk. The traces include fault-injected ones
+/// (an outage, a rate limit, a spike) and a short, slow trace whose
+/// period delivers less than one chunk, so the whole-period
+/// fast-forward branch of `transfer_time` runs.
+#[test]
+fn period_capacity_computed_once_matches_recomputing_per_chunk() {
+    let video = VideoModel::envivio();
+    let cfg = AbrConfig::default();
+    let base = corpus(3, 5);
+    let traces = vec![
+        base[0].clone(),
+        inject(
+            &base[1],
+            &[Fault::Outage {
+                start: 10,
+                duration: 40,
+            }],
+        ),
+        inject(&base[2], &[Fault::RateLimit { cap_mbps: 0.4 }]),
+        inject(
+            &base[0],
+            &[
+                Fault::Spike {
+                    start: 5,
+                    duration: 30,
+                    factor: 6.0,
+                },
+                Fault::Outage {
+                    start: 100,
+                    duration: 20,
+                },
+            ],
+        ),
+        Trace::new("short-slow", 1.0, vec![0.3, 0.0, 0.6]),
+    ];
+    let n = traces.len();
+    let mut sim = MultiSession::new(video.clone(), cfg.clone(), traces.clone(), n, false);
+    let mut rng = Rng::seed_from_u64(0x9E2);
+    let mut actions = vec![0usize; n];
+    let mut fast_forwards = 0;
+    while !sim.all_done() {
+        for a in actions.iter_mut() {
+            *a = rng.below(NUM_BITRATES);
+        }
+        let want: Vec<Option<ChunkOutcome>> = (0..n)
+            .map(|i| {
+                sim.active(i).then(|| {
+                    let per = bytes_per_period(&traces[i]);
+                    let size = video.size_bytes(sim.next_chunk(i), actions[i]);
+                    fast_forwards += usize::from(size > per);
+                    step_chunk(
+                        &video,
+                        &cfg,
+                        &traces[i],
+                        per,
+                        sim.time_s(i),
+                        sim.buffer_s(i),
+                        sim.next_chunk(i),
+                        sim.prev_level(i),
+                        actions[i],
+                    )
+                })
+            })
+            .collect();
+        sim.step_all(&actions);
+        for (i, want) in want.iter().enumerate() {
+            if let Some(want) = want {
+                // Debug formatting round-trips every f64, so equal
+                // strings mean equal bits.
+                assert_eq!(
+                    format!("{:?}", sim.outcomes()[i]),
+                    format!("{want:?}"),
+                    "session {i}"
+                );
+            }
+        }
+    }
+    assert!(fast_forwards > 0, "no download outran a whole period");
+}

@@ -75,12 +75,12 @@ fn main() {
     // 1. Offline SMO fit on the real §3.1 corpus.
     let x = osap::us_feature_corpus(&ens, &video, &cfg, &split.train);
     let mut svm = OcSvm::new(OcSvmConfig::default());
-    svm.fit(&x);
+    svm.fit(&x).expect("finite training set");
     let sv_count = svm.diag().expect("fitted").support_vectors;
     let mut per_decision = Vec::new();
     let stats = run_bench("ocsvm_fit", fit_samples, || {
         let mut fresh = OcSvm::new(OcSvmConfig::default());
-        fresh.fit(&x);
+        fresh.fit(&x).expect("finite training set");
         std::hint::black_box(fresh.diag().map(|d| d.support_vectors));
     });
     let mut entry = stats.to_json();

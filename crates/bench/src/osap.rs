@@ -81,6 +81,14 @@ pub fn us_feature_corpus(
 }
 
 /// Fit the U_S one-class SVM on [`us_feature_corpus`].
+///
+/// # Panics
+/// If the corpus is empty or holds a non-finite window. It is finite by
+/// construction: a window holds means and standard deviations of
+/// measured throughputs, and every measured throughput is a finite
+/// positive rate because the simulator rejects zero-capacity traces. It
+/// is non-empty whenever one session is long enough for a window, which
+/// every video of the paper's setup is.
 pub fn fit_svm(
     ens: &PensieveEnsemble,
     video: &VideoModel,
@@ -88,7 +96,8 @@ pub fn fit_svm(
     traces: &[Trace],
 ) -> OcSvm {
     let mut svm = OcSvm::new(OcSvmConfig::default());
-    svm.fit(&us_feature_corpus(ens, video, cfg, traces));
+    svm.fit(&us_feature_corpus(ens, video, cfg, traces))
+        .expect("the U_S corpus is a non-empty set of finite windows");
     svm
 }
 

@@ -14,7 +14,7 @@ use osa_abr::sim::{AbrConfig, SessionCursor};
 use osa_abr::video::VideoModel;
 use osa_abr::{HISTORY_LEN, OBS_DIM};
 use osa_nn::tensor::Tensor;
-use osa_trace::Trace;
+use osa_trace::{link, Trace};
 
 use crate::ensemble::PensieveEnsemble;
 use crate::serve::{FleetEngine, FleetSignal, ServeConfig};
@@ -168,6 +168,7 @@ pub fn calibration_observations(
     let mut rows: Vec<Vec<f32>> = Vec::new();
     let mut obs = [0.0f32; OBS_DIM];
     for trace in traces {
+        let per = link::bytes_per_period(trace);
         let mut cur = SessionCursor::new();
         let mut kept = 0usize;
         while !cur.done(video) {
@@ -177,7 +178,7 @@ pub fn calibration_observations(
                 kept += 1;
             }
             let level = ens.act(&obs[..]);
-            cur.step(video, cfg, trace, level);
+            cur.step(video, cfg, trace, per, level);
         }
     }
     Tensor::from_rows(&rows)
@@ -282,6 +283,7 @@ mod tests {
         // Reference stream: the learned action at decision 0, Buffer-Based
         // from the trip decision on.
         let bb = BufferBased::default();
+        let per = link::bytes_per_period(&trace[0]);
         let mut cur = SessionCursor::new();
         let mut obs = [0.0f32; OBS_DIM];
         let (mut qoe, mut j) = (0.0f64, 0);
@@ -292,7 +294,7 @@ mod tests {
             } else {
                 bb.level_for_buffer(obs[2 * HISTORY_LEN + NUM_BITRATES] as f64 * 10.0)
             };
-            qoe += cur.step(&video, &cfg, &trace[0], level).reward;
+            qoe += cur.step(&video, &cfg, &trace[0], per, level).reward;
             j += 1;
         }
         assert_eq!(run.qoe.to_bits(), qoe.to_bits());

@@ -50,7 +50,7 @@ fn fitted_svm() -> OcSvm {
         x.row_mut(i).copy_from_slice(w);
     }
     let mut svm = OcSvm::new(OcSvmConfig::default());
-    svm.fit(&x);
+    svm.fit(&x).expect("finite training set");
     svm
 }
 

@@ -29,7 +29,7 @@
 //! in a thread-local [`Workspace`] arena, so neither path allocates
 //! after its first call on a given thread.
 
-use crate::kernel::{exp_fast, sq_norm};
+use crate::kernel::{cross_terms, exp_fast, sq_norm};
 use crate::smo::{solve_one_class, SmoConfig, SmoResult};
 use osa_nn::tensor::{fold8, par_rows, Tensor, KLANES};
 use osa_nn::workspace::Workspace;
@@ -40,8 +40,10 @@ pub trait NoveltyDetector {
     /// Short stable identifier used in benchmark and figure artifacts.
     fn name(&self) -> &'static str;
     /// Fit on a matrix whose rows are in-distribution feature vectors.
-    /// Panics if `x` is empty.
-    fn fit(&mut self, x: &Tensor);
+    /// Fails closed: an empty matrix or one holding a NaN or ±∞ returns
+    /// a [`FitError`] and leaves the detector as it was, never a
+    /// detector that scores every window NaN.
+    fn fit(&mut self, x: &Tensor) -> Result<(), FitError>;
     /// Novelty score of one feature vector (same dimensionality as the
     /// training rows). Panics if called before `fit`. Never allocates
     /// (implementations may warm a thread-local scratch arena on their
@@ -53,6 +55,40 @@ pub trait NoveltyDetector {
     /// call delegates here. Panics if `out.len() != x.rows()` or before
     /// `fit`.
     fn score_batch_into(&self, x: &Tensor, out: &mut [f32]);
+}
+
+/// Why [`NoveltyDetector::fit`] refused a training matrix.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum FitError {
+    /// The matrix has no rows or no columns.
+    Empty,
+    /// The value at (`row`, `col`) is NaN or ±∞, or overflows f32 once
+    /// standardized.
+    NonFinite { row: usize, col: usize },
+}
+
+impl std::fmt::Display for FitError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            FitError::Empty => write!(f, "empty training matrix"),
+            FitError::NonFinite { row, col } => {
+                write!(f, "non-finite training value at row {row}, column {col}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for FitError {}
+
+/// The first (row, column) of `x` holding a NaN or ±∞, as a [`FitError`].
+fn check_finite(x: &Tensor) -> Result<(), FitError> {
+    match x.data().iter().position(|v| !v.is_finite()) {
+        Some(i) => Err(FitError::NonFinite {
+            row: i / x.cols(),
+            col: i % x.cols(),
+        }),
+        None => Ok(()),
+    }
 }
 
 /// Per-dimension standardization statistics of a training set.
@@ -275,10 +311,9 @@ impl OcSvm {
     /// are loaded once and serve all four rows.
     ///
     /// Per block, every lane runs the one-row sequence: the cross term
-    /// `z·svᵢ` has one accumulator per lane, feature `p` lands in lane
-    /// `p mod KLANES` in ascending `p` and the lanes fold through the
-    /// [`fold8`] tree — the `osa-nn` lane-8 contract, so it has the bits
-    /// of [`dot8`](crate::kernel::dot8) and of a GEMM cross term. The
+    /// `z·svᵢ` comes from the shared block kernel `kernel::cross_terms`
+    /// (the solver's kernel rows use it too), in the `osa-nn` lane-8
+    /// order, so it has the bits of [`dot8`](crate::kernel::dot8). The
     /// squared distance is reconstructed as `‖z‖² + ‖svᵢ‖² − 2·z·svᵢ`;
     /// the floor at 0 guards it against tiny negative values from
     /// cancellation (exact zero is guaranteed only when the operands are
@@ -302,26 +337,11 @@ impl OcSvm {
         let alphas = self.sv_alphas.as_chunks::<KLANES>().0;
         let mut sums: Quad = [[0.0; PAIR]; 2];
         for ((block, norms), alphas) in blocks.zip(norms).zip(alphas) {
-            let sv = block.as_chunks::<KLANES>().0;
-            let mut acc: [Quad; KLANES] = [[[0.0; PAIR]; 2]; KLANES];
-            for (q, sv) in feats.chunks(KLANES).zip(sv.chunks(KLANES)) {
-                for l in 0..KLANES {
-                    if l < q.len() && l < sv.len() {
-                        let sv = pair(&sv[l]);
-                        for (acc, q) in acc[l].iter_mut().zip(&q[l]) {
-                            for j in 0..PAIR {
-                                acc[j] += q[j] * sv[j];
-                            }
-                        }
-                    }
-                }
-            }
+            let cross = cross_terms(feats, block.as_chunks::<KLANES>().0, pair);
             let (norms, alphas) = (pair(norms), pair(alphas));
-            for (g, (sums, xn)) in sums.iter_mut().zip(xn).enumerate() {
+            for ((sums, xn), cross) in sums.iter_mut().zip(xn).zip(&cross) {
                 for j in 0..PAIR {
-                    let a = |l: usize| acc[l][g][j];
-                    let cross = ((a(0) + a(1)) + (a(2) + a(3))) + ((a(4) + a(5)) + (a(6) + a(7)));
-                    let d2 = floor_nan(xn[j] + norms[j] - 2.0 * cross, 0.0);
+                    let d2 = floor_nan(xn[j] + norms[j] - 2.0 * cross[j], 0.0);
                     sums[j] += alphas[j] * exp_fast(-self.gamma * d2);
                 }
             }
@@ -412,10 +432,18 @@ impl NoveltyDetector for OcSvm {
         "ocsvm"
     }
 
-    fn fit(&mut self, x: &Tensor) {
-        self.std = Standardizer::fit(x);
-        let z = self.std.apply(x);
-        self.gamma = self.cfg.gamma.unwrap_or(1.0 / x.cols().max(1) as f32);
+    fn fit(&mut self, x: &Tensor) -> Result<(), FitError> {
+        if x.rows() == 0 || x.cols() == 0 {
+            return Err(FitError::Empty);
+        }
+        // The raw values first, so the error names the offending cell;
+        // then the standardized ones, which can overflow on their own.
+        check_finite(x)?;
+        let std = Standardizer::fit(x);
+        let z = std.apply(x);
+        check_finite(&z)?;
+        self.std = std;
+        self.gamma = self.cfg.gamma.unwrap_or(1.0 / x.cols() as f32);
         let r: SmoResult = solve_one_class(&z, self.gamma, self.cfg.nu, &self.cfg.smo);
         let c = 1.0 / (self.cfg.nu * x.rows() as f64);
         let sv_idx: Vec<usize> = (0..x.rows()).filter(|&i| r.alphas[i] > 0.0).collect();
@@ -466,6 +494,7 @@ impl NoveltyDetector for OcSvm {
                 .filter(|&&i| r.alphas[i] >= c * (1.0 - 1e-8))
                 .count(),
         });
+        Ok(())
     }
 
     /// Log-domain novelty `ln ρ − ln Σᵢ αᵢ K(z(x), svᵢ)`.
@@ -515,7 +544,7 @@ mod tests {
     fn ocsvm_ranks_far_points_above_training_points() {
         let x = cluster(120, 4, 1.0, 11);
         let mut det = OcSvm::new(OcSvmConfig::default());
-        det.fit(&x);
+        det.fit(&x).expect("finite training set");
         let inlier = det.score(x.row(0));
         let outlier = det.score(&far_point(4));
         assert!(outlier > inlier, "outlier {outlier} <= inlier {inlier}");
@@ -525,7 +554,7 @@ mod tests {
     fn ocsvm_score_variants_agree_on_the_boundary_sign() {
         let x = cluster(80, 3, 0.0, 5);
         let mut det = OcSvm::new(OcSvmConfig::default());
-        det.fit(&x);
+        det.fit(&x).expect("finite training set");
         // Inliers near the cluster, outliers far away: decision,
         // raw_score, and the log-domain score must classify alike.
         for q in [[0.1f32, -0.2, 0.05], [0.3, 0.1, -0.1], [8.0, -9.0, 7.5]] {

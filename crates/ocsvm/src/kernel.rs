@@ -12,20 +12,21 @@
 //! bit-identical to `K(b, a)` (each term `(aᵢ−bᵢ)²` equals `(bᵢ−aᵢ)²`
 //! exactly in IEEE arithmetic), and the property tests check symmetry,
 //! bounds and PSD Gram matrices on it. Neither production path calls
-//! it. The SMO solver builds its kernel rows in `smo::kernel_row` from
-//! GEMM cross terms, and the scorer in [`crate::detector`] *decomposes*
-//! the distance — `‖a − b‖² = ‖a‖² + ‖b‖² − 2·a·b` — with the
-//! support-vector norms precomputed at fit time and the cross terms
-//! computed per (row, support vector) lane, four rows and eight support
-//! vectors per pass, in the lane-8 order of [`dot8`]. These orders
-//! agree with [`rbf`] to f32 rounding but not bit-for-bit; the scorer
-//! uses its order at every batch size, so scores never depend on how
-//! queries were grouped.
+//! it. Both *decompose* the distance — `‖a − b‖² = ‖a‖² + ‖b‖² − 2·a·b`
+//! — with the norms precomputed, and both take the cross terms from one
+//! fused block kernel, `cross_terms`, in the lane-8 order of [`dot8`]:
+//! the scorer in [`crate::detector`] runs four query rows against eight
+//! support vectors per pass, and the SMO solver's
+//! [`KernelRows`](crate::smo::KernelRows) runs two working-set rows
+//! against sixteen training rows. These orders agree with [`rbf`] to f32
+//! rounding but not bit-for-bit; each path uses its order at every
+//! batch size, so results never depend on how rows were grouped.
 //!
 //! Solver and scorer share one exponential, [`exp_fast`]: branchless polynomial
 //! arithmetic that LLVM auto-vectorizes across the lanes of a block
 //! (two rows × eight support vectors per 16-lane register in the
-//! scorer), bit-deterministic on every input, < 5·10⁻⁷ max
+//! scorer, sixteen training rows in the solver), bit-deterministic on
+//! every input, < 5·10⁻⁷ max
 //! relative error (tested against `f32::exp` below). With about 650
 //! support vectors per decision, the exponential and the ten-feature
 //! cross terms are the whole U_S cost; `expf` calls through libm would
@@ -33,9 +34,10 @@
 //!
 //! [`dot8`] and [`sq_norm`] fix the `osa-nn` lane-8 accumulation
 //! contract (product `p` → lane `p mod 8`, fixed fold tree), and the
-//! scorer's cross terms follow it too, so a norm computed here cancels
-//! *exactly* against the cross term when the operands are identical —
-//! `‖x‖² + ‖x‖² − 2·x·x ≡ 0`, giving `K(x, x) = 1` on both paths.
+//! block kernel's cross terms follow it too, so a norm computed here
+//! cancels *exactly* against the cross term when the operands are
+//! identical — `‖x‖² + ‖x‖² − 2·x·x ≡ 0`, giving `K(x, x) = 1` on both
+//! paths.
 
 use osa_nn::tensor::{fold8, KLANES};
 
@@ -111,6 +113,54 @@ pub fn dot8(a: &[f32], b: &[f32]) -> f32 {
         }
     }
     fold8(lanes)
+}
+
+/// Cross terms of one block in the lane-8 contract order, for `R`
+/// registers of `W` lanes each: lane `j` of register `r` gets
+/// `Σₚ q[p][r][j] · lanes(&s[p])[j]` over the `d = q.len()` features.
+/// `q[p]` holds feature `p` of the query rows, already broadcast over
+/// their lanes; `s[p]` holds feature `p` of the block's training rows or
+/// support vectors, and `lanes` widens it to one value per lane.
+///
+/// Every lane runs [`dot8`]'s operation sequence: feature `p` lands in
+/// accumulator `p mod KLANES` in ascending `p`, and the accumulators
+/// reduce through [`fold8`]. So each cross term has the bits of `dot8`
+/// on the same two rows, and cancels exactly against a [`sq_norm`] when
+/// the rows are identical. The scorer (`OcSvm::group_sums`, four windows
+/// against eight support vectors) and the SMO solver (`smo::KernelRows`,
+/// two working-set rows against sixteen training rows) both build their
+/// kernel values on it.
+#[inline(always)]
+pub(crate) fn cross_terms<S, const R: usize, const W: usize>(
+    q: &[[[f32; W]; R]],
+    s: &[S],
+    lanes: impl Fn(&S) -> [f32; W],
+) -> [[f32; W]; R] {
+    debug_assert_eq!(q.len(), s.len(), "cross_terms dimension mismatch");
+    let mut acc = [[[0.0f32; W]; R]; KLANES];
+    for (q, s) in q.chunks(KLANES).zip(s.chunks(KLANES)) {
+        for l in 0..KLANES {
+            if l < q.len() && l < s.len() {
+                let s = lanes(&s[l]);
+                for (acc, q) in acc[l].iter_mut().zip(&q[l]) {
+                    for j in 0..W {
+                        acc[j] += q[j] * s[j];
+                    }
+                }
+            }
+        }
+    }
+    // The fold8 tree, written out lane-wise across whole registers:
+    // calling fold8 on each lane's gathered accumulators made LLVM
+    // shuffle them, and the scorer ran about 25 % slower.
+    let mut cross = [[0.0f32; W]; R];
+    for (r, cross) in cross.iter_mut().enumerate() {
+        for (j, c) in cross.iter_mut().enumerate() {
+            let a = |l: usize| acc[l][r][j];
+            *c = ((a(0) + a(1)) + (a(2) + a(3))) + ((a(4) + a(5)) + (a(6) + a(7)));
+        }
+    }
+    cross
 }
 
 /// `‖a‖²` in the lane-8 contract order — `dot8(a, a)`, named for the

@@ -24,14 +24,14 @@ pub mod features;
 pub mod kernel;
 pub mod smo;
 
-pub use detector::{FitDiag, NoveltyDetector, OcSvm, OcSvmConfig};
+pub use detector::{FitDiag, FitError, NoveltyDetector, OcSvm, OcSvmConfig};
 pub use features::{window_features, FeatureWindow, FEATURE_DIM, FEATURE_PAIRS, FEATURE_WINDOW};
 pub use kernel::{dot8, exp_fast, rbf, sq_norm};
-pub use smo::{solve_one_class, SmoConfig, SmoResult};
+pub use smo::{solve_one_class, KernelRows, SmoConfig, SmoResult};
 
 /// One-stop import for downstream crates, examples, and tests.
 pub mod prelude {
-    pub use crate::detector::{FitDiag, NoveltyDetector, OcSvm, OcSvmConfig};
+    pub use crate::detector::{FitDiag, FitError, NoveltyDetector, OcSvm, OcSvmConfig};
     pub use crate::features::{
         window_features, FeatureWindow, FEATURE_DIM, FEATURE_PAIRS, FEATURE_WINDOW,
     };

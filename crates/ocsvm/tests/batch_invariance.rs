@@ -59,7 +59,7 @@ fn batched_scores(det: &OcSvm, queries: &Tensor, size: usize) -> Vec<f32> {
 fn ocsvm_is_batch_size_and_pool_width_invariant() {
     let (train, queries) = training_and_queries();
     let mut det = OcSvm::new(OcSvmConfig::default());
-    det.fit(&train);
+    det.fit(&train).expect("finite training set");
     // Reference: the scalar path at pool width 1.
     let reference: Vec<u32> = {
         let pool = ThreadPool::new(1);
@@ -98,7 +98,7 @@ fn ocsvm_batched_path_is_the_canonical_scalar_path() {
     // agree bit-for-bit with a hand-run batch of one.
     let (train, queries) = training_and_queries();
     let mut det = OcSvm::new(OcSvmConfig::default());
-    det.fit(&train);
+    det.fit(&train).expect("finite training set");
     let mut one = Tensor::zeros(1, DIM);
     let mut out = [0.0f32];
     for i in 0..queries.rows() {

@@ -192,7 +192,7 @@ fn queries(train: &Tensor, reference: &Reference, seed: u64) -> Tensor {
 fn check(train: &Tensor, cfg: OcSvmConfig) {
     let reference = Reference::fit(train, &cfg);
     let mut svm = OcSvm::new(cfg);
-    svm.fit(train);
+    svm.fit(train).expect("finite training set");
     assert_eq!(svm.support_vectors(), reference.alphas.len());
     let q = queries(train, &reference, 0xB175);
     let want = reference.kernel_sums(&q);
@@ -279,7 +279,7 @@ fn fewer_support_vectors_than_one_block_match_too() {
     let train = training(6, 0x7A11);
     let cfg = OcSvmConfig::default();
     let mut svm = OcSvm::new(cfg);
-    svm.fit(&train);
+    svm.fit(&train).expect("finite training set");
     let nsv = svm.support_vectors();
     assert!(nsv < KLANES, "{nsv} support vectors");
     check(&train, cfg);
@@ -289,7 +289,7 @@ fn fewer_support_vectors_than_one_block_match_too() {
 fn every_scaled_dual_coefficient_keeps_the_exp_floor_normal() {
     for (n, seed) in [(40, 1u64), (400, 2), (1000, 3)] {
         let mut svm = OcSvm::new(OcSvmConfig::default());
-        svm.fit(&training(n, seed));
+        svm.fit(&training(n, seed)).expect("finite training set");
         let d = svm.diag().expect("fitted");
         let floor = d.min_alpha * osa_ocsvm::detector::ALPHA_SCALE * exp_fast(-87.0);
         assert!(floor.is_normal(), "n {n}: min α {:e}", d.min_alpha);
@@ -307,7 +307,7 @@ fn grouped_fixture() -> (Tensor, Reference, OcSvm) {
     };
     let reference = Reference::fit(&train, &cfg);
     let mut svm = OcSvm::new(cfg);
-    svm.fit(&train);
+    svm.fit(&train).expect("finite training set");
     assert!(svm.support_vectors() >= 500, "{}", svm.support_vectors());
     (train, reference, svm)
 }

@@ -8,8 +8,9 @@
 //!   (gradient recomputed from the returned α, not trusted from the
 //!   solver's own bookkeeping);
 //! - fit determinism;
-//! - failing closed: a window holding NaN or ±∞ scores non-finite, and
-//!   a far finite window scores exactly the log floor.
+//! - failing closed: a window holding NaN or ±∞ scores non-finite, a
+//!   far finite window scores exactly the log floor, and `fit` refuses
+//!   an empty or non-finite training matrix with a typed error.
 
 use osa_nn::rng::Rng;
 use osa_nn::tensor::Tensor;
@@ -42,7 +43,7 @@ fn nu_bounds_outliers_below_and_support_vectors_above() {
             nu,
             ..OcSvmConfig::default()
         });
-        det.fit(&x);
+        det.fit(&x).expect("finite training set");
         let diag = det.diag().unwrap();
         assert!(
             diag.kkt_gap < 1e-5,
@@ -161,8 +162,8 @@ fn fits_are_deterministic() {
     let x = random_dataset(150, 6, 99);
     let mut a = OcSvm::new(OcSvmConfig::default());
     let mut b = OcSvm::new(OcSvmConfig::default());
-    a.fit(&x);
-    b.fit(&x);
+    a.fit(&x).expect("finite training set");
+    b.fit(&x).expect("finite training set");
     assert_eq!(a.support_vectors(), b.support_vectors());
     let mut rng = Rng::seed_from_u64(1);
     for _ in 0..50 {
@@ -184,7 +185,7 @@ fn scores_separate_training_mass_from_far_points() {
         x.row_mut(i).copy_from_slice(row);
     }
     let mut det = OcSvm::new(OcSvmConfig::default());
-    det.fit(&x);
+    det.fit(&x).expect("finite training set");
 
     let mut calm_scores: Vec<f32> = (0..x.rows()).map(|i| det.score(x.row(i))).collect();
     calm_scores.sort_by(|a, b| a.partial_cmp(b).unwrap());
@@ -205,7 +206,7 @@ fn boxed_fit() -> (Tensor, OcSvm) {
         *v = 1.0 + rng.range_f32(-0.5, 0.5);
     }
     let mut svm = OcSvm::new(OcSvmConfig::default());
-    svm.fit(&train);
+    svm.fit(&train).expect("finite training set");
     (train, svm)
 }
 
@@ -257,5 +258,46 @@ fn a_far_finite_window_scores_the_log_floor() {
     for i in 0..train.rows() {
         let s = svm.score(train.row(i));
         assert!(s < floor, "training row {i} scores {s} ≥ the floor {floor}");
+    }
+}
+
+#[test]
+fn fit_refuses_a_non_finite_or_empty_corpus_and_keeps_its_state() {
+    let x = random_dataset(500, FEATURE_DIM, 7);
+    let (_, fitted) = boxed_fit();
+    let probe = vec![1.0f32; FEATURE_DIM];
+    let before = fitted.score(&probe);
+    for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+        for (row, col) in [(0, 0), (250, 3), (499, FEATURE_DIM - 1)] {
+            let mut poisoned = x.clone();
+            poisoned.set(row, col, bad);
+            let mut fresh = OcSvm::new(OcSvmConfig::default());
+            assert_eq!(
+                fresh.fit(&poisoned),
+                Err(FitError::NonFinite { row, col }),
+                "{bad} at ({row}, {col})"
+            );
+            assert!(fresh.diag().is_none(), "a refused fit left a diagnosis");
+            // A refused refit leaves a fitted detector as it was.
+            let mut svm = fitted.clone();
+            assert!(svm.fit(&poisoned).is_err());
+            assert_eq!(svm.score(&probe).to_bits(), before.to_bits());
+        }
+    }
+    // Finite values whose standardized form overflows f32: the column
+    // mean is −10³⁸, so the first row sits 4·10³⁸ above it.
+    let mut wide = Tensor::zeros(3, 2);
+    for (i, v) in [3e38f32, -3e38, -3e38].into_iter().enumerate() {
+        wide.set(i, 1, v);
+    }
+    assert_eq!(
+        OcSvm::new(OcSvmConfig::default()).fit(&wide),
+        Err(FitError::NonFinite { row: 0, col: 1 })
+    );
+    for empty in [Tensor::zeros(0, FEATURE_DIM), Tensor::zeros(4, 0)] {
+        assert_eq!(
+            OcSvm::new(OcSvmConfig::default()).fit(&empty),
+            Err(FitError::Empty)
+        );
     }
 }

@@ -70,12 +70,23 @@ pub fn bytes_over(trace: &Trace, t0: f64, t1: f64) -> f64 {
 /// Seconds needed to transfer `bytes` starting at absolute time `t0`,
 /// i.e. the smallest `d` with `bytes_over(trace, t0, t0 + d) ≥ bytes`.
 ///
+/// `per` is [`bytes_per_period`]`(trace)`. A caller that runs many
+/// downloads over one trace computes it once, not per download: it is
+/// a serial sum over every sample of the trace, which would otherwise
+/// cost more than the slot walk below. Debug builds check that it
+/// matches the trace.
+///
 /// Returns `f64::INFINITY` when the trace has zero capacity everywhere
 /// (an all-outage trace can never finish a transfer); callers that feed
 /// fault-injected traces must handle that. Panics on an empty trace,
 /// negative/non-finite `bytes`, or a malformed `t0`.
-pub fn transfer_time(trace: &Trace, t0: f64, bytes: f64) -> f64 {
+pub fn transfer_time(trace: &Trace, per: f64, t0: f64, bytes: f64) -> f64 {
     assert!(!trace.mbps.is_empty(), "transfer_time on an empty trace");
+    debug_assert_eq!(
+        per.to_bits(),
+        bytes_per_period(trace).to_bits(),
+        "per is not the trace's period capacity"
+    );
     assert!(t0.is_finite() && t0 >= 0.0, "malformed start time {t0}");
     assert!(
         bytes.is_finite() && bytes >= 0.0,
@@ -84,7 +95,6 @@ pub fn transfer_time(trace: &Trace, t0: f64, bytes: f64) -> f64 {
     if bytes == 0.0 {
         return 0.0;
     }
-    let per = bytes_per_period(trace);
     if per <= 0.0 {
         return f64::INFINITY;
     }
@@ -124,6 +134,11 @@ mod tests {
     use super::*;
     use osa_nn::rng::Rng;
 
+    /// `transfer_time` with the trace's period capacity.
+    fn transfer(trace: &Trace, t0: f64, bytes: f64) -> f64 {
+        transfer_time(trace, bytes_per_period(trace), t0, bytes)
+    }
+
     /// 8 Mbit/s is exactly 10⁶ bytes/s — every expected value below is
     /// exactly representable, so the assertions use `==`.
     fn constant8() -> Trace {
@@ -141,9 +156,9 @@ mod tests {
     #[test]
     fn constant_rate_transfer_is_exact() {
         let t = constant8();
-        assert_eq!(transfer_time(&t, 0.0, 1_000_000.0), 1.0);
-        assert_eq!(transfer_time(&t, 0.5, 250_000.0), 0.25);
-        assert_eq!(transfer_time(&t, 0.0, 0.0), 0.0);
+        assert_eq!(transfer(&t, 0.0, 1_000_000.0), 1.0);
+        assert_eq!(transfer(&t, 0.5, 250_000.0), 0.25);
+        assert_eq!(transfer(&t, 0.0, 0.0), 0.0);
     }
 
     #[test]
@@ -152,14 +167,14 @@ mod tests {
         let t = Trace::new("steps", 0.5, vec![8.0, 16.0]);
         assert_eq!(bytes_over(&t, 0.0, 1.0), 1_500_000.0);
         // 750 kB: 500 kB from slot 0, then 250 kB at 2 MB/s = 0.125 s.
-        assert_eq!(transfer_time(&t, 0.0, 750_000.0), 0.625);
+        assert_eq!(transfer(&t, 0.0, 750_000.0), 0.625);
     }
 
     #[test]
     fn outage_slots_stall_the_transfer() {
         let t = Trace::new("outage", 1.0, vec![8.0, 0.0, 8.0]);
         // 1.5 MB: 1 MB in slot 0, nothing in slot 1, 0.5 MB in slot 2.
-        assert_eq!(transfer_time(&t, 0.0, 1_500_000.0), 2.5);
+        assert_eq!(transfer(&t, 0.0, 1_500_000.0), 2.5);
         // [0.5, 2.5) sees half of slot 0 and half of slot 2.
         assert_eq!(bytes_over(&t, 0.5, 2.5), 1_000_000.0);
     }
@@ -169,16 +184,16 @@ mod tests {
         let t = Trace::new("periodic", 1.0, vec![8.0]);
         // Window far past the recorded duration wraps around.
         assert_eq!(bytes_over(&t, 0.5, 2.5), 2_000_000.0);
-        assert_eq!(transfer_time(&t, 0.0, 10_500_000.0), 10.5);
+        assert_eq!(transfer(&t, 0.0, 10_500_000.0), 10.5);
         // Start mid-way through a later period.
-        assert_eq!(transfer_time(&t, 7.5, 1_000_000.0), 1.0);
+        assert_eq!(transfer(&t, 7.5, 1_000_000.0), 1.0);
     }
 
     #[test]
     fn whole_period_fast_forward_matches_slot_walk() {
         let t = Trace::new("steps", 0.5, vec![8.0, 16.0]);
         // 100 periods + a bit: per = 1.5 MB/period.
-        let d = transfer_time(&t, 0.0, 150_750_000.0);
+        let d = transfer(&t, 0.0, 150_750_000.0);
         // 100 periods deliver 150 MB in 100 s; the remaining 750 kB take
         // 0.625 s (see piecewise test).
         assert_eq!(d, 100.625);
@@ -187,7 +202,7 @@ mod tests {
     #[test]
     fn all_zero_trace_never_finishes() {
         let t = Trace::new("dead", 1.0, vec![0.0, 0.0]);
-        assert_eq!(transfer_time(&t, 0.0, 1.0), f64::INFINITY);
+        assert_eq!(transfer(&t, 0.0, 1.0), f64::INFINITY);
         assert_eq!(bytes_over(&t, 0.0, 100.0), 0.0);
         assert_eq!(bytes_per_period(&t), 0.0);
     }
@@ -195,7 +210,7 @@ mod tests {
     #[test]
     fn zero_bytes_is_instant_even_on_dead_links() {
         let t = Trace::new("dead", 1.0, vec![0.0]);
-        assert_eq!(transfer_time(&t, 3.0, 0.0), 0.0);
+        assert_eq!(transfer(&t, 3.0, 0.0), 0.0);
     }
 
     #[test]
@@ -212,7 +227,7 @@ mod tests {
             }
             let t0 = rng.range_f32(0.0, 30.0) as f64;
             let bytes = rng.range_f32(1.0, 5e6) as f64;
-            let d = transfer_time(&trace, t0, bytes);
+            let d = transfer(&trace, t0, bytes);
             let back = bytes_over(&trace, t0, t0 + d);
             let rel = (back - bytes).abs() / bytes;
             assert!(rel < 1e-9, "case {case}: {bytes} vs {back} (rel {rel})");
