@@ -4,22 +4,23 @@
 //! Each episode is one 48-chunk streaming session on a trace drawn from
 //! the env's corpus, starting at a random offset (Pensieve trains the
 //! same way so the agent sees every link regime, not just trace
-//! openings). The transition itself is [`crate::sim::step_chunk`] — the
-//! exact function [`crate::sim::MultiSession`] runs — so single-session
-//! training and batched evaluation are bit-equal by construction
-//! (`tests/properties.rs` pins this).
+//! openings). The session state is a [`SessionCursor`], stepped by
+//! [`crate::sim::step_chunk`] — the exact function
+//! [`crate::sim::MultiSession`] runs — so single-session training and
+//! batched evaluation are bit-equal by construction (`tests/properties.rs`
+//! pins this).
 //!
 //! RNG contract: `reset` consumes exactly two draws (trace index, start
 //! slot — the second is drawn even with [`AbrEnv::with_fixed_start`] so
 //! the draw order never depends on configuration); `step` consumes none.
 
-use osa_mdp::env::{Env, Step};
+use osa_mdp::env::Env;
 use osa_nn::rng::Rng;
 use osa_trace::Trace;
 
-use crate::sim::{checked_period_bytes, encode_obs, step_chunk, AbrConfig};
+use crate::sim::{checked_period_bytes, AbrConfig, SessionCursor};
 use crate::video::VideoModel;
-use crate::{HISTORY_LEN, NUM_BITRATES, OBS_DIM};
+use crate::{NUM_BITRATES, OBS_DIM};
 
 /// Single-session ABR environment over a trace corpus. `Clone + Send`,
 /// as the synchronous-streams trainer requires.
@@ -33,12 +34,7 @@ pub struct AbrEnv {
     random_start: bool,
     // Episode state.
     trace_idx: usize,
-    time_s: f64,
-    buffer_s: f64,
-    next_chunk: usize,
-    prev_level: usize,
-    tput_hist: [f32; HISTORY_LEN],
-    delay_hist: [f32; HISTORY_LEN],
+    cursor: SessionCursor,
 }
 
 impl AbrEnv {
@@ -53,12 +49,7 @@ impl AbrEnv {
             traces,
             random_start: true,
             trace_idx: 0,
-            time_s: 0.0,
-            buffer_s: 0.0,
-            next_chunk: 0,
-            prev_level: 0,
-            tput_hist: [0.0; HISTORY_LEN],
-            delay_hist: [0.0; HISTORY_LEN],
+            cursor: SessionCursor::new(),
         }
     }
 
@@ -68,30 +59,6 @@ impl AbrEnv {
     pub fn with_fixed_start(mut self) -> Self {
         self.random_start = false;
         self
-    }
-
-    pub fn video(&self) -> &VideoModel {
-        &self.video
-    }
-
-    pub fn cfg(&self) -> &AbrConfig {
-        &self.cfg
-    }
-
-    pub fn num_traces(&self) -> usize {
-        self.traces.len()
-    }
-
-    fn encode(&self, obs: &mut [f32]) {
-        encode_obs(
-            obs,
-            &self.video,
-            &self.tput_hist,
-            &self.delay_hist,
-            self.buffer_s,
-            self.next_chunk,
-            self.prev_level,
-        );
     }
 }
 
@@ -104,65 +71,29 @@ impl Env for AbrEnv {
         NUM_BITRATES
     }
 
-    fn reset(&mut self, rng: &mut Rng) -> Vec<f32> {
-        let mut obs = vec![0.0; OBS_DIM];
-        self.reset_into(rng, &mut obs);
-        obs
-    }
-
-    fn step(&mut self, action: usize, rng: &mut Rng) -> Step {
-        let mut obs = vec![0.0; OBS_DIM];
-        let (reward, done) = self.step_into(action, rng, &mut obs);
-        Step { obs, reward, done }
-    }
-
-    fn reset_into(&mut self, rng: &mut Rng, obs: &mut Vec<f32>) {
+    fn reset(&mut self, rng: &mut Rng, obs: &mut [f32]) {
         self.trace_idx = rng.below(self.traces.len());
         // Always consume the slot draw so configuration can't shift the
-        // RNG stream (the Env override contract).
-        let slot = rng.below(self.traces[self.trace_idx].len());
-        self.time_s = if self.random_start {
-            slot as f64 * self.traces[self.trace_idx].interval_s as f64
+        // RNG stream.
+        let trace = &self.traces[self.trace_idx];
+        let slot = rng.below(trace.len());
+        self.cursor = if self.random_start {
+            SessionCursor::starting_at(slot as f64 * trace.interval_s as f64)
         } else {
-            0.0
+            SessionCursor::new()
         };
-        self.buffer_s = 0.0;
-        self.next_chunk = 0;
-        self.prev_level = 0;
-        self.tput_hist = [0.0; HISTORY_LEN];
-        self.delay_hist = [0.0; HISTORY_LEN];
-        obs.clear();
-        obs.resize(OBS_DIM, 0.0);
-        self.encode(obs);
+        self.cursor.encode_obs(&self.video, obs);
     }
 
-    fn step_into(&mut self, action: usize, _rng: &mut Rng, obs: &mut Vec<f32>) -> (f32, bool) {
-        assert!(
-            self.next_chunk < self.video.chunk_count(),
-            "step after episode end; reset first"
-        );
-        let o = step_chunk(
+    fn step(&mut self, action: usize, _rng: &mut Rng, obs: &mut [f32]) -> (f32, bool) {
+        let o = self.cursor.step(
             &self.video,
             &self.cfg,
             &self.traces[self.trace_idx],
             self.period_bytes[self.trace_idx],
-            self.time_s,
-            self.buffer_s,
-            self.next_chunk,
-            self.prev_level,
             action,
         );
-        self.time_s = o.new_time_s;
-        self.buffer_s = o.new_buffer_s;
-        self.prev_level = action;
-        self.next_chunk += 1;
-        self.tput_hist.copy_within(1.., 0);
-        self.tput_hist[HISTORY_LEN - 1] = o.tput_mbps as f32;
-        self.delay_hist.copy_within(1.., 0);
-        self.delay_hist[HISTORY_LEN - 1] = o.delay_s as f32;
-        obs.clear();
-        obs.resize(OBS_DIM, 0.0);
-        self.encode(obs);
+        self.cursor.encode_obs(&self.video, obs);
         (o.reward as f32, o.finished)
     }
 }
@@ -184,32 +115,39 @@ mod tests {
     fn episode_runs_exactly_chunk_count_steps() {
         let mut e = env();
         let mut rng = Rng::seed_from_u64(1);
-        let obs = e.reset(&mut rng);
-        assert_eq!(obs.len(), OBS_DIM);
+        let mut obs = [0.0; OBS_DIM];
+        e.reset(&mut rng, &mut obs);
         let mut steps = 0;
         loop {
-            let s = e.step(1, &mut rng);
+            let (_, done) = e.step(1, &mut rng, &mut obs);
             steps += 1;
-            assert!(s.obs.iter().all(|x| x.is_finite()));
-            if s.done {
+            assert!(obs.iter().all(|x| x.is_finite()));
+            if done {
                 break;
             }
         }
         assert_eq!(steps, CHUNK_COUNT);
     }
 
+    /// The documented RNG contract: `reset` takes exactly two draws, with
+    /// a random or a fixed start, and `step` takes none.
     #[test]
-    fn reset_into_matches_reset_rng_stream() {
-        let mut a = env();
-        let mut b = env();
-        let mut rng_a = Rng::seed_from_u64(7);
-        let mut rng_b = Rng::seed_from_u64(7);
-        let oa = a.reset(&mut rng_a);
-        let mut ob = Vec::new();
-        b.reset_into(&mut rng_b, &mut ob);
-        assert_eq!(oa, ob);
-        // Post-reset streams agree too.
-        assert_eq!(rng_a.next_u64(), rng_b.next_u64());
+    fn reset_draws_twice_and_step_never() {
+        for fixed in [false, true] {
+            let mut e = if fixed {
+                env().with_fixed_start()
+            } else {
+                env()
+            };
+            let mut rng = Rng::seed_from_u64(7);
+            let mut twin = Rng::seed_from_u64(7);
+            let mut obs = [0.0; OBS_DIM];
+            e.reset(&mut rng, &mut obs);
+            e.step(2, &mut rng, &mut obs);
+            twin.below(1); // trace index
+            twin.below(20); // start slot
+            assert_eq!(rng.next_u64(), twin.next_u64(), "fixed start {fixed}");
+        }
     }
 
     #[test]
@@ -217,9 +155,10 @@ mod tests {
     fn stepping_past_done_panics() {
         let mut e = env();
         let mut rng = Rng::seed_from_u64(2);
-        e.reset(&mut rng);
+        let mut obs = [0.0; OBS_DIM];
+        e.reset(&mut rng, &mut obs);
         for _ in 0..CHUNK_COUNT + 1 {
-            e.step(0, &mut rng);
+            e.step(0, &mut rng, &mut obs);
         }
     }
 }

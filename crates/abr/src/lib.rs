@@ -1,5 +1,5 @@
 //! `osa-abr` — chunk-level ABR streaming simulator and baselines
-//! (DESIGN.md §1 rows 4, 6 and 11).
+//! (DESIGN.md §1 rows 4 and 6).
 //!
 //! The paper's entire evaluation runs inside a Pensieve-vs-BB adaptive
 //! bitrate case study; this crate provides the environment side of it:

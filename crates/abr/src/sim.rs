@@ -184,16 +184,16 @@ pub fn encode_obs(
 }
 
 /// Scalar state of one streaming session, stepped against *borrowed*
-/// video/config/trace — the clone-free single-session counterpart of
-/// [`MultiSession`].
+/// video/config/trace — the single-session counterpart of the
+/// struct-of-arrays [`MultiSession`], and the one place that state
+/// lives for a single session: [`crate::env::AbrEnv`] trains on a
+/// cursor, and single-session evaluation loops (calibration sweeps)
+/// spin one up per trace.
 ///
-/// [`MultiSession`] clones its inputs once per *batch*; evaluation
-/// loops that spin up one session per trace (calibration sweeps,
-/// single-session evaluation) used to pay a `VideoModel` + `Trace`
-/// clone per *session*. A cursor is a few plain scalars and two fixed history
-/// arrays, so per-session setup is allocation- and clone-free. Both
-/// paths share [`step_chunk`] and [`encode_obs`], which keeps them
-/// bit-equal by construction (pinned in this module's tests).
+/// A cursor is a few plain scalars and two fixed history arrays, so
+/// per-session setup is allocation- and clone-free. Cursor and batch
+/// share [`step_chunk`] and [`encode_obs`], which keeps them bit-equal
+/// by construction (pinned in this module's tests).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SessionCursor {
     time_s: f64,
@@ -208,6 +208,15 @@ impl SessionCursor {
     /// A fresh session at trace time 0 with an empty buffer.
     pub fn new() -> SessionCursor {
         SessionCursor::default()
+    }
+
+    /// A fresh session that starts `time_s` seconds into its trace
+    /// (Pensieve-style random start offsets), with an empty buffer.
+    pub fn starting_at(time_s: f64) -> SessionCursor {
+        SessionCursor {
+            time_s,
+            ..SessionCursor::default()
+        }
     }
 
     /// Back to the start-of-session state.
@@ -245,7 +254,7 @@ impl SessionCursor {
         period_bytes: f64,
         level: usize,
     ) -> ChunkOutcome {
-        assert!(!self.done(video), "session already finished");
+        assert!(!self.done(video), "session already finished; reset first");
         let o = step_chunk(
             video,
             cfg,

@@ -92,7 +92,10 @@ fn multi_session_is_bit_equal_to_single_session_env() {
     // draws but ignores them, so any seed gives trace time 0 — the
     // exact state MultiSession starts sessions in.
     let mut rng = Rng::seed_from_u64(0);
-    let mut env_obs: Vec<Vec<f32>> = envs.iter_mut().map(|e| e.reset(&mut rng)).collect();
+    let mut env_obs = vec![[0.0f32; OBS_DIM]; n];
+    for (e, o) in envs.iter_mut().zip(&mut env_obs) {
+        e.reset(&mut rng, o);
+    }
 
     let mut obs = Tensor::zeros(n, OBS_DIM);
     let mut actions = vec![0usize; n];
@@ -105,13 +108,12 @@ fn multi_session_is_bit_equal_to_single_session_env() {
         let rewards = sim.step_all(&actions).to_vec();
         sim.fill_observations(&mut obs);
         for i in 0..n {
-            let s = envs[i].step(actions[i], &mut rng);
+            let (reward, _) = envs[i].step(actions[i], &mut rng, &mut env_obs[i]);
             assert_eq!(
                 rewards[i].to_bits(),
-                s.reward.to_bits(),
+                reward.to_bits(),
                 "reward diverged: session {i}, step {step}"
             );
-            env_obs[i] = s.obs;
             let row = obs.row(i);
             for (c, (&a, &b)) in row.iter().zip(&env_obs[i]).enumerate() {
                 assert_eq!(

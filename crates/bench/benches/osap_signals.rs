@@ -163,13 +163,13 @@ fn main() {
             i += 1;
         }
     });
-    let mut probs = Vec::new();
+    let (mut x, mut probs) = (Tensor::zeros(1, OBS_DIM), Tensor::default());
     let mut i = 0usize;
     let sequential = run_bench("sequential_forward", samples, || {
         for _ in 0..FORWARDS_PER_ITER {
-            let obs = &bank[i % bank.len()];
+            x.row_mut(0).copy_from_slice(&bank[i % bank.len()]);
             for agent in agents.iter_mut() {
-                agent.actor_critic_mut().action_probs_into(obs, &mut probs);
+                agent.actor_critic_mut().action_probs(&x, &mut probs);
                 std::hint::black_box(&probs);
             }
             i += 1;

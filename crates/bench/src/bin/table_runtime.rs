@@ -18,6 +18,7 @@ use osa_core::prelude::*;
 use osa_mdp::Policy;
 use osa_nn::json::{obj, Value};
 use osa_nn::rng::Rng;
+use osa_nn::tensor::Tensor;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -74,13 +75,13 @@ fn main() {
             i += 1;
         }
     });
-    let mut probs = Vec::new();
+    let (mut x, mut probs) = (Tensor::zeros(1, OBS_DIM), Tensor::default());
     let mut i = 0usize;
     let sequential = run_bench("sequential_forward", SAMPLES, || {
         for _ in 0..DECISIONS_PER_ITER {
-            let obs = &bank[i % bank.len()];
+            x.row_mut(0).copy_from_slice(&bank[i % bank.len()]);
             for agent in agents.iter_mut() {
-                agent.actor_critic_mut().action_probs_into(obs, &mut probs);
+                agent.actor_critic_mut().action_probs(&x, &mut probs);
                 std::hint::black_box(&probs);
             }
             i += 1;

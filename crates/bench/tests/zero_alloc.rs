@@ -103,7 +103,7 @@ fn steady_state_a2c_update_is_allocation_free() {
             normalize_advantages(&mut adv);
         }
 
-        let obs = ro.observation_matrix();
+        let obs = &ro.observations;
         let logits = local.actor.forward_ws(obs, &mut ws);
         policy_gradient_loss_into(
             &logits,

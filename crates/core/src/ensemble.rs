@@ -27,7 +27,7 @@ use osa_abr::{NUM_BITRATES, OBS_DIM};
 use osa_nn::json::{obj, NonFiniteError, Value};
 use osa_nn::quant::QuantStacked;
 use osa_nn::stacked::StackedNet;
-use osa_nn::tensor::Tensor;
+use osa_nn::tensor::{argmax, softmax_row, Tensor};
 use osa_nn::workspace::Workspace;
 use osa_pensieve::{PensieveAgent, PensieveConfig};
 
@@ -167,7 +167,7 @@ impl PensieveEnsemble {
     }
 
     /// Act with the ensemble-mean policy: argmax of the mean
-    /// distribution (ties → lowest level, matching `Policy::greedy`).
+    /// distribution (ties → lowest level, as `osa_nn::tensor::argmax`).
     pub fn act(&mut self, obs: &[f32]) -> usize {
         self.policy_eval(obs);
         argmax(&self.mean_probs)
@@ -244,18 +244,6 @@ pub(crate) fn replica_mean(t: &Tensor, replicas: usize, b: usize, s: usize, out:
     }
 }
 
-/// Index of the largest entry; ties go to the lowest index (the lowest
-/// bitrate level, matching `Policy::greedy`).
-pub(crate) fn argmax(p: &[f32]) -> usize {
-    let mut best = 0;
-    for (j, &v) in p.iter().enumerate() {
-        if v > p[best] {
-            best = j;
-        }
-    }
-    best
-}
-
 /// Raw U_π of session `s` off per-replica action distributions `probs`
 /// and their ensemble mean `mean`: each replica's `KL(π_r ‖ π_mean)`,
 /// averaged over the `keep` smallest. `devs` is caller-owned scratch.
@@ -318,20 +306,6 @@ fn trimmed_mean(devs: &mut [f32], keep: usize) -> f32 {
     kept.iter().sum::<f32>() / keep as f32
 }
 
-/// Row-wise max-subtracted softmax (the same math as
-/// `osa_mdp::ActorCritic::action_probs_batch_into`).
-pub(crate) fn softmax_row(logits: &[f32], probs: &mut [f32]) {
-    let max = logits.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-    let mut sum = 0.0f32;
-    for (p, &l) in probs.iter_mut().zip(logits) {
-        *p = (l - max).exp();
-        sum += *p;
-    }
-    for p in probs {
-        *p /= sum;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -357,9 +331,13 @@ mod tests {
         let o = obs(3);
         ens.policy_eval(&o);
         let mut expect = vec![0.0f32; NUM_BITRATES];
+        let (x, mut p) = (
+            Tensor::from_rows(std::slice::from_ref(&o)),
+            Tensor::default(),
+        );
         for a in reps.iter_mut() {
-            let p = a.actor_critic_mut().action_probs(&o);
-            for (e, &pv) in expect.iter_mut().zip(&p) {
+            a.actor_critic_mut().action_probs(&x, &mut p);
+            for (e, &pv) in expect.iter_mut().zip(p.row(0)) {
                 *e += pv / 5.0;
             }
         }

@@ -52,7 +52,7 @@ use osa_abr::sim::{AbrConfig, MultiSession};
 use osa_abr::video::VideoModel;
 use osa_abr::{HISTORY_LEN, NUM_BITRATES, OBS_DIM};
 use osa_nn::stacked::StackedNet;
-use osa_nn::tensor::Tensor;
+use osa_nn::tensor::{argmax, softmax_row, Tensor};
 use osa_nn::workspace::Workspace;
 use osa_ocsvm::detector::NoveltyDetector;
 use osa_ocsvm::features::{FeatureWindow, FEATURE_DIM};
@@ -60,9 +60,7 @@ use osa_ocsvm::OcSvm;
 use osa_runtime::{LaneSlots, ThreadPool};
 use osa_trace::Trace;
 
-use crate::ensemble::{
-    argmax, policy_spread, replica_mean, softmax_row, value_spread, PensieveEnsemble,
-};
+use crate::ensemble::{policy_spread, replica_mean, value_spread, PensieveEnsemble};
 pub use crate::monitor::FleetMonitors;
 use crate::monitor::ReverseConfig;
 use crate::{DEFAULT_K, DEFAULT_L};

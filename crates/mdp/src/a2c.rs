@@ -40,7 +40,7 @@ use osa_nn::loss;
 use osa_nn::optim::Adam;
 use osa_nn::prelude::{Dense, Init, Sequential};
 use osa_nn::rng::Rng;
-use osa_nn::tensor::{Act, Tensor};
+use osa_nn::tensor::{softmax_row, Act, Tensor};
 use osa_nn::workspace::Workspace;
 use osa_runtime::ThreadPool;
 
@@ -60,16 +60,16 @@ pub struct ActorCritic {
     /// `(batch × obs_dim) → (batch × 1)` state values.
     pub critic: Sequential,
     /// Scratch pool for the inference paths below: after a warmup call,
-    /// `action_probs_into`/`values_into` run without heap allocation.
+    /// `action_probs`/`values` run without heap allocation.
     ws: Workspace,
 }
 
 impl ActorCritic {
     /// Two independent single-hidden-layer ReLU MLPs — the workhorse
-    /// shape for the in-crate environments and the CC case study. The
-    /// ReLU is fused into the hidden `Dense` layer's forward pass
-    /// ([`Dense::with_act`]), which is bit-identical to a standalone
-    /// `ReLU` layer but skips one full pass over the activations.
+    /// shape for the in-crate environments. The ReLU is fused into the
+    /// hidden `Dense` layer's forward pass ([`Dense::with_act`]), which
+    /// is bit-identical to a standalone `ReLU` layer but skips one full
+    /// pass over the activations.
     pub fn mlp(obs_dim: usize, hidden: usize, num_actions: usize, rng: &mut Rng) -> Self {
         ActorCritic {
             actor: Sequential::new()
@@ -103,47 +103,10 @@ impl ActorCritic {
             ws: Workspace::new(),
         }
     }
-
-    /// Stage `obs` as a `(1 × n)` matrix in a pooled buffer.
-    fn stage_row(&mut self, obs: &[f32]) -> Tensor {
-        let mut x = self.ws.take(1, obs.len());
-        x.row_mut(0).copy_from_slice(obs);
-        x
-    }
-}
-
-/// Row-wise max-subtracted softmax, `logits` → `probs` (same math the
-/// allocating `action_probs` always used, shared by every batched path).
-fn softmax_row(logits: &[f32], probs: &mut [f32]) {
-    let max = logits.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-    let mut sum = 0.0f32;
-    for (p, &l) in probs.iter_mut().zip(logits) {
-        *p = (l - max).exp();
-        sum += *p;
-    }
-    for p in probs {
-        *p /= sum;
-    }
 }
 
 impl Policy for ActorCritic {
-    fn action_probs(&mut self, obs: &[f32]) -> Vec<f32> {
-        let mut probs = Vec::new();
-        self.action_probs_into(obs, &mut probs);
-        probs
-    }
-
-    fn action_probs_into(&mut self, obs: &[f32], out: &mut Vec<f32>) {
-        let x = self.stage_row(obs);
-        let logits = self.actor.forward_ws(&x, &mut self.ws);
-        out.clear();
-        out.resize(logits.cols(), 0.0);
-        softmax_row(logits.row(0), out);
-        self.ws.recycle(logits);
-        self.ws.recycle(x);
-    }
-
-    fn action_probs_batch_into(&mut self, obs: &Tensor, out: &mut Tensor) {
+    fn action_probs(&mut self, obs: &Tensor, out: &mut Tensor) {
         let logits = self.actor.forward_ws(obs, &mut self.ws);
         out.resize_shape(logits.rows(), logits.cols());
         for r in 0..logits.rows() {
@@ -154,16 +117,7 @@ impl Policy for ActorCritic {
 }
 
 impl ValueFunction for ActorCritic {
-    fn value(&mut self, obs: &[f32]) -> f32 {
-        let x = self.stage_row(obs);
-        let y = self.critic.forward_ws(&x, &mut self.ws);
-        let v = y.get(0, 0);
-        self.ws.recycle(y);
-        self.ws.recycle(x);
-        v
-    }
-
-    fn values_into(&mut self, obs: &Tensor, out: &mut Vec<f32>) {
+    fn values(&mut self, obs: &Tensor, out: &mut Vec<f32>) {
         let y = self.critic.forward_ws(obs, &mut self.ws);
         out.clear();
         out.extend_from_slice(y.data());
@@ -382,7 +336,7 @@ impl<E: Env> Stream<E> {
             normalize_advantages(&mut self.adv);
         }
 
-        let obs = self.ro.observation_matrix();
+        let obs = &self.ro.observations;
         let logits = self.local.actor.forward_ws(obs, &mut self.ws);
         let (pg_loss, entropy) = policy_gradient_loss_into(
             &logits,
@@ -607,10 +561,11 @@ mod tests {
             *v *= 100.0;
         }
         ac.actor.set_params_from_vec(&p);
-        let probs = ac.action_probs(&[1.0, -2.0, 0.5]);
-        assert_eq!(probs.len(), 5);
-        assert!(probs.iter().all(|p| p.is_finite() && *p >= 0.0));
-        let sum: f32 = probs.iter().sum();
+        let mut probs = Tensor::default();
+        ac.action_probs(&Tensor::from_rows(&[vec![1.0, -2.0, 0.5]]), &mut probs);
+        assert_eq!((probs.rows(), probs.cols()), (1, 5));
+        assert!(probs.data().iter().all(|p| p.is_finite() && *p >= 0.0));
+        let sum: f32 = probs.data().iter().sum();
         assert!((sum - 1.0).abs() < 1e-5);
     }
 
@@ -621,9 +576,15 @@ mod tests {
         let mut twin = ac.replicate();
         assert_eq!(ac.actor.params_to_vec(), twin.actor.params_to_vec());
         assert_eq!(ac.critic.params_to_vec(), twin.critic.params_to_vec());
-        let obs = [0.1, -0.3, 0.7, 0.0];
-        assert_eq!(ac.action_probs(&obs), twin.action_probs(&obs));
-        assert_eq!(ac.value(&obs), twin.value(&obs));
+        let obs = Tensor::from_rows(&[vec![0.1, -0.3, 0.7, 0.0]]);
+        let (mut p, mut q) = (Tensor::default(), Tensor::default());
+        ac.action_probs(&obs, &mut p);
+        twin.action_probs(&obs, &mut q);
+        assert_eq!(p, q);
+        let (mut v, mut w) = (Vec::new(), Vec::new());
+        ac.values(&obs, &mut v);
+        twin.values(&obs, &mut w);
+        assert_eq!(v, w);
     }
 
     /// Central-difference check of the fused policy-gradient/entropy

@@ -8,151 +8,67 @@
 //!
 //! # Episode-boundary semantics
 //!
-//! An environment is a state machine with exactly two legal moves:
+//! An environment is a state machine with exactly two legal moves, each
+//! writing an observation into a caller-owned buffer of length
+//! [`Env::obs_dim`]:
 //!
-//! 1. [`Env::reset`] starts a fresh episode and returns its first
+//! 1. [`Env::reset`] starts a fresh episode and writes its first
 //!    observation.
-//! 2. [`Env::step`] advances one transition and returns the *next*
-//!    observation, the reward earned by the transition, and whether the
-//!    episode just ended.
+//! 2. [`Env::step`] advances one transition, writes the *next*
+//!    observation, and returns the reward earned by the transition and
+//!    whether the episode just ended.
 //!
-//! After a step reports `done == true`, the returned observation is the
+//! After a step reports `done == true`, the written observation is the
 //! terminal observation; the caller must `reset` before stepping again
 //! (implementations are entitled to panic otherwise). Rollout fragments
 //! collected by [`crate::rollout::Collector`] may end mid-episode; the
 //! collector carries the episode across fragment boundaries and
 //! bootstraps the tail with the value function, so `done` here always
 //! means a true environment termination, never a fragment edge.
+//!
+//! # Inference
+//!
+//! Agents answer for a whole `(N × obs_dim)` batch of observations at
+//! once; a single decision is a batch of one. Nothing here allocates, so
+//! steady-state collection is allocation-free.
 
 use osa_nn::rng::Rng;
 use osa_nn::tensor::Tensor;
 
-/// The result of one environment transition.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Step {
-    /// Observation of the state the transition landed in.
-    pub obs: Vec<f32>,
-    /// Reward earned by the transition.
-    pub reward: f32,
-    /// True iff the episode ended on this transition.
-    pub done: bool,
-}
-
 /// A Markov decision process with a finite action set and dense `f32`
-/// observations — the shape both the ABR and congestion-control case
-/// studies take.
+/// observations — the shape of the ABR case study.
 pub trait Env {
-    /// Length of every observation vector this environment emits.
+    /// Length of every observation this environment writes.
     fn obs_dim(&self) -> usize;
 
     /// Number of discrete actions; `step` accepts `0..num_actions()`.
     fn num_actions(&self) -> usize;
 
-    /// Start a new episode and return its first observation.
-    fn reset(&mut self, rng: &mut Rng) -> Vec<f32>;
+    /// Start a new episode, writing its first observation into `obs`
+    /// (`obs.len() == obs_dim()`).
+    fn reset(&mut self, rng: &mut Rng, obs: &mut [f32]);
 
-    /// Take `action` and advance one transition. See the module docs for
-    /// the episode-boundary contract.
-    fn step(&mut self, action: usize, rng: &mut Rng) -> Step;
-
-    /// [`Env::reset`] writing the first observation into a caller-owned
-    /// buffer. The default delegates to `reset` (and therefore allocates);
-    /// environments on the rollout hot path override it so steady-state
-    /// collection stays allocation-free. Overrides must consume RNG draws
-    /// in exactly the order `reset` does.
-    fn reset_into(&mut self, rng: &mut Rng, obs: &mut Vec<f32>) {
-        let o = self.reset(rng);
-        obs.clear();
-        obs.extend_from_slice(&o);
-    }
-
-    /// [`Env::step`] writing the next observation into a caller-owned
-    /// buffer and returning `(reward, done)`. Same override contract as
-    /// [`Env::reset_into`]: identical semantics and RNG draw order, minus
-    /// the allocation.
-    fn step_into(&mut self, action: usize, rng: &mut Rng, obs: &mut Vec<f32>) -> (f32, bool) {
-        let step = self.step(action, rng);
-        obs.clear();
-        obs.extend_from_slice(&step.obs);
-        (step.reward, step.done)
-    }
+    /// Take `action` and advance one transition, writing the next
+    /// observation into `obs` and returning `(reward, done)`. See the
+    /// module docs for the episode-boundary contract.
+    fn step(&mut self, action: usize, rng: &mut Rng, obs: &mut [f32]) -> (f32, bool);
 }
 
 /// A (possibly stochastic) mapping from observations to distributions
 /// over actions.
 pub trait Policy {
-    /// Action probabilities for this observation; must be non-negative
-    /// and sum to 1 (within rounding).
-    fn action_probs(&mut self, obs: &[f32]) -> Vec<f32>;
-
-    /// Sample an action from `action_probs` using the caller's RNG.
-    fn sample(&mut self, obs: &[f32], rng: &mut Rng) -> usize {
-        sample_categorical(&self.action_probs(obs), rng)
-    }
-
-    /// The modal action (first index on ties) — deterministic inference.
-    fn greedy(&mut self, obs: &[f32]) -> usize {
-        let probs = self.action_probs(obs);
-        let mut best = 0;
-        for (i, &p) in probs.iter().enumerate() {
-            if p > probs[best] {
-                best = i;
-            }
-        }
-        best
-    }
-
-    /// [`Policy::action_probs`] into a caller-owned buffer. The default
-    /// delegates (and allocates); network-backed policies override it so
-    /// per-step sampling in the collector is allocation-free. Must produce
-    /// exactly the same probabilities as `action_probs`.
-    fn action_probs_into(&mut self, obs: &[f32], out: &mut Vec<f32>) {
-        let probs = self.action_probs(obs);
-        out.clear();
-        out.extend_from_slice(&probs);
-    }
-
-    /// Action probabilities for a whole `(N × obs_dim)` batch of
-    /// observations at once, written into `out` (one row per observation).
-    /// The default evaluates row by row; network-backed policies override
-    /// it with a single batched forward pass — this is what lets a
-    /// [`crate::rollout::BatchCollector`] stack its worker states into one
-    /// inference call per timestep. Row `i` must equal
-    /// `action_probs(obs.row(i))`.
-    fn action_probs_batch_into(&mut self, obs: &Tensor, out: &mut Tensor) {
-        let mut cols_set = false;
-        for r in 0..obs.rows() {
-            let probs = self.action_probs(obs.row(r));
-            if !cols_set {
-                out.reset_rows(probs.len());
-                cols_set = true;
-            }
-            out.push_row(&probs);
-        }
-        if !cols_set {
-            out.reset_rows(0);
-        }
-    }
+    /// Action probabilities for every row of the `(N × obs_dim)` batch
+    /// `obs`, written into `out` as `(N × num_actions)`; each row must be
+    /// non-negative and sum to 1 (within rounding).
+    fn action_probs(&mut self, obs: &Tensor, out: &mut Tensor);
 }
 
 /// A state-value estimator `V(s)`, used to bootstrap truncated rollouts
 /// and as the GAE baseline.
 pub trait ValueFunction {
-    fn value(&mut self, obs: &[f32]) -> f32;
-
-    /// Value estimates for a whole `(N × obs_dim)` batch of observations,
+    /// Value estimates for every row of the `(N × obs_dim)` batch `obs`,
     /// written into `out` (cleared first), one entry per row.
-    /// The default evaluates row by row; network-backed critics
-    /// override it with a single batched forward pass — the collector
-    /// batches every `V(s_t)` of a fragment (plus the truncated-tail
-    /// bootstrap) through this. Entry `i` must equal `value(obs.row(i))`.
-    fn values_into(&mut self, obs: &Tensor, out: &mut Vec<f32>) {
-        out.clear();
-        for r in 0..obs.rows() {
-            let v = self.value(obs.row(r));
-            out.push(v);
-        }
-    }
+    fn values(&mut self, obs: &Tensor, out: &mut Vec<f32>);
 }
 
 /// Sample an index from an (approximately normalized) probability vector
@@ -209,21 +125,5 @@ mod tests {
             let i = sample_categorical(&[0.3, 0.3], &mut rng);
             assert!(i < 2);
         }
-    }
-
-    struct FixedPolicy(Vec<f32>);
-
-    impl Policy for FixedPolicy {
-        fn action_probs(&mut self, _obs: &[f32]) -> Vec<f32> {
-            self.0.clone()
-        }
-    }
-
-    #[test]
-    fn greedy_picks_mode_first_on_ties() {
-        let mut p = FixedPolicy(vec![0.4, 0.4, 0.2]);
-        assert_eq!(p.greedy(&[]), 0);
-        let mut q = FixedPolicy(vec![0.1, 0.2, 0.7]);
-        assert_eq!(q.greedy(&[]), 2);
     }
 }

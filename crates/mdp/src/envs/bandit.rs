@@ -2,8 +2,10 @@
 //! counterpart to [`crate::envs::chain::ChainEnv`].
 
 use osa_nn::rng::Rng;
+use osa_nn::tensor::argmax;
 
-use crate::env::{Env, Step};
+use super::one_hot;
+use crate::env::Env;
 
 /// "Bandit with state": each step presents one of `C` contexts (one-hot
 /// observation); pulling arm `a` in context `c` pays
@@ -68,31 +70,12 @@ impl ContextBanditEnv {
     /// The arm with the highest mean reward in context `c` (first on
     /// ties) — what a converged greedy policy must pick.
     pub fn best_arm(&self, c: usize) -> usize {
-        let row = &self.means[c];
-        let mut best = 0;
-        for (a, &m) in row.iter().enumerate() {
-            if m > row[best] {
-                best = a;
-            }
-        }
-        best
-    }
-
-    fn one_hot(&self, c: usize) -> Vec<f32> {
-        let mut obs = vec![0.0; self.means.len()];
-        obs[c] = 1.0;
-        obs
-    }
-
-    fn one_hot_into(&self, c: usize, obs: &mut Vec<f32>) {
-        obs.clear();
-        obs.resize(self.means.len(), 0.0);
-        obs[c] = 1.0;
+        argmax(&self.means[c])
     }
 
     /// The transition proper: draws the noisy reward, then the next
     /// context — that RNG draw order is part of the env's reproducibility
-    /// contract, so [`Env::step`] and [`Env::step_into`] share this.
+    /// contract.
     fn pull(&mut self, action: usize, rng: &mut Rng) -> (f32, bool) {
         assert!(action < self.num_actions(), "arm index out of range");
         assert!(self.pulls < self.horizon, "stepped a finished episode");
@@ -112,31 +95,16 @@ impl Env for ContextBanditEnv {
         self.means[0].len()
     }
 
-    fn reset(&mut self, rng: &mut Rng) -> Vec<f32> {
+    fn reset(&mut self, rng: &mut Rng, obs: &mut [f32]) {
         self.pulls = 0;
         self.context = rng.below(self.means.len());
-        self.one_hot(self.context)
+        one_hot(self.context, obs);
     }
 
-    fn step(&mut self, action: usize, rng: &mut Rng) -> Step {
-        let (reward, done) = self.pull(action, rng);
-        Step {
-            obs: self.one_hot(self.context),
-            reward,
-            done,
-        }
-    }
-
-    fn reset_into(&mut self, rng: &mut Rng, obs: &mut Vec<f32>) {
-        self.pulls = 0;
-        self.context = rng.below(self.means.len());
-        self.one_hot_into(self.context, obs);
-    }
-
-    fn step_into(&mut self, action: usize, rng: &mut Rng, obs: &mut Vec<f32>) -> (f32, bool) {
-        let (reward, done) = self.pull(action, rng);
-        self.one_hot_into(self.context, obs);
-        (reward, done)
+    fn step(&mut self, action: usize, rng: &mut Rng, obs: &mut [f32]) -> (f32, bool) {
+        let step = self.pull(action, rng);
+        one_hot(self.context, obs);
+        step
     }
 }
 
@@ -156,11 +124,12 @@ mod tests {
     fn episodes_last_exactly_horizon_pulls() {
         let mut env = ContextBanditEnv::standard();
         let mut rng = Rng::seed_from_u64(1);
-        env.reset(&mut rng);
+        let mut obs = [0.0; 3];
+        env.reset(&mut rng, &mut obs);
         for i in 1..=8 {
-            let step = env.step(0, &mut rng);
-            assert_eq!(step.done, i == 8);
-            assert_eq!(step.obs.iter().filter(|&&x| x == 1.0).count(), 1);
+            let (_, done) = env.step(0, &mut rng, &mut obs);
+            assert_eq!(done, i == 8);
+            assert_eq!(obs.iter().filter(|&&x| x == 1.0).count(), 1);
         }
     }
 
@@ -168,21 +137,23 @@ mod tests {
     fn noiseless_rewards_match_means() {
         let mut env = ContextBanditEnv::new(vec![vec![2.0, -3.0], vec![0.5, 4.0]], 0.0, 4);
         let mut rng = Rng::seed_from_u64(2);
-        let obs = env.reset(&mut rng);
+        let mut obs = [0.0; 2];
+        env.reset(&mut rng, &mut obs);
         let ctx = obs.iter().position(|&x| x == 1.0).unwrap();
-        let step = env.step(1, &mut rng);
-        assert_eq!(step.reward, env.means[ctx][1]);
+        let (reward, _) = env.step(1, &mut rng, &mut obs);
+        assert_eq!(reward, env.means[ctx][1]);
     }
 
     #[test]
     fn noisy_rewards_average_to_the_mean() {
         let mut env = ContextBanditEnv::new(vec![vec![1.0, 0.0]], 0.5, 1_000_000);
         let mut rng = Rng::seed_from_u64(3);
-        env.reset(&mut rng);
+        let mut obs = [0.0; 1];
+        env.reset(&mut rng, &mut obs);
         let n = 20_000;
         let mut sum = 0.0f64;
         for _ in 0..n {
-            sum += env.step(0, &mut rng).reward as f64;
+            sum += env.step(0, &mut rng, &mut obs).0 as f64;
         }
         let mean = sum / n as f64;
         assert!((mean - 1.0).abs() < 0.02, "mean {mean}");

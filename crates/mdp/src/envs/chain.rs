@@ -3,7 +3,8 @@
 
 use osa_nn::rng::Rng;
 
-use crate::env::{Env, Step};
+use super::one_hot;
+use crate::env::Env;
 
 /// States `0..n` laid out in a line; the agent starts at state 0 and state
 /// `n − 1` is the goal.
@@ -86,21 +87,8 @@ impl ChainEnv {
         self.goal_reward * gamma.powi((self.n - 2 - s) as i32)
     }
 
-    fn one_hot(&self, s: usize) -> Vec<f32> {
-        let mut obs = vec![0.0; self.n];
-        obs[s] = 1.0;
-        obs
-    }
-
-    fn one_hot_into(&self, s: usize, obs: &mut Vec<f32>) {
-        obs.clear();
-        obs.resize(self.n, 0.0);
-        obs[s] = 1.0;
-    }
-
     /// The transition function proper: updates `state`/`steps` and returns
-    /// `(reward, done)`. Shared by [`Env::step`] and the allocation-free
-    /// [`Env::step_into`] override.
+    /// `(reward, done)`.
     fn advance(&mut self, action: usize) -> (f32, bool) {
         assert!(action < 2, "chain env has two actions");
         assert!(self.state + 1 < self.n, "stepped a finished episode");
@@ -129,33 +117,16 @@ impl Env for ChainEnv {
         2
     }
 
-    fn reset(&mut self, _rng: &mut Rng) -> Vec<f32> {
+    fn reset(&mut self, _rng: &mut Rng, obs: &mut [f32]) {
         self.state = 0;
         self.steps = 0;
-        self.one_hot(0)
+        one_hot(0, obs);
     }
 
-    fn step(&mut self, action: usize, _rng: &mut Rng) -> Step {
-        let (reward, done) = self.advance(action);
-        Step {
-            obs: self.one_hot(self.state),
-            reward,
-            done,
-        }
-    }
-
-    // Allocation-free transition path: the chain is deterministic, so the
-    // overrides just skip the `Vec` the defaults would build.
-    fn reset_into(&mut self, _rng: &mut Rng, obs: &mut Vec<f32>) {
-        self.state = 0;
-        self.steps = 0;
-        self.one_hot_into(0, obs);
-    }
-
-    fn step_into(&mut self, action: usize, _rng: &mut Rng, obs: &mut Vec<f32>) -> (f32, bool) {
-        let (reward, done) = self.advance(action);
-        self.one_hot_into(self.state, obs);
-        (reward, done)
+    fn step(&mut self, action: usize, _rng: &mut Rng, obs: &mut [f32]) -> (f32, bool) {
+        let step = self.advance(action);
+        one_hot(self.state, obs);
+        step
     }
 }
 
@@ -167,30 +138,31 @@ mod tests {
     fn advancing_reaches_goal_with_known_return() {
         let mut env = ChainEnv::new(5);
         let mut rng = Rng::seed_from_u64(1);
-        let mut obs = env.reset(&mut rng);
-        assert_eq!(obs, vec![1.0, 0.0, 0.0, 0.0, 0.0]);
+        let mut obs = [0.0; 5];
+        env.reset(&mut rng, &mut obs);
+        assert_eq!(obs, [1.0, 0.0, 0.0, 0.0, 0.0]);
         let mut total = 0.0;
         for i in 0..4 {
-            let step = env.step(ADVANCE, &mut rng);
-            total += step.reward;
-            assert_eq!(step.done, i == 3);
-            obs = step.obs;
+            let (reward, done) = env.step(ADVANCE, &mut rng, &mut obs);
+            total += reward;
+            assert_eq!(done, i == 3);
         }
         assert_eq!(total, 1.0);
-        assert_eq!(obs, vec![0.0, 0.0, 0.0, 0.0, 1.0]);
+        assert_eq!(obs, [0.0, 0.0, 0.0, 0.0, 1.0]);
     }
 
     #[test]
     fn retreat_teleports_to_start_and_pays_distractor() {
         let mut env = ChainEnv::new(5);
         let mut rng = Rng::seed_from_u64(2);
-        env.reset(&mut rng);
-        env.step(ADVANCE, &mut rng);
-        env.step(ADVANCE, &mut rng);
-        let step = env.step(RETREAT, &mut rng);
-        assert_eq!(step.obs[0], 1.0);
-        assert_eq!(step.reward, 0.01);
-        assert!(!step.done);
+        let mut obs = [0.0; 5];
+        env.reset(&mut rng, &mut obs);
+        env.step(ADVANCE, &mut rng, &mut obs);
+        env.step(ADVANCE, &mut rng, &mut obs);
+        let (reward, done) = env.step(RETREAT, &mut rng, &mut obs);
+        assert_eq!(obs[0], 1.0);
+        assert_eq!(reward, 0.01);
+        assert!(!done);
     }
 
     #[test]
@@ -210,10 +182,11 @@ mod tests {
     fn episodes_truncate_at_cap() {
         let mut env = ChainEnv::new(5);
         let mut rng = Rng::seed_from_u64(3);
-        env.reset(&mut rng);
+        let mut obs = [0.0; 5];
+        env.reset(&mut rng, &mut obs);
         for i in 1..=100 {
-            let step = env.step(RETREAT, &mut rng);
-            assert_eq!(step.done, i == 100);
+            let (_, done) = env.step(RETREAT, &mut rng, &mut obs);
+            assert_eq!(done, i == 100);
         }
     }
 

@@ -12,3 +12,9 @@ pub mod chain;
 
 pub use bandit::ContextBanditEnv;
 pub use chain::ChainEnv;
+
+/// Write the one-hot observation of state `s` into `obs`.
+fn one_hot(s: usize, obs: &mut [f32]) {
+    obs.fill(0.0);
+    obs[s] = 1.0;
+}

@@ -8,8 +8,9 @@
 //! ensembles behind `osa-core`'s U_π/U_V signals train through the same
 //! substrate:
 //!
-//! - [`env`] — the [`Env`]/[`Policy`]/[`ValueFunction`] traits with
-//!   explicit seedable RNG state and strict episode-boundary semantics;
+//! - [`env`] — the [`Env`]/[`Policy`]/[`ValueFunction`] traits: one
+//!   buffer-writing method per operation, explicit seedable RNG state
+//!   and strict episode-boundary semantics;
 //! - [`rollout`] — fixed-horizon fragment collection that carries
 //!   episodes across fragment boundaries, plus policy evaluation;
 //! - [`gae`] — discounted returns and generalized advantage estimation
@@ -31,6 +32,7 @@
 //! use osa_mdp::envs::chain::{ChainEnv, ADVANCE};
 //! use osa_mdp::env::Policy;
 //! use osa_nn::rng::Rng;
+//! use osa_nn::tensor::{argmax, Tensor};
 //!
 //! let env = ChainEnv::new(4);
 //! let mut rng = Rng::seed_from_u64(7);
@@ -43,9 +45,11 @@
 //! let report = train(&mut ac, &env, &cfg);
 //! assert_eq!(report.updates, 150);
 //! // The greedy policy advances from the start state.
-//! let mut obs = vec![0.0; env.num_states()];
-//! obs[0] = 1.0;
-//! assert_eq!(ac.greedy(&obs), ADVANCE);
+//! let mut obs = Tensor::zeros(1, env.num_states());
+//! obs.row_mut(0)[0] = 1.0;
+//! let mut probs = Tensor::default();
+//! ac.action_probs(&obs, &mut probs);
+//! assert_eq!(argmax(probs.row(0)), ADVANCE);
 //! ```
 #![forbid(unsafe_code)]
 
@@ -59,9 +63,9 @@ pub use a2c::{
     policy_gradient_loss, policy_gradient_loss_into, train, train_with_pool, A2cConfig,
     ActorCritic, TrainReport, Trainer,
 };
-pub use env::{sample_categorical, Env, Policy, Step, ValueFunction};
+pub use env::{sample_categorical, Env, Policy, ValueFunction};
 pub use gae::{discounted_returns, gae, gae_into, normalize_advantages};
-pub use rollout::{evaluate, BatchCollector, Collector, Rollout};
+pub use rollout::{evaluate, Collector, Rollout};
 
 /// Discount factor the paper's experiments use, re-exported as the
 /// workspace-wide default ([`A2cConfig::default`] starts from it).
@@ -73,10 +77,10 @@ pub mod prelude {
         policy_gradient_loss, policy_gradient_loss_into, train, train_with_pool, A2cConfig,
         ActorCritic, TrainReport, Trainer,
     };
-    pub use crate::env::{sample_categorical, Env, Policy, Step, ValueFunction};
+    pub use crate::env::{sample_categorical, Env, Policy, ValueFunction};
     pub use crate::envs::{ChainEnv, ContextBanditEnv};
     pub use crate::gae::{discounted_returns, gae, gae_into, normalize_advantages};
-    pub use crate::rollout::{evaluate, BatchCollector, Collector, Rollout};
+    pub use crate::rollout::{evaluate, Collector, Rollout};
     pub use crate::DEFAULT_GAMMA;
 }
 

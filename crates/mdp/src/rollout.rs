@@ -5,32 +5,30 @@
 //! fixed-length *fragments* (`rollout_len` transitions), compute GAE over
 //! the fragment with a bootstrapped tail, and update. [`Collector`] owns
 //! the environment and the in-flight episode state, so consecutive
-//! [`Collector::collect`] calls resume exactly where the previous fragment
-//! stopped, with no transitions dropped or duplicated at the seam.
+//! [`Collector::collect_into`] calls resume exactly where the previous
+//! fragment stopped, with no transitions dropped or duplicated at the
+//! seam.
 //!
 //! # Batched inference
 //!
-//! Value estimates are *not* queried step by step. The collector records
-//! the starting observation of every transition into one `(T × obs_dim)`
-//! matrix and runs a single batched [`ValueFunction::values_into`] pass at
-//! the end of the fragment — with the truncated-tail bootstrap riding
-//! along as one extra row when the fragment ends mid-episode. For a
-//! network-backed critic that turns `T + 1` batch-1 forwards into one
-//! batch-`T+1` forward. [`BatchCollector`] goes further and steps `N`
-//! environment copies in lockstep, stacking their current states into a
-//! single [`Policy::action_probs_batch_into`] call per timestep.
+//! The collector keeps its current observation as a `(1 × obs_dim)`
+//! matrix and decides each action as a batch of one through
+//! [`Policy::action_probs`]. Value estimates are *not* queried step by
+//! step: the collector records the starting observation of every
+//! transition into one `(T × obs_dim)` matrix and runs a single batched
+//! [`ValueFunction::values`] pass at the end of the fragment — with the
+//! truncated-tail bootstrap riding along as one extra row when the
+//! fragment ends mid-episode.
 //!
 //! # Allocation discipline
 //!
 //! [`Collector::collect_into`] reuses the caller's [`Rollout`] buffers and
 //! the collector's own scratch, so after a warmup fragment the steady
-//! state performs no heap allocation (given envs that override
-//! [`Env::step_into`]/[`Env::reset_into`] and agents that override the
-//! `_into` inference hooks — everything in this workspace does). The
-//! allocation-counter test in `osa-bench` pins this.
+//! state performs no heap allocation. The allocation-counter test in
+//! `osa-bench` pins this.
 
 use osa_nn::rng::Rng;
-use osa_nn::tensor::Tensor;
+use osa_nn::tensor::{argmax, Tensor};
 
 use crate::env::{sample_categorical, Env, Policy, ValueFunction};
 
@@ -83,21 +81,15 @@ impl Rollout {
         self.episode_returns.clear();
         self.episode_lengths.clear();
     }
-
-    /// Observations stacked into a `(T × obs_dim)` matrix for batched
-    /// forward passes.
-    pub fn observation_matrix(&self) -> &Tensor {
-        &self.observations
-    }
 }
 
 /// Owns an environment plus the in-flight episode, and cuts fixed-horizon
 /// fragments from the stream of transitions.
 pub struct Collector<E: Env> {
     env: E,
-    obs: Vec<f32>,
-    next_obs: Vec<f32>,
-    probs: Vec<f32>,
+    /// Current observation, `(1 × obs_dim)`.
+    obs: Tensor,
+    probs: Tensor,
     ep_return: f32,
     ep_len: usize,
     /// Total transitions taken since construction.
@@ -107,38 +99,25 @@ pub struct Collector<E: Env> {
 impl<E: Env> Collector<E> {
     /// Wrap an environment and start its first episode.
     pub fn new(mut env: E, rng: &mut Rng) -> Self {
-        let obs = env.reset(rng);
+        let mut obs = Tensor::zeros(1, env.obs_dim());
+        env.reset(rng, obs.row_mut(0));
         Collector {
             env,
             obs,
-            next_obs: Vec::new(),
-            probs: Vec::new(),
+            probs: Tensor::default(),
             ep_return: 0.0,
             ep_len: 0,
             total_steps: 0,
         }
     }
 
-    /// Collect exactly `horizon` transitions into a fresh [`Rollout`].
-    /// Allocating convenience wrapper over [`Collector::collect_into`].
-    pub fn collect<A: Policy + ValueFunction>(
-        &mut self,
-        agent: &mut A,
-        horizon: usize,
-        rng: &mut Rng,
-    ) -> Rollout {
-        let mut out = Rollout::default();
-        self.collect_into(agent, horizon, rng, &mut out);
-        out
-    }
-
     /// Collect exactly `horizon` transitions into `out`, reusing its
     /// buffers. Actions are sampled from `agent`; episodes that end are
     /// reset transparently. Value estimates for the whole fragment (and
     /// the truncated-tail bootstrap, if the fragment ends mid-episode)
-    /// are computed in a single batched [`ValueFunction::values_into`]
-    /// pass at the end — a terminal tail bootstraps 0 and never evaluates
-    /// the next episode's reset state.
+    /// are computed in a single batched [`ValueFunction::values`] pass
+    /// at the end — a terminal tail bootstraps 0 and never evaluates the
+    /// next episode's reset state.
     pub fn collect_into<A: Policy + ValueFunction>(
         &mut self,
         agent: &mut A,
@@ -149,10 +128,10 @@ impl<E: Env> Collector<E> {
         assert!(horizon > 0, "cannot collect an empty rollout");
         out.clear(self.env.obs_dim());
         for _ in 0..horizon {
-            out.observations.push_row(&self.obs);
-            agent.action_probs_into(&self.obs, &mut self.probs);
-            let action = sample_categorical(&self.probs, rng);
-            let (reward, done) = self.env.step_into(action, rng, &mut self.next_obs);
+            out.observations.push_row(self.obs.row(0));
+            agent.action_probs(&self.obs, &mut self.probs);
+            let action = sample_categorical(self.probs.row(0), rng);
+            let (reward, done) = self.env.step(action, rng, self.obs.row_mut(0));
             self.total_steps += 1;
             self.ep_return += reward;
             self.ep_len += 1;
@@ -166,9 +145,7 @@ impl<E: Env> Collector<E> {
                 out.episode_lengths.push(self.ep_len);
                 self.ep_return = 0.0;
                 self.ep_len = 0;
-                self.env.reset_into(rng, &mut self.obs);
-            } else {
-                std::mem::swap(&mut self.obs, &mut self.next_obs);
+                self.env.reset(rng, self.obs.row_mut(0));
             }
         }
         // One batched critic pass over every V(s_t). The tail state rides
@@ -178,9 +155,9 @@ impl<E: Env> Collector<E> {
         // episode boundary (pinned by tests/rollout_boundary.rs).
         let tail = !*out.dones.last().expect("horizon > 0");
         if tail {
-            out.observations.push_row(&self.obs);
+            out.observations.push_row(self.obs.row(0));
         }
-        agent.values_into(&out.observations, &mut out.values);
+        agent.values(&out.observations, &mut out.values);
         out.bootstrap = if tail {
             let b = out.values.pop().expect("tail value present");
             out.observations.pop_row();
@@ -188,117 +165,6 @@ impl<E: Env> Collector<E> {
         } else {
             0.0
         };
-    }
-}
-
-/// Steps `N` copies of an environment in lockstep, stacking their current
-/// states so the policy runs **one** batched forward per timestep instead
-/// of `N` batch-1 forwards — the synchronous counterpart to handing each
-/// worker thread its own [`Collector`].
-///
-/// All `N` streams share one RNG, consumed in env order within each
-/// timestep, so a run is still a pure function of the seed. Fragments come
-/// out as one [`Rollout`] per environment, each internally identical to
-/// what a dedicated `Collector` would produce for that env's stream of
-/// transitions.
-pub struct BatchCollector<E: Env> {
-    envs: Vec<E>,
-    /// Current observation of every env, `(N × obs_dim)`.
-    obs: Tensor,
-    next_obs: Vec<f32>,
-    probs: Tensor,
-    ep_return: Vec<f32>,
-    ep_len: Vec<usize>,
-    /// Total transitions taken since construction, across all envs.
-    pub total_steps: u64,
-}
-
-impl<E: Env> BatchCollector<E> {
-    /// Wrap `envs` (at least one) and start each one's first episode.
-    pub fn new(mut envs: Vec<E>, rng: &mut Rng) -> Self {
-        assert!(!envs.is_empty(), "need at least one environment");
-        let dim = envs[0].obs_dim();
-        let mut obs = Tensor::zeros(0, 0);
-        obs.reset_rows(dim);
-        let mut first = Vec::new();
-        for env in &mut envs {
-            assert_eq!(env.obs_dim(), dim, "mixed observation widths");
-            env.reset_into(rng, &mut first);
-            obs.push_row(&first);
-        }
-        let n = envs.len();
-        BatchCollector {
-            envs,
-            obs,
-            next_obs: first,
-            probs: Tensor::zeros(0, 0),
-            ep_return: vec![0.0; n],
-            ep_len: vec![0; n],
-            total_steps: 0,
-        }
-    }
-
-    pub fn num_envs(&self) -> usize {
-        self.envs.len()
-    }
-
-    /// Collect `horizon` transitions from every env into `outs[i]`
-    /// (resized to `num_envs`, buffers reused), running one batched
-    /// policy forward per timestep and one batched value pass per env at
-    /// the end, with the same terminal-tail bootstrap contract as
-    /// [`Collector::collect_into`].
-    pub fn collect_into<A: Policy + ValueFunction>(
-        &mut self,
-        agent: &mut A,
-        horizon: usize,
-        rng: &mut Rng,
-        outs: &mut Vec<Rollout>,
-    ) {
-        assert!(horizon > 0, "cannot collect an empty rollout");
-        let dim = self.obs.cols();
-        outs.resize_with(self.envs.len(), Rollout::default);
-        for out in outs.iter_mut() {
-            out.clear(dim);
-        }
-        for _ in 0..horizon {
-            // One inference call covers every env's pending action.
-            agent.action_probs_batch_into(&self.obs, &mut self.probs);
-            for (i, out) in outs.iter_mut().enumerate() {
-                out.observations.push_row(self.obs.row(i));
-                let action = sample_categorical(self.probs.row(i), rng);
-                let (reward, done) = self.envs[i].step_into(action, rng, &mut self.next_obs);
-                self.total_steps += 1;
-                self.ep_return[i] += reward;
-                self.ep_len[i] += 1;
-
-                out.actions.push(action);
-                out.rewards.push(reward);
-                out.dones.push(done);
-
-                if done {
-                    out.episode_returns.push(self.ep_return[i]);
-                    out.episode_lengths.push(self.ep_len[i]);
-                    self.ep_return[i] = 0.0;
-                    self.ep_len[i] = 0;
-                    self.envs[i].reset_into(rng, &mut self.next_obs);
-                }
-                self.obs.row_mut(i).copy_from_slice(&self.next_obs);
-            }
-        }
-        for (i, out) in outs.iter_mut().enumerate() {
-            let tail = !*out.dones.last().expect("horizon > 0");
-            if tail {
-                out.observations.push_row(self.obs.row(i));
-            }
-            agent.values_into(&out.observations, &mut out.values);
-            out.bootstrap = if tail {
-                let b = out.values.pop().expect("tail value present");
-                out.observations.pop_row();
-                b
-            } else {
-                0.0
-            };
-        }
     }
 }
 
@@ -313,22 +179,24 @@ pub fn evaluate<E: Env, P: Policy>(
     greedy: bool,
     rng: &mut Rng,
 ) -> Vec<f32> {
+    let mut obs = Tensor::zeros(1, env.obs_dim());
+    let mut probs = Tensor::default();
     let mut returns = Vec::with_capacity(episodes);
     for _ in 0..episodes {
-        let mut obs = env.reset(rng);
+        env.reset(rng, obs.row_mut(0));
         let mut total = 0.0f32;
         for _ in 0..max_steps {
+            policy.action_probs(&obs, &mut probs);
             let action = if greedy {
-                policy.greedy(&obs)
+                argmax(probs.row(0))
             } else {
-                policy.sample(&obs, rng)
+                sample_categorical(probs.row(0), rng)
             };
-            let step = env.step(action, rng);
-            total += step.reward;
-            if step.done {
+            let (reward, done) = env.step(action, rng, obs.row_mut(0));
+            total += reward;
+            if done {
                 break;
             }
-            obs = step.obs;
         }
         returns.push(total);
     }
@@ -338,7 +206,6 @@ pub fn evaluate<E: Env, P: Policy>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::env::Step;
 
     /// Deterministic counting env: obs = [t], reward = t, episode of 3.
     #[derive(Clone)]
@@ -353,42 +220,49 @@ mod tests {
         fn num_actions(&self) -> usize {
             2
         }
-        fn reset(&mut self, _rng: &mut Rng) -> Vec<f32> {
+        fn reset(&mut self, _rng: &mut Rng, obs: &mut [f32]) {
             self.t = 0;
-            vec![0.0]
+            obs[0] = 0.0;
         }
-        fn step(&mut self, _action: usize, _rng: &mut Rng) -> Step {
+        fn step(&mut self, _action: usize, _rng: &mut Rng, obs: &mut [f32]) -> (f32, bool) {
             self.t += 1;
-            Step {
-                obs: vec![self.t as f32],
-                reward: self.t as f32,
-                done: self.t == 3,
+            obs[0] = self.t as f32;
+            (self.t as f32, self.t == 3)
+        }
+    }
+
+    /// Uniform over two actions; `V(s) = 10 + s[0]`.
+    struct UniformAgent;
+
+    impl Policy for UniformAgent {
+        fn action_probs(&mut self, obs: &Tensor, out: &mut Tensor) {
+            out.reset_rows(2);
+            for _ in 0..obs.rows() {
+                out.push_row(&[0.5, 0.5]);
             }
         }
     }
 
-    struct UniformAgent;
-
-    impl Policy for UniformAgent {
-        fn action_probs(&mut self, _obs: &[f32]) -> Vec<f32> {
-            vec![0.5, 0.5]
+    impl ValueFunction for UniformAgent {
+        fn values(&mut self, obs: &Tensor, out: &mut Vec<f32>) {
+            out.clear();
+            out.extend((0..obs.rows()).map(|r| 10.0 + obs.row(r)[0]));
         }
     }
 
-    impl ValueFunction for UniformAgent {
-        fn value(&mut self, obs: &[f32]) -> f32 {
-            10.0 + obs[0]
-        }
+    fn collect(col: &mut Collector<CountEnv>, horizon: usize, rng: &mut Rng) -> Rollout {
+        let mut out = Rollout::default();
+        col.collect_into(&mut UniformAgent, horizon, rng, &mut out);
+        out
     }
 
     #[test]
     fn fragments_carry_episodes_across_boundaries() {
         let mut rng = Rng::seed_from_u64(1);
         let mut col = Collector::new(CountEnv { t: 0 }, &mut rng);
-        let mut agent = UniformAgent;
 
         // Horizon 2 cuts the 3-step episode mid-way.
-        let r1 = col.collect(&mut agent, 2, &mut rng);
+        let r1 = collect(&mut col, 2, &mut rng);
         assert_eq!(r1.rewards, vec![1.0, 2.0]);
         assert_eq!(r1.dones, vec![false, false]);
         assert!(r1.episode_returns.is_empty());
@@ -397,7 +271,7 @@ mod tests {
 
         // The next fragment resumes at t = 2: finishes the episode (reward
         // 3) then starts a fresh one (reward 1).
-        let r2 = col.collect(&mut agent, 2, &mut rng);
+        let r2 = collect(&mut col, 2, &mut rng);
         assert_eq!(r2.rewards, vec![3.0, 1.0]);
         assert_eq!(r2.dones, vec![true, false]);
         assert_eq!(r2.episode_returns, vec![6.0]); // 1 + 2 + 3
@@ -409,31 +283,34 @@ mod tests {
     fn terminal_fragment_has_zero_bootstrap() {
         let mut rng = Rng::seed_from_u64(2);
         let mut col = Collector::new(CountEnv { t: 0 }, &mut rng);
-        let r = col.collect(&mut UniformAgent, 3, &mut rng);
+        let r = collect(&mut col, 3, &mut rng);
         assert_eq!(r.dones, vec![false, false, true]);
         assert_eq!(r.bootstrap, 0.0);
         assert_eq!(r.episode_returns, vec![6.0]);
     }
 
     #[test]
-    fn observation_matrix_stacks_rows() {
+    fn observations_stack_rows() {
         let mut rng = Rng::seed_from_u64(3);
         let mut col = Collector::new(CountEnv { t: 0 }, &mut rng);
-        let r = col.collect(&mut UniformAgent, 3, &mut rng);
-        let m = r.observation_matrix();
+        let r = collect(&mut col, 3, &mut rng);
+        let m = &r.observations;
         assert_eq!((m.rows(), m.cols()), (3, 1));
         assert_eq!(m.data(), &[0.0, 1.0, 2.0]);
     }
 
+    /// A reused [`Rollout`] keeps its capacity and carries nothing over:
+    /// every fragment equals one collected into fresh buffers.
     #[test]
-    fn collect_into_reuses_buffers_and_matches_collect() {
+    fn collect_into_reuses_buffers() {
         let mut rng_a = Rng::seed_from_u64(7);
         let mut rng_b = Rng::seed_from_u64(7);
         let mut col_a = Collector::new(CountEnv { t: 0 }, &mut rng_a);
         let mut col_b = Collector::new(CountEnv { t: 0 }, &mut rng_b);
         let mut reused = Rollout::default();
+        let mut caps = None;
         for _ in 0..4 {
-            let fresh = col_a.collect(&mut UniformAgent, 5, &mut rng_a);
+            let fresh = collect(&mut col_a, 5, &mut rng_a);
             col_b.collect_into(&mut UniformAgent, 5, &mut rng_b, &mut reused);
             assert_eq!(fresh.observations, reused.observations);
             assert_eq!(fresh.actions, reused.actions);
@@ -443,6 +320,8 @@ mod tests {
             assert_eq!(fresh.bootstrap, reused.bootstrap);
             assert_eq!(fresh.episode_returns, reused.episode_returns);
             assert_eq!(fresh.episode_lengths, reused.episode_lengths);
+            let now = (reused.observations.capacity(), reused.actions.capacity());
+            assert_eq!(*caps.get_or_insert(now), now, "buffers reallocated");
         }
     }
 
@@ -458,84 +337,5 @@ mod tests {
             &mut rng,
         );
         assert_eq!(returns, vec![6.0; 5]);
-    }
-
-    /// Wraps [`UniformAgent`] and counts batched-inference calls, proving
-    /// the [`BatchCollector`] really runs one policy forward per timestep.
-    struct CountingAgent {
-        batch_calls: usize,
-        value_batches: usize,
-    }
-
-    impl Policy for CountingAgent {
-        fn action_probs(&mut self, _obs: &[f32]) -> Vec<f32> {
-            vec![0.5, 0.5]
-        }
-        fn action_probs_batch_into(&mut self, obs: &Tensor, out: &mut Tensor) {
-            self.batch_calls += 1;
-            out.reset_rows(2);
-            for _ in 0..obs.rows() {
-                out.push_row(&[0.5, 0.5]);
-            }
-        }
-    }
-
-    impl ValueFunction for CountingAgent {
-        fn value(&mut self, obs: &[f32]) -> f32 {
-            10.0 + obs[0]
-        }
-        fn values_into(&mut self, obs: &Tensor, out: &mut Vec<f32>) {
-            self.value_batches += 1;
-            out.clear();
-            for r in 0..obs.rows() {
-                out.push(10.0 + obs.row(r)[0]);
-            }
-        }
-    }
-
-    #[test]
-    fn batch_collector_steps_envs_in_lockstep() {
-        let mut rng = Rng::seed_from_u64(5);
-        let envs = vec![CountEnv { t: 0 }, CountEnv { t: 0 }, CountEnv { t: 0 }];
-        let mut col = BatchCollector::new(envs, &mut rng);
-        let mut agent = CountingAgent {
-            batch_calls: 0,
-            value_batches: 0,
-        };
-        let mut outs = Vec::new();
-        col.collect_into(&mut agent, 4, &mut rng, &mut outs);
-
-        assert_eq!(outs.len(), 3);
-        // One policy forward per timestep, one value batch per env.
-        assert_eq!(agent.batch_calls, 4);
-        assert_eq!(agent.value_batches, 3);
-        assert_eq!(col.total_steps, 12);
-        // CountEnv is action-independent, so every stream is the same
-        // deterministic 3-step episode wrapping into a fourth step.
-        for out in &outs {
-            assert_eq!(out.rewards, vec![1.0, 2.0, 3.0, 1.0]);
-            assert_eq!(out.dones, vec![false, false, true, false]);
-            assert_eq!(out.episode_returns, vec![6.0]);
-            // Fragment ends mid-episode at t = 1 → bootstrap V([1]) = 11.
-            assert_eq!(out.bootstrap, 11.0);
-            assert_eq!(out.observations.rows(), 4);
-            assert_eq!(out.values, vec![10.0, 11.0, 12.0, 10.0]);
-        }
-    }
-
-    #[test]
-    fn batch_collector_terminal_tail_bootstraps_zero() {
-        let mut rng = Rng::seed_from_u64(6);
-        let mut col = BatchCollector::new(vec![CountEnv { t: 0 }; 2], &mut rng);
-        let mut agent = CountingAgent {
-            batch_calls: 0,
-            value_batches: 0,
-        };
-        let mut outs = Vec::new();
-        col.collect_into(&mut agent, 3, &mut rng, &mut outs);
-        for out in &outs {
-            assert_eq!(out.dones, vec![false, false, true]);
-            assert_eq!(out.bootstrap, 0.0);
-        }
     }
 }

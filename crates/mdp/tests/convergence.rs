@@ -4,11 +4,16 @@
 use osa_mdp::envs::chain::{ChainEnv, ADVANCE};
 use osa_mdp::prelude::*;
 use osa_nn::rng::Rng;
+use osa_nn::tensor::{argmax, Tensor};
 
-fn one_hot(i: usize, n: usize) -> Vec<f32> {
-    let mut v = vec![0.0; n];
-    v[i] = 1.0;
-    v
+/// `(π(·|e_i), V(e_i))` for the one-hot observation `e_i` of width `n`.
+fn probs_and_value(ac: &mut ActorCritic, i: usize, n: usize) -> (Vec<f32>, f32) {
+    let mut obs = Tensor::zeros(1, n);
+    obs.row_mut(0)[i] = 1.0;
+    let (mut probs, mut values) = (Tensor::default(), Vec::new());
+    ac.action_probs(&obs, &mut probs);
+    ac.values(&obs, &mut values);
+    (probs.row(0).to_vec(), values[0])
 }
 
 fn chain_config(workers: usize, updates: usize) -> A2cConfig {
@@ -63,12 +68,11 @@ fn assert_chain_converged(workers: usize) {
 
     // Optimal policy: advance everywhere.
     for s in 0..env.num_states() - 1 {
-        let obs = one_hot(s, env.num_states());
+        let (probs, _) = probs_and_value(&mut ac, s, env.num_states());
         assert_eq!(
-            ac.greedy(&obs),
+            argmax(&probs),
             ADVANCE,
-            "workers {workers}: greedy policy suboptimal in state {s}; probs {:?}",
-            ac.action_probs(&obs)
+            "workers {workers}: greedy policy suboptimal in state {s}; probs {probs:?}",
         );
     }
 
@@ -76,7 +80,7 @@ fn assert_chain_converged(workers: usize) {
     // stays slightly stochastic (entropy bonus), so V^π sits a little
     // below V*; 0.2 absolute tolerance covers that gap.
     for s in 0..env.num_states() - 1 {
-        let v = ac.value(&one_hot(s, env.num_states()));
+        let (_, v) = probs_and_value(&mut ac, s, env.num_states());
         let v_star = env.optimal_value(s, cfg.gamma);
         assert!(
             (v - v_star).abs() < 0.2,
@@ -131,12 +135,11 @@ fn bandit_training_finds_best_arm_in_every_context() {
     let report = train(&mut ac, &env, &cfg);
 
     for c in 0..env.num_contexts() {
-        let obs = one_hot(c, env.num_contexts());
+        let (probs, _) = probs_and_value(&mut ac, c, env.num_contexts());
         assert_eq!(
-            ac.greedy(&obs),
+            argmax(&probs),
             env.best_arm(c),
-            "wrong arm in context {c}; probs {:?}",
-            ac.action_probs(&obs)
+            "wrong arm in context {c}; probs {probs:?}",
         );
     }
 

@@ -14,6 +14,7 @@
 use osa_mdp::gae::{discounted_returns, gae};
 use osa_mdp::prelude::*;
 use osa_nn::rng::Rng;
+use osa_nn::tensor::Tensor;
 
 /// Deterministic 3-step episode: obs = [t], reward 1.0 per step.
 #[derive(Clone)]
@@ -28,17 +29,14 @@ impl Env for ThreeStepEnv {
     fn num_actions(&self) -> usize {
         2
     }
-    fn reset(&mut self, _rng: &mut Rng) -> Vec<f32> {
+    fn reset(&mut self, _rng: &mut Rng, obs: &mut [f32]) {
         self.t = 0;
-        vec![0.0]
+        obs[0] = 0.0;
     }
-    fn step(&mut self, _action: usize, _rng: &mut Rng) -> Step {
+    fn step(&mut self, _action: usize, _rng: &mut Rng, obs: &mut [f32]) -> (f32, bool) {
         self.t += 1;
-        Step {
-            obs: vec![self.t as f32],
-            reward: 1.0,
-            done: self.t == 3,
-        }
+        obs[0] = self.t as f32;
+        (1.0, self.t == 3)
     }
 }
 
@@ -49,30 +47,38 @@ impl Env for ThreeStepEnv {
 struct PoisonedAtResetAgent;
 
 impl Policy for PoisonedAtResetAgent {
-    fn action_probs(&mut self, _obs: &[f32]) -> Vec<f32> {
-        vec![0.5, 0.5]
+    fn action_probs(&mut self, obs: &Tensor, out: &mut Tensor) {
+        out.reset_rows(2);
+        for _ in 0..obs.rows() {
+            out.push_row(&[0.5, 0.5]);
+        }
     }
 }
 
 impl ValueFunction for PoisonedAtResetAgent {
-    fn value(&mut self, obs: &[f32]) -> f32 {
-        if obs[0] == 0.0 {
-            f32::NAN
-        } else {
-            obs[0]
+    fn values(&mut self, obs: &Tensor, out: &mut Vec<f32>) {
+        out.clear();
+        for r in 0..obs.rows() {
+            let s = obs.row(r)[0];
+            out.push(if s == 0.0 { f32::NAN } else { s });
         }
     }
+}
+
+fn collect(col: &mut Collector<ThreeStepEnv>, horizon: usize, rng: &mut Rng) -> Rollout {
+    let mut out = Rollout::default();
+    col.collect_into(&mut PoisonedAtResetAgent, horizon, rng, &mut out);
+    out
 }
 
 #[test]
 fn terminal_at_fragment_boundary_never_bootstraps_the_reset_state() {
     let mut rng = Rng::seed_from_u64(1);
     let mut col = Collector::new(ThreeStepEnv { t: 0 }, &mut rng);
-    let mut agent = PoisonedAtResetAgent;
 
     // Horizon == episode length: the episode terminates exactly at the
     // fragment boundary.
-    let r = col.collect(&mut agent, 3, &mut rng);
+    let r = collect(&mut col, 3, &mut rng);
     assert_eq!(r.dones, vec![false, false, true]);
     assert_eq!(
         r.bootstrap, 0.0,
@@ -99,9 +105,8 @@ fn advantages_after_boundary_terminal_are_finite() {
     // consulted as a tail.
     let mut rng = Rng::seed_from_u64(2);
     let mut col = Collector::new(ThreeStepEnv { t: 0 }, &mut rng);
-    let mut agent = PoisonedAtResetAgent;
 
-    let r1 = col.collect(&mut agent, 3, &mut rng);
+    let r1 = collect(&mut col, 3, &mut rng);
     // values[0] is the honest (poisoned) V(s_0); exclude it from the
     // finiteness claim — the contract under test is the *tail*, which
     // enters every advantage through the backward recursion only via
@@ -114,7 +119,7 @@ fn advantages_after_boundary_terminal_are_finite() {
 
     // The next fragment starts a fresh episode and again ends exactly on
     // its terminal transition: the seam repeats across fragments.
-    let r2 = col.collect(&mut agent, 3, &mut rng);
+    let r2 = collect(&mut col, 3, &mut rng);
     assert_eq!(r2.dones, vec![false, false, true]);
     assert_eq!(r2.bootstrap, 0.0);
     assert_eq!(r2.episode_returns, vec![3.0]);
@@ -128,7 +133,7 @@ fn mid_episode_fragment_does_bootstrap() {
     // proving the zero above is the terminal rule and not a constant.
     let mut rng = Rng::seed_from_u64(3);
     let mut col = Collector::new(ThreeStepEnv { t: 0 }, &mut rng);
-    let r = col.collect(&mut PoisonedAtResetAgent, 2, &mut rng);
+    let r = collect(&mut col, 2, &mut rng);
     assert_eq!(r.dones, vec![false, false]);
     assert_eq!(r.bootstrap, 2.0);
 }

@@ -10,7 +10,7 @@
 use crate::init::{init_tensor, Init};
 use crate::rng::Rng;
 use crate::serialize::LayerSpec;
-use crate::tensor::{Act, Tensor};
+use crate::tensor::{softmax_row, Act, Tensor};
 use crate::workspace::Workspace;
 
 /// A mutable view of one parameter tensor paired with its gradient.
@@ -303,18 +303,9 @@ impl Softmax {
 
 impl Layer for Softmax {
     fn forward_ws(&mut self, input: &Tensor, ws: &mut Workspace) -> Tensor {
-        let mut out = ws.take_copy(input);
+        let mut out = ws.take(input.rows(), input.cols());
         for r in 0..out.rows() {
-            let row = out.row_mut(r);
-            let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            let mut sum = 0.0f32;
-            for v in row.iter_mut() {
-                *v = (*v - max).exp();
-                sum += *v;
-            }
-            for v in row.iter_mut() {
-                *v /= sum;
-            }
+            softmax_row(input.row(r), out.row_mut(r));
         }
         cache_slot(&mut self.cached_output, &out);
         out

@@ -137,6 +137,36 @@ pub fn fold8(l: [f32; KLANES]) -> f32 {
     ((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7]))
 }
 
+/// Row-wise max-subtracted softmax, `logits` → `probs` (equal lengths).
+/// The one softmax every actor head, ensemble and [`crate::Softmax`]
+/// layer runs, so their probabilities agree bit for bit.
+#[inline]
+pub fn softmax_row(logits: &[f32], probs: &mut [f32]) {
+    let max = logits.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    let mut sum = 0.0f32;
+    for (p, &l) in probs.iter_mut().zip(logits) {
+        *p = (l - max).exp();
+        sum += *p;
+    }
+    for p in probs {
+        *p /= sum;
+    }
+}
+
+/// Index of the largest entry, ties to the lowest index — the
+/// deterministic greedy action. A comparison with NaN is false, so an
+/// all-NaN slice gives 0.
+#[inline]
+pub fn argmax(xs: &[f32]) -> usize {
+    let mut best = 0;
+    for (i, &v) in xs.iter().enumerate() {
+        if v > xs[best] {
+            best = i;
+        }
+    }
+    best
+}
+
 /// Identifier of the accumulation-order contract the compiled kernels
 /// implement. Recorded in every bench report; `bench_compare` refuses to
 /// compare reports from different kernel variants (timings from
@@ -568,18 +598,7 @@ impl Tensor {
 
     /// Index of the largest element in each row (first on ties).
     pub fn argmax_rows(&self) -> Vec<usize> {
-        (0..self.rows)
-            .map(|r| {
-                let row = self.row(r);
-                let mut best = 0;
-                for (i, &v) in row.iter().enumerate() {
-                    if v > row[best] {
-                        best = i;
-                    }
-                }
-                best
-            })
-            .collect()
+        (0..self.rows).map(|r| argmax(self.row(r))).collect()
     }
 
     /// True iff every element is finite.

@@ -17,8 +17,8 @@
 //! - training delegates to the workspace's synchronous-streams A2C
 //!   ([`osa_mdp::a2c::train`]) over [`AbrEnv`], so runs are
 //!   bit-identical at any pool width;
-//! - inference is batched deterministic argmax through
-//!   [`osa_mdp::Policy::action_probs_batch_into`], allocation-free
+//! - inference is one batched [`osa_mdp::Policy::action_probs`] forward
+//!   followed by a per-row [`osa_nn::tensor::argmax`], allocation-free
 //!   after warm-up, exposed as an [`osa_abr::AbrPolicy`];
 //! - [`PensieveAgent::to_json`] / [`PensieveAgent::from_json`] persist
 //!   the agent through the bit-exact `osa_nn` model format.
@@ -34,6 +34,7 @@ use osa_nn::json::{obj, Value};
 use osa_nn::prelude::{
     Act, Branch, Branches, Conv1d, Dense, Init, LayerSpec, Rng, Sequential, Tensor,
 };
+use osa_nn::tensor::argmax;
 use osa_trace::Trace;
 
 /// Length of the throughput / download-time history windows in the
@@ -298,7 +299,7 @@ impl AbrPolicy for PensieveAgent {
     }
 
     /// One batched forward pass, then per-row argmax (ties → lowest
-    /// level, matching [`osa_mdp::Policy::greedy`]).
+    /// level).
     fn decide_all(
         &mut self,
         _sim: &MultiSession,
@@ -306,16 +307,9 @@ impl AbrPolicy for PensieveAgent {
         actions: &mut [usize],
         _rng: &mut Rng,
     ) {
-        self.ac.action_probs_batch_into(obs, &mut self.probs);
+        self.ac.action_probs(obs, &mut self.probs);
         for (i, a) in actions.iter_mut().enumerate() {
-            let row = self.probs.row(i);
-            let mut best = 0;
-            for (j, &p) in row.iter().enumerate() {
-                if p > row[best] {
-                    best = j;
-                }
-            }
-            *a = best;
+            *a = argmax(self.probs.row(i));
         }
     }
 }
@@ -354,14 +348,14 @@ mod tests {
 
         let obs = random_obs(3, &mut rng());
         let mut probs = Tensor::zeros(0, 0);
-        agent.ac.action_probs_batch_into(&obs, &mut probs);
+        agent.ac.action_probs(&obs, &mut probs);
         assert_eq!((probs.rows(), probs.cols()), (3, NUM_BITRATES));
         for r in 0..3 {
             let sum: f32 = probs.row(r).iter().sum();
             assert!((sum - 1.0).abs() < 1e-5, "row {r} sums to {sum}");
         }
         let mut values = Vec::new();
-        agent.ac.values_into(&obs, &mut values);
+        agent.ac.values(&obs, &mut values);
         assert_eq!(values.len(), 3);
     }
 
@@ -375,8 +369,8 @@ mod tests {
 
         let obs = random_obs(4, &mut rng());
         let (mut a, mut b) = (Tensor::zeros(0, 0), Tensor::zeros(0, 0));
-        agent.ac.action_probs_batch_into(&obs, &mut a);
-        twin.ac.action_probs_batch_into(&obs, &mut b);
+        agent.ac.action_probs(&obs, &mut a);
+        twin.ac.action_probs(&obs, &mut b);
         for (x, y) in a.data().iter().zip(b.data()) {
             assert_eq!(x.to_bits(), y.to_bits());
         }
@@ -415,9 +409,12 @@ mod tests {
         let mut actions = vec![0usize; 5];
         let mut r = rng();
         agent.decide_all(&sim, &obs, &mut actions, &mut r);
+        let (mut row, mut probs) = (Tensor::zeros(1, OBS_DIM), Tensor::default());
         for (i, &a) in actions.iter().enumerate() {
             assert!(a < NUM_BITRATES);
-            assert_eq!(a, agent.ac.greedy(obs.row(i)), "row {i}");
+            row.row_mut(0).copy_from_slice(obs.row(i));
+            agent.ac.action_probs(&row, &mut probs);
+            assert_eq!(a, argmax(probs.row(0)), "row {i}");
         }
     }
 

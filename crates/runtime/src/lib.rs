@@ -9,11 +9,11 @@
 //!
 //! - **Determinism contract.** Work is split into chunks whose boundaries
 //!   depend only on the problem size, never on the number of workers, and
-//!   every output element is written by exactly one lane. Reductions fold
-//!   partial results in a fixed binary-tree order ([`ThreadPool::
-//!   parallel_reduce`]). Consequently the bits produced by a pool with 1,
-//!   2, 4, or 64 workers are identical — worker count is purely a
-//!   throughput knob.
+//!   every output element is written by exactly one lane. A reduction
+//!   writes one partial per fixed-size chunk and folds the partials
+//!   serially on the caller. Consequently the bits produced by a pool
+//!   with 1, 2, 4, or 64 workers are identical — worker count is purely
+//!   a throughput knob.
 //! - **Persistent workers.** [`ThreadPool::new`] spawns its threads once;
 //!   dispatch re-uses them via a `Mutex`/`Condvar` epoch hand-off. The
 //!   steady-state dispatch path performs **zero heap allocations**, so
@@ -247,56 +247,6 @@ impl ThreadPool {
         });
     }
 
-    /// Map fixed-size chunks of `0..n` through `map` in parallel, then
-    /// fold the per-chunk results with `fold` in a **fixed binary-tree
-    /// order** that depends only on `n` and `chunk` — never on the worker
-    /// count. For non-associative f32 folds this is what makes the result
-    /// bit-identical across pool sizes. Returns `None` for `n == 0`.
-    ///
-    /// Allocates the partial-result buffer; not intended for
-    /// zero-allocation hot loops.
-    ///
-    /// # Panics
-    /// If `chunk == 0`.
-    pub fn parallel_reduce<T, M, F>(&self, n: usize, chunk: usize, map: M, fold: F) -> Option<T>
-    where
-        T: Send,
-        M: Fn(Range<usize>) -> T + Sync,
-        F: Fn(T, T) -> T,
-    {
-        assert!(chunk >= 1, "parallel_reduce: chunk must be >= 1");
-        if n == 0 {
-            return None;
-        }
-        let chunks = n.div_ceil(chunk);
-        let mut partials: Vec<Option<T>> = Vec::with_capacity(chunks);
-        partials.resize_with(chunks, || None);
-        self.parallel_for_slice(&mut partials, 1, |_, first, slots| {
-            for (offset, slot) in slots.iter_mut().enumerate() {
-                let c = first + offset;
-                let lo = c * chunk;
-                let hi = ((c + 1) * chunk).min(n);
-                *slot = Some(map(lo..hi));
-            }
-        });
-        let mut level: Vec<T> = partials
-            .into_iter()
-            .map(|p| p.expect("every chunk mapped"))
-            .collect();
-        while level.len() > 1 {
-            let mut next = Vec::with_capacity(level.len().div_ceil(2));
-            let mut it = level.into_iter();
-            while let Some(a) = it.next() {
-                match it.next() {
-                    Some(b) => next.push(fold(a, b)),
-                    None => next.push(a),
-                }
-            }
-            level = next;
-        }
-        level.pop()
-    }
-
     /// Post one epoch: publish the task, run lane 0 on the calling
     /// thread, wait for all workers to drain, then propagate panics.
     /// Allocation-free on the success path.
@@ -508,44 +458,6 @@ mod tests {
             });
             assert!(data.iter().enumerate().all(|(i, &v)| v as usize == i));
         }
-    }
-
-    #[test]
-    fn reduce_tree_is_identical_across_worker_counts() {
-        // Sum a sequence whose f32 addition is order-sensitive.
-        let xs: Vec<f32> = (0..997)
-            .map(|i| ((i * 2654435761u64 as usize) % 1000) as f32 * 1e-3 + 1e4)
-            .collect();
-        let reference = ThreadPool::new(1)
-            .parallel_reduce(
-                xs.len(),
-                64,
-                |r| r.map(|i| xs[i]).fold(0.0f32, |a, b| a + b),
-                |a, b| a + b,
-            )
-            .unwrap();
-        for workers in [2, 3, 8] {
-            let pool = ThreadPool::new(workers);
-            let got = pool
-                .parallel_reduce(
-                    xs.len(),
-                    64,
-                    |r| r.map(|i| xs[i]).fold(0.0f32, |a, b| a + b),
-                    |a, b| a + b,
-                )
-                .unwrap();
-            assert_eq!(got.to_bits(), reference.to_bits(), "workers={workers}");
-        }
-    }
-
-    #[test]
-    fn reduce_handles_empty_and_single() {
-        let pool = ThreadPool::new(3);
-        assert_eq!(pool.parallel_reduce(0, 8, |r| r.len(), |a, b| a + b), None);
-        assert_eq!(
-            pool.parallel_reduce(1, 8, |r| r.len(), |a, b| a + b),
-            Some(1)
-        );
     }
 
     #[test]

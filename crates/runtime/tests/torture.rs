@@ -66,14 +66,17 @@ fn caller_lane_panic_keeps_original_payload() {
 fn oversubscribed_pool_matches_inline_results() {
     let inline = ThreadPool::new(1);
     let wide = ThreadPool::new(32);
+    // Per-chunk partial sums written in parallel, folded serially.
     let sum = |pool: &ThreadPool| {
-        pool.parallel_reduce(
-            10_000,
-            97,
-            |r| r.map(|i| (i as f32).sqrt()).fold(0.0f32, |a, b| a + b),
-            |a, b| a + b,
-        )
-        .unwrap()
+        let (n, chunk) = (10_000usize, 97usize);
+        let mut partials = vec![0.0f32; n.div_ceil(chunk)];
+        pool.parallel_for_slice(&mut partials, 1, |_, first, slots| {
+            for (c, slot) in (first..).zip(slots) {
+                let hi = ((c + 1) * chunk).min(n);
+                *slot = (c * chunk..hi).map(|i| (i as f32).sqrt()).sum();
+            }
+        });
+        partials.iter().fold(0.0f32, |a, &b| a + b)
     };
     assert_eq!(sum(&inline).to_bits(), sum(&wide).to_bits());
 }

@@ -9,7 +9,8 @@
 
 use osa::mdp::envs::chain::{ChainEnv, ADVANCE};
 use osa::mdp::prelude::*;
-use osa::nn::prelude::Rng;
+use osa::nn::prelude::{Rng, Tensor};
+use osa::nn::tensor::argmax;
 
 const GAMMA: f32 = 0.95;
 
@@ -44,15 +45,20 @@ fn main() {
     // The greedy policy must advance in every non-goal state, and the
     // critic must match the closed-form optimal values.
     println!("\nstate  π(advance)  V(s)    V*(s)");
+    let (mut probs, mut values) = (Tensor::default(), Vec::new());
     for s in 0..env.num_states() - 1 {
-        let mut obs = vec![0.0; env.num_states()];
-        obs[s] = 1.0;
-        let probs = ac.action_probs(&obs);
-        let v = ac.value(&obs);
+        let mut obs = Tensor::zeros(1, env.num_states());
+        obs.row_mut(0)[s] = 1.0;
+        ac.action_probs(&obs, &mut probs);
+        ac.values(&obs, &mut values);
+        let v = values[0];
         let v_star = env.optimal_value(s, GAMMA);
-        println!("  {s}      {:.3}     {v:+.3}  {v_star:+.3}", probs[ADVANCE]);
+        println!(
+            "  {s}      {:.3}     {v:+.3}  {v_star:+.3}",
+            probs.row(0)[ADVANCE]
+        );
         assert_eq!(
-            ac.greedy(&obs),
+            argmax(probs.row(0)),
             ADVANCE,
             "suboptimal greedy action in state {s}"
         );

@@ -8,7 +8,7 @@
 //!
 //! | module | crate | status |
 //! |--------|-------|--------|
-//! | [`runtime`] | `osa-runtime` | implemented: deterministic persistent thread pool (`parallel_for` / `parallel_for_slice` / `parallel_reduce`), `OSA_THREADS` budget, per-lane scratch slots |
+//! | [`runtime`] | `osa-runtime` | implemented: deterministic persistent thread pool (`parallel_for` / `parallel_for_slice`), `OSA_THREADS` budget, per-lane scratch slots |
 //! | [`nn`] | `osa-nn` | implemented: tensors, Dense/Conv1d, manual backprop, Adam/RMSProp/SGD, JSON persistence, seeded PRNG; GEMMs row-sharded over the runtime pool |
 //! | [`mdp`] | `osa-mdp` | implemented: Env/Policy/ValueFunction traits, rollouts, GAE(γ, λ), A2C trainer with synchronous parallel streams (bit-identical at any pool width) |
 //! | [`trace`] | `osa-trace` | implemented: six throughput datasets (Markov-modulated mobile-like + 4 i.i.d. samplers), deterministic splits, fault injection, JSON caching; pooled corpus generation |
@@ -75,16 +75,24 @@ mod tests {
         assert_eq!(back, split.train);
     }
 
-    /// The facade must expose the deterministic runtime: a multi-lane
-    /// pool must reduce to exactly the same value as inline execution.
+    /// The facade must expose the deterministic runtime: per-chunk
+    /// partial sums on a multi-lane pool, folded serially, must equal
+    /// inline execution exactly.
     #[test]
     fn facade_reaches_runtime() {
         use crate::runtime::ThreadPool;
-        let map = |r: std::ops::Range<usize>| r.sum::<usize>();
-        let pooled = ThreadPool::new(3).parallel_reduce(100, 8, map, |a, b| a + b);
-        let inline = ThreadPool::new(1).parallel_reduce(100, 8, map, |a, b| a + b);
-        assert_eq!(pooled, Some(4950));
-        assert_eq!(pooled, inline);
+        let sum = |pool: ThreadPool| {
+            let mut partials = vec![0usize; 13];
+            pool.parallel_for_slice(&mut partials, 1, |_, first, slots| {
+                for (c, slot) in (first..).zip(slots) {
+                    *slot = (c * 8..((c + 1) * 8).min(100)).sum();
+                }
+            });
+            partials.iter().sum::<usize>()
+        };
+        let pooled = sum(ThreadPool::new(3));
+        assert_eq!(pooled, 4950);
+        assert_eq!(pooled, sum(ThreadPool::new(1)));
     }
 
     /// The facade must expose the ABR engine and the Pensieve agent
