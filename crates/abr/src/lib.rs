@@ -16,7 +16,7 @@
 //!   count;
 //! - [`policy`] — the [`policy::AbrPolicy`] batched decision trait with
 //!   the Buffer-Based (reservoir/cushion) and Random baselines;
-//! - [`env`] — [`env::AbrEnv`], the single-session [`osa_mdp::Env`]
+//! - [`env`](mod@env) — [`env::AbrEnv`], the single-session [`osa_mdp::Env`]
 //!   adapter RL training runs against (shares `step_chunk` with the
 //!   multi-session engine, so the two are bit-equal by construction);
 //! - [`eval`] — policy scoring over a trace set, including the ROADMAP's
@@ -27,7 +27,7 @@
 //! Session dynamics consume no RNG: given a trace and an action sequence
 //! the whole trajectory is a pure `f64` computation. Randomness enters
 //! only through policies ([`policy::RandomPolicy`], sampling agents) and
-//! [`env::AbrEnv::reset`] — always via an explicit caller-provided
+//! [`AbrEnv`]'s [`osa_mdp::Env::reset`] — always via an explicit caller-provided
 //! [`osa_nn::rng::Rng`].
 #![forbid(unsafe_code)]
 

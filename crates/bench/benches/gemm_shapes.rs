@@ -14,7 +14,7 @@
 //!
 //! Shapes: the paper-scale merge layer at batch 1 and 32, the 5-replica
 //! stacked layers at serving batches, the committed-artifact widths the
-//! fleet engine serves, plus the backward-pass `tmatmul` / `matmul_t`
+//! fleet engine serves, plus the backward-pass `tmatmul_into` / `matmul_t_into`
 //! orientations.
 
 use osa_bench::{counting_alloc::CountingAlloc, hardware_threads, run_bench};

@@ -2,7 +2,7 @@
 //! engine path until the ROADMAP item 2 benchmark PR calls the engine
 //! directly and deletes them. Nothing else in the workspace uses them:
 //! the figures, examples and tests call [`crate::eval`] and
-//! [`crate::calibrate`].
+//! [`crate::calibrate`](mod@crate::calibrate).
 //!
 //! [`AbrSafeAgent`] holds what a guard is — the ensemble, the
 //! [`FleetSignal`] and the [`Monitor`] settings — and [`calibrate`]

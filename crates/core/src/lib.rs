@@ -18,11 +18,11 @@
 //! - [`monitor`] — k-window variance smoothing and
 //!   l-consecutive-exceedance thresholding (§2.5) for whole fleets,
 //!   sticky by default with opt-in hysteresis-based reverse switching
-//!   ([`ReverseConfig`](monitor::ReverseConfig));
+//!   ([`ReverseConfig`]);
 //! - [`eval`] — [`evaluate`]: one engine session per trace, with the
 //!   per-decision signal series on request, and the normalized
 //!   0 = Random / 1 = BB scoring (§3.3) shared by every figure binary;
-//! - [`calibrate`] — (α, l) calibration against in-distribution traces,
+//! - [`calibrate`](mod@calibrate) — (α, l) calibration against in-distribution traces,
 //!   on the same engine;
 //! - [`compat`] — the names `benchmark/` still calls, as thin
 //!   constructors over the above.

@@ -22,7 +22,7 @@
 //!    guarding signal's raw value (KL sums over the same softmaxes for
 //!    U_π, a batched critic forward for U_V, a feature-window score for
 //!    U_S). Lanes write only their own slice
-//!    of [`SessionSlot`]s and their own [`LaneSlots`] scratch.
+//!    of `SessionSlot`s and their own [`LaneSlots`] scratch.
 //! 2. **Serial apply** — in session order: fold each raw value into the
 //!    session's monitor, pick the learned or fallback action, then
 //!    advance the simulator one chunk (`step_all`, itself two-phase).

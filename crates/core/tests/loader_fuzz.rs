@@ -14,7 +14,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use osa_core::prelude::*;
-use osa_nn::prelude::{Rng, Sequential};
+use osa_nn::prelude::{LayerSpec, Rng, Sequential, Tensor, Workspace};
 use osa_pensieve::{PensieveAgent, PensieveConfig};
 use osa_trace::io::{traces_from_json, traces_to_json};
 use osa_trace::Trace;
@@ -102,10 +102,21 @@ fn tiny_agents(n: u64) -> Vec<PensieveAgent> {
         .collect()
 }
 
+/// A net that loads must also run: each one takes a 1-row zero batch,
+/// so a document that loads but panics on first use counts as a panic.
 #[test]
 fn net_spec_loader_never_panics() {
     let doc = tiny_agents(1)[0].actor_critic().actor.to_json();
-    fuzz("NetSpec", 1, &doc, |t| Sequential::from_json(t).is_ok());
+    fuzz("NetSpec", 1, &doc, |t| match Sequential::from_json(t) {
+        Ok(mut net) => {
+            let spec = net.to_spec();
+            let in_dim = spec.layers.iter().find_map(LayerSpec::widths);
+            let x = Tensor::zeros(1, in_dim.map_or(1, |(i, _)| i));
+            net.forward_ws(&x, &mut Workspace::new());
+            true
+        }
+        Err(_) => false,
+    });
 }
 
 #[test]

@@ -374,7 +374,7 @@ impl<E: Env> Stream<E> {
 }
 
 /// Synchronous deterministic A2C driver: owns the server nets, the
-/// optimizers, and `cfg.workers` logical [`Stream`]s, and advances
+/// optimizers, and `cfg.workers` logical `Stream`s, and advances
 /// training one round at a time. Most callers use [`train`]; the bench
 /// and zero-allocation harnesses drive [`Trainer::round`] directly so
 /// they can warm up and then measure steady-state rounds.
@@ -556,7 +556,8 @@ mod tests {
         let mut rng = Rng::seed_from_u64(1);
         let mut ac = ActorCritic::mlp(3, 4, 5, &mut rng);
         // Scale the head weights up to force saturated logits.
-        let mut p = ac.actor.params_to_vec();
+        let mut p = Vec::new();
+        ac.actor.copy_params_into(&mut p);
         for v in &mut p {
             *v *= 100.0;
         }
@@ -574,8 +575,13 @@ mod tests {
         let mut rng = Rng::seed_from_u64(2);
         let mut ac = ActorCritic::mlp(4, 8, 3, &mut rng);
         let mut twin = ac.replicate();
-        assert_eq!(ac.actor.params_to_vec(), twin.actor.params_to_vec());
-        assert_eq!(ac.critic.params_to_vec(), twin.critic.params_to_vec());
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        ac.actor.copy_params_into(&mut a);
+        twin.actor.copy_params_into(&mut b);
+        assert_eq!(a, b);
+        ac.critic.copy_params_into(&mut a);
+        twin.critic.copy_params_into(&mut b);
+        assert_eq!(a, b);
         let obs = Tensor::from_rows(&[vec![0.1, -0.3, 0.7, 0.0]]);
         let (mut p, mut q) = (Tensor::default(), Tensor::default());
         ac.action_probs(&obs, &mut p);

@@ -8,12 +8,12 @@
 //! ensembles behind `osa-core`'s U_π/U_V signals train through the same
 //! substrate:
 //!
-//! - [`env`] — the [`Env`]/[`Policy`]/[`ValueFunction`] traits: one
+//! - [`env`](mod@env) — the [`Env`]/[`Policy`]/[`ValueFunction`] traits: one
 //!   buffer-writing method per operation, explicit seedable RNG state
 //!   and strict episode-boundary semantics;
 //! - [`rollout`] — fixed-horizon fragment collection that carries
 //!   episodes across fragment boundaries, plus policy evaluation;
-//! - [`gae`] — discounted returns and generalized advantage estimation
+//! - [`gae`](mod@gae) — discounted returns and generalized advantage estimation
 //!   GAE(γ, λ);
 //! - [`a2c`] — the A2C trainer: softmax policy gradient with entropy
 //!   bonus, critic MSE, global-norm gradient clipping, and synchronous

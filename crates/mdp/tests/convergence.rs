@@ -36,11 +36,10 @@ fn single_worker_training_is_bit_reproducible() {
         let mut rng = Rng::seed_from_u64(7);
         let mut ac = ActorCritic::mlp(env.num_states(), 16, 2, &mut rng);
         let report = train(&mut ac, &env, &chain_config(1, 120));
-        (
-            ac.actor.params_to_vec(),
-            ac.critic.params_to_vec(),
-            report.episode_returns,
-        )
+        let (mut actor, mut critic) = (Vec::new(), Vec::new());
+        ac.actor.copy_params_into(&mut actor);
+        ac.critic.copy_params_into(&mut critic);
+        (actor, critic, report.episode_returns)
     };
     let (a1, c1, r1) = run();
     let (a2, c2, r2) = run();
@@ -162,7 +161,9 @@ fn different_seeds_give_different_training_runs() {
             ..chain_config(1, 60)
         };
         train(&mut ac, &env, &cfg);
-        ac.actor.params_to_vec()
+        let mut actor = Vec::new();
+        ac.actor.copy_params_into(&mut actor);
+        actor
     };
     assert_ne!(run(1), run(2), "distinct seeds produced identical training");
 }

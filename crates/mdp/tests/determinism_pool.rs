@@ -14,7 +14,10 @@ fn run(pool_workers: usize, cfg: &A2cConfig) -> (Vec<f32>, Vec<f32>, TrainReport
     let mut ac = ActorCritic::mlp(env.num_states(), 16, 2, &mut rng);
     let pool = ThreadPool::new(pool_workers);
     let report = train_with_pool(&mut ac, &env, cfg, &pool);
-    (ac.actor.params_to_vec(), ac.critic.params_to_vec(), report)
+    let (mut actor, mut critic) = (Vec::new(), Vec::new());
+    ac.actor.copy_params_into(&mut actor);
+    ac.critic.copy_params_into(&mut critic);
+    (actor, critic, report)
 }
 
 fn assert_bits_eq(a: &[f32], b: &[f32], what: &str) {
@@ -115,9 +118,7 @@ fn train_honours_with_pool_override() {
     let mut ac = ActorCritic::mlp(env.num_states(), 16, 2, &mut rng);
     let pool = ThreadPool::new(4);
     osa_runtime::with_pool(&pool, || train(&mut ac, &env, &cfg));
-    assert_bits_eq(
-        &ac.actor.params_to_vec(),
-        &actor_ref,
-        "actor params via train()",
-    );
+    let mut actor = Vec::new();
+    ac.actor.copy_params_into(&mut actor);
+    assert_bits_eq(&actor, &actor_ref, "actor params via train()");
 }

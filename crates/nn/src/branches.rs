@@ -192,13 +192,6 @@ impl Layer for Branches {
         grad_in
     }
 
-    fn params(&mut self) -> Vec<ParamGrad<'_>> {
-        self.parts
-            .iter_mut()
-            .flat_map(|p| p.as_layer_mut().params())
-            .collect()
-    }
-
     fn visit_params(&mut self, f: &mut dyn FnMut(ParamGrad<'_>)) {
         for part in &mut self.parts {
             part.as_layer_mut().visit_params(f);
@@ -235,19 +228,17 @@ mod tests {
     fn forward_concatenates_part_outputs() {
         let mut b = tiny();
         assert_eq!((b.in_dim(), b.out_dim()), (3, 2));
-        let y = b.forward(&Tensor::from_rows(&[
-            vec![1.0, 10.0, 20.0],
-            vec![-1.0, 0.5, 0.5],
-        ]));
+        let x = Tensor::from_rows(&[vec![1.0, 10.0, 20.0], vec![-1.0, 0.5, 0.5]]);
+        let y = b.forward_ws(&x, &mut Workspace::new());
         assert_eq!(y.row(0), &[2.0, 31.0]);
         assert_eq!(y.row(1), &[-2.0, 2.0]);
     }
 
     #[test]
     fn backward_routes_gradients_to_the_owning_part() {
-        let mut b = tiny();
-        b.forward(&Tensor::from_rows(&[vec![1.0, 10.0, 20.0]]));
-        let dx = b.backward(&Tensor::from_rows(&[vec![1.0, 3.0]]));
+        let (mut b, mut ws) = (tiny(), Workspace::new());
+        b.forward_ws(&Tensor::from_rows(&[vec![1.0, 10.0, 20.0]]), &mut ws);
+        let dx = b.backward_ws(&Tensor::from_rows(&[vec![1.0, 3.0]]), &mut ws);
         // d/dx0 = 2 (part 0 weight); d/dx1 = d/dx2 = 3 (part 1 weights).
         assert_eq!(dx.row(0), &[2.0, 3.0, 3.0]);
     }
@@ -272,7 +263,8 @@ mod tests {
         let mut rng = Rng::seed_from_u64(12);
         let x_data: Vec<f32> = (0..2 * 8).map(|_| rng.range_f32(-1.0, 1.0)).collect();
         let x = Tensor::from_vec(2, 8, x_data);
-        let y = b.forward(&x);
+        let mut ws = Workspace::new();
+        let y = b.forward_ws(&x, &mut ws);
 
         let mut xc = Tensor::zeros(2, 6);
         let mut xd = Tensor::zeros(2, 2);
@@ -280,8 +272,8 @@ mod tests {
             xc.row_mut(r).copy_from_slice(&x.row(r)[..6]);
             xd.row_mut(r).copy_from_slice(&x.row(r)[6..]);
         }
-        let yc = conv_solo.forward(&xc);
-        let yd = dense_solo.forward(&xd);
+        let yc = conv_solo.forward_ws(&xc, &mut ws);
+        let yd = dense_solo.forward_ws(&xd, &mut ws);
         for r in 0..2 {
             assert_eq!(&y.row(r)[..yc.cols()], yc.row(r));
             assert_eq!(&y.row(r)[yc.cols()..], yd.row(r));
@@ -302,9 +294,10 @@ mod tests {
             ]))
             .with(Dense::new(4 * 5 + 4, 5, Init::XavierUniform, &mut rng));
         let x = Tensor::from_vec(1, 11, (0..11).map(|i| 0.1 * i as f32).collect());
-        let y1 = net.forward(&x);
+        let mut ws = Workspace::new();
+        let y1 = net.forward_ws(&x, &mut ws);
         let mut rebuilt = Sequential::from_json(&net.to_json()).unwrap();
-        let y2 = rebuilt.forward(&x);
+        let y2 = rebuilt.forward_ws(&x, &mut ws);
         assert_eq!(y1, y2);
     }
 

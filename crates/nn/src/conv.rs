@@ -228,7 +228,7 @@ impl Layer for Conv1d {
         let x = self
             .cached_input
             .as_ref()
-            .expect("Conv1d::backward before forward");
+            .expect("Conv1d::backward_ws before forward_ws");
         let out_len = self.out_len();
         let (k, l) = (self.kernel, self.length);
         assert_eq!(grad_out.cols(), self.out_dim(), "Conv1d grad width");
@@ -242,7 +242,7 @@ impl Layer for Conv1d {
                 let y = self
                     .cached_output
                     .as_ref()
-                    .expect("Conv1d::backward before forward");
+                    .expect("Conv1d::backward_ws before forward_ws");
                 let mut g = ws.take(grad_out.rows(), grad_out.cols());
                 for ((o, &gv), &yv) in g.data_mut().iter_mut().zip(grad_out.data()).zip(y.data()) {
                     *o = gv * if yv > 0.0 { 1.0 } else { 0.0 };
@@ -289,19 +289,6 @@ impl Layer for Conv1d {
         grad_in
     }
 
-    fn params(&mut self) -> Vec<ParamGrad<'_>> {
-        vec![
-            ParamGrad {
-                value: &mut self.w,
-                grad: &mut self.grad_w,
-            },
-            ParamGrad {
-                value: &mut self.b,
-                grad: &mut self.grad_b,
-            },
-        ]
-    }
-
     fn visit_params(&mut self, f: &mut dyn FnMut(ParamGrad<'_>)) {
         f(ParamGrad {
             value: &mut self.w,
@@ -336,7 +323,10 @@ mod tests {
         let w = Tensor::from_rows(&[vec![1.0, 2.0]]);
         let b = Tensor::vector(vec![0.5]);
         let mut c = Conv1d::from_params(1, 4, 1, 2, w, b);
-        let y = c.forward(&Tensor::from_rows(&[vec![1.0, 2.0, 3.0, 4.0]]));
+        let y = c.forward_ws(
+            &Tensor::from_rows(&[vec![1.0, 2.0, 3.0, 4.0]]),
+            &mut Workspace::new(),
+        );
         // [1+4, 2+6, 3+8] + 0.5
         assert_eq!(y.data(), &[5.5, 8.5, 11.5]);
     }
@@ -348,7 +338,8 @@ mod tests {
         let b = Tensor::vector(vec![0.0]);
         let mut c = Conv1d::from_params(2, 3, 1, 2, w, b);
         // ch0 = [1,2,3], ch1 = [10,20,30]
-        let y = c.forward(&Tensor::from_rows(&[vec![1.0, 2.0, 3.0, 10.0, 20.0, 30.0]]));
+        let x = Tensor::from_rows(&[vec![1.0, 2.0, 3.0, 10.0, 20.0, 30.0]]);
+        let y = c.forward_ws(&x, &mut Workspace::new());
         // out[t] = ch0[t]*1 + ch1[t+1]*1
         assert_eq!(y.data(), &[21.0, 32.0]);
     }
@@ -358,7 +349,10 @@ mod tests {
         let w = Tensor::from_rows(&[vec![1.0, 2.0, 3.0]]);
         let b = Tensor::vector(vec![0.0]);
         let mut c = Conv1d::from_params(1, 3, 1, 3, w, b);
-        let y = c.forward(&Tensor::from_rows(&[vec![4.0, 5.0, 6.0]]));
+        let y = c.forward_ws(
+            &Tensor::from_rows(&[vec![4.0, 5.0, 6.0]]),
+            &mut Workspace::new(),
+        );
         assert_eq!(y.data(), &[32.0]);
         assert_eq!(c.out_len(), 1);
     }
@@ -377,9 +371,10 @@ mod tests {
                     .collect()
             })
             .collect();
-        let batched = c.forward(&Tensor::from_rows(&x));
+        let mut ws = Workspace::new();
+        let batched = c.forward_ws(&Tensor::from_rows(&x), &mut ws);
         for (r, row) in x.iter().enumerate() {
-            let single = c.forward(&Tensor::from_rows(std::slice::from_ref(row)));
+            let single = c.forward_ws(&Tensor::from_rows(std::slice::from_ref(row)), &mut ws);
             for (a, b) in single.data().iter().zip(batched.row(r)) {
                 assert_eq!(a.to_bits(), b.to_bits(), "row {r}");
             }
@@ -393,9 +388,10 @@ mod tests {
         assert_eq!(c.in_dim(), 24);
         assert_eq!(c.out_dim(), 16 * 5);
         let x = Tensor::zeros(7, 24);
-        let y = c.forward(&x);
+        let mut ws = Workspace::new();
+        let y = c.forward_ws(&x, &mut ws);
         assert_eq!((y.rows(), y.cols()), (7, 80));
-        let dx = c.backward(&Tensor::zeros(7, 80));
+        let dx = c.backward_ws(&Tensor::zeros(7, 80), &mut ws);
         assert_eq!((dx.rows(), dx.cols()), (7, 24));
     }
 }

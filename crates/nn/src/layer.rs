@@ -1,11 +1,12 @@
 //! The [`Layer`] trait and the dense/activation layers.
 //!
 //! A layer maps a batch matrix `(batch × in_dim)` to `(batch × out_dim)`.
-//! `forward` caches whatever the backward pass needs; `backward` consumes
-//! `dL/d(output)` and returns `dL/d(input)`, overwriting the stored
-//! parameter gradients. Gradients carry whatever scaling the upstream
-//! gradient carries — the loss functions in [`crate::loss`] average over
-//! the batch, so parameter gradients come out batch-averaged.
+//! `forward_ws` caches whatever the backward pass needs; `backward_ws`
+//! consumes `dL/d(output)` and returns `dL/d(input)`, overwriting the
+//! stored parameter gradients. Gradients carry whatever scaling the
+//! upstream gradient carries — the loss functions in [`crate::loss`]
+//! average over the batch, so parameter gradients come out
+//! batch-averaged.
 
 use crate::init::{init_tensor, Init};
 use crate::rng::Rng;
@@ -21,18 +22,13 @@ pub struct ParamGrad<'a> {
 
 /// A differentiable batch-to-batch transformation.
 ///
-/// The workspace-threaded methods (`forward_ws`/`backward_ws`) are the
-/// primary implementation surface: they draw every intermediate buffer
-/// from a caller-owned [`Workspace`], so a warmed-up training loop runs
-/// without heap allocation. The plain `forward`/`backward` methods are
-/// provided convenience wrappers over a throwaway workspace — identical
-/// results, allocating — kept so existing call sites and tests continue to
-/// work unchanged.
+/// Every intermediate buffer comes from a caller-owned [`Workspace`], so
+/// a warmed-up training loop runs without heap allocation.
 ///
-/// Layers must be `Send`: the A3C-style trainer in `osa-mdp` moves whole
-/// [`crate::net::Sequential`] replicas into worker threads and keeps the
-/// shared copy behind a mutex. Every layer here owns plain buffers, so the
-/// bound costs nothing.
+/// Layers must be `Send`: the trainer in `osa-mdp` gives each of its
+/// synchronous rollout streams a [`crate::net::Sequential`] replica and
+/// runs the streams on the thread pool's lanes. Every layer here owns
+/// plain buffers, so the bound costs nothing.
 pub trait Layer: Send {
     /// Compute outputs into a workspace-drawn buffer and cache what
     /// `backward_ws` will need. The returned tensor belongs to the caller,
@@ -45,31 +41,9 @@ pub trait Layer: Send {
     /// Must be called after a forward pass; panics otherwise.
     fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor;
 
-    /// Allocating wrapper over [`Layer::forward_ws`].
-    fn forward(&mut self, input: &Tensor) -> Tensor {
-        self.forward_ws(input, &mut Workspace::new())
-    }
-
-    /// Allocating wrapper over [`Layer::backward_ws`].
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        self.backward_ws(grad_out, &mut Workspace::new())
-    }
-
-    /// Parameter/gradient pairs, in a stable order. Parameter-free layers
-    /// return an empty vec.
-    fn params(&mut self) -> Vec<ParamGrad<'_>> {
-        Vec::new()
-    }
-
-    /// Visit parameter/gradient pairs in the same stable order as
-    /// [`Layer::params`], without building a `Vec`. Layers with parameters
-    /// override this; the default covers parameter-free layers (an empty
-    /// `params()` vec never allocates).
-    fn visit_params(&mut self, f: &mut dyn FnMut(ParamGrad<'_>)) {
-        for pg in self.params() {
-            f(pg);
-        }
-    }
+    /// Visit parameter/gradient pairs in a stable order. Layers with
+    /// parameters override this; parameter-free layers keep the no-op.
+    fn visit_params(&mut self, _f: &mut dyn FnMut(ParamGrad<'_>)) {}
 
     /// Snapshot for serialization.
     fn spec(&self) -> LayerSpec;
@@ -174,7 +148,7 @@ impl Layer for Dense {
         let x = self
             .cached_input
             .as_ref()
-            .expect("Dense::backward before forward");
+            .expect("Dense::backward_ws before forward_ws");
         // Push the upstream gradient back through the fused activation
         // first: relu'(z) is 1 exactly where the cached output is positive.
         let mut masked: Option<Tensor> = None;
@@ -184,7 +158,7 @@ impl Layer for Dense {
                 let y = self
                     .cached_output
                     .as_ref()
-                    .expect("Dense::backward before forward");
+                    .expect("Dense::backward_ws before forward_ws");
                 let mut g = ws.take(grad_out.rows(), grad_out.cols());
                 for ((o, &gv), &yv) in g.data_mut().iter_mut().zip(grad_out.data()).zip(y.data()) {
                     *o = gv * if yv > 0.0 { 1.0 } else { 0.0 };
@@ -195,10 +169,11 @@ impl Layer for Dense {
         x.tmatmul_into(gz, &mut self.grad_w);
         gz.col_sum_into(&mut self.grad_b);
         // Stage wᵀ in scratch so the input gradient runs on the blocked
-        // `matmul` kernel (vector accumulators) rather than the serial-dot
-        // `matmul_t` kernel; the per-element accumulation order is the
-        // same, so the result is bit-identical — the transpose is cheap
-        // data movement next to the (batch × out × in) GEMM it unlocks.
+        // `matmul_into` kernel (vector accumulators) rather than the
+        // serial-dot `matmul_t_into` kernel; the per-element accumulation
+        // order is the same, so the result is bit-identical — the
+        // transpose is cheap data movement next to the (batch × out × in)
+        // GEMM it unlocks.
         let mut wt = ws.take(self.w.cols(), self.w.rows());
         self.w.transpose_into(&mut wt);
         let mut out = ws.take(grad_out.rows(), self.w.rows());
@@ -208,19 +183,6 @@ impl Layer for Dense {
             ws.recycle(g);
         }
         out
-    }
-
-    fn params(&mut self) -> Vec<ParamGrad<'_>> {
-        vec![
-            ParamGrad {
-                value: &mut self.w,
-                grad: &mut self.grad_w,
-            },
-            ParamGrad {
-                value: &mut self.b,
-                grad: &mut self.grad_b,
-            },
-        ]
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(ParamGrad<'_>)) {
@@ -270,7 +232,7 @@ impl Layer for ReLU {
         let x = self
             .cached_input
             .as_ref()
-            .expect("ReLU::backward before forward");
+            .expect("ReLU::backward_ws before forward_ws");
         let mut out = ws.take(grad_out.rows(), grad_out.cols());
         for ((o, &g), &xv) in out.data_mut().iter_mut().zip(grad_out.data()).zip(x.data()) {
             *o = g * if xv > 0.0 { 1.0 } else { 0.0 };
@@ -315,7 +277,7 @@ impl Layer for Softmax {
         let y = self
             .cached_output
             .as_ref()
-            .expect("Softmax::backward before forward");
+            .expect("Softmax::backward_ws before forward_ws");
         // dx_i = y_i * (g_i - Σ_j g_j y_j), per row; every element of the
         // scratch buffer is overwritten below.
         let mut out = ws.take(y.rows(), y.cols());
@@ -345,26 +307,24 @@ mod tests {
         let w = Tensor::from_rows(&[vec![1.0, 0.0], vec![0.0, 2.0]]);
         let b = Tensor::vector(vec![0.5, -0.5]);
         let mut d = Dense::from_params(w, b);
-        let y = d.forward(&Tensor::from_rows(&[vec![3.0, 4.0]]));
+        let y = d.forward_ws(&Tensor::from_rows(&[vec![3.0, 4.0]]), &mut Workspace::new());
         assert_eq!(y.data(), &[3.5, 7.5]);
     }
 
     #[test]
     fn relu_clamps_and_masks_gradient() {
-        let mut r = ReLU::new();
-        let y = r.forward(&Tensor::vector(vec![-1.0, 0.0, 2.0]));
+        let (mut r, mut ws) = (ReLU::new(), Workspace::new());
+        let y = r.forward_ws(&Tensor::vector(vec![-1.0, 0.0, 2.0]), &mut ws);
         assert_eq!(y.data(), &[0.0, 0.0, 2.0]);
-        let dx = r.backward(&Tensor::vector(vec![5.0, 5.0, 5.0]));
+        let dx = r.backward_ws(&Tensor::vector(vec![5.0, 5.0, 5.0]), &mut ws);
         assert_eq!(dx.data(), &[0.0, 0.0, 5.0]);
     }
 
     #[test]
     fn softmax_rows_normalize() {
         let mut s = Softmax::new();
-        let y = s.forward(&Tensor::from_rows(&[
-            vec![1.0, 2.0, 3.0],
-            vec![1000.0, 1000.0, 1000.0],
-        ]));
+        let x = Tensor::from_rows(&[vec![1.0, 2.0, 3.0], vec![1000.0, 1000.0, 1000.0]]);
+        let y = s.forward_ws(&x, &mut Workspace::new());
         for r in 0..2 {
             let sum: f32 = y.row(r).iter().sum();
             assert!((sum - 1.0).abs() < 1e-6);
@@ -378,9 +338,9 @@ mod tests {
     fn softmax_gradient_sums_to_zero_per_row() {
         // Softmax outputs sum to 1, so the input gradient must sum to 0
         // along each row for any upstream gradient.
-        let mut s = Softmax::new();
-        s.forward(&Tensor::from_rows(&[vec![0.3, -1.2, 2.0, 0.0]]));
-        let dx = s.backward(&Tensor::from_rows(&[vec![1.0, -2.0, 0.5, 3.0]]));
+        let (mut s, mut ws) = (Softmax::new(), Workspace::new());
+        s.forward_ws(&Tensor::from_rows(&[vec![0.3, -1.2, 2.0, 0.0]]), &mut ws);
+        let dx = s.backward_ws(&Tensor::from_rows(&[vec![1.0, -2.0, 0.5, 3.0]]), &mut ws);
         let sum: f32 = dx.row(0).iter().sum();
         assert!(sum.abs() < 1e-6, "row gradient sum {sum}");
     }

@@ -22,8 +22,8 @@
 //! - [`optim`] — `Sgd`, `RmsProp`, `Adam` behind the [`Optimizer`] trait;
 //! - [`init`] — Xavier/He initialization from an explicit seeded RNG;
 //! - [`net`] — the [`Sequential`] container tying it together;
-//! - [`workspace`] — the [`Workspace`] scratch-buffer arena behind the
-//!   allocation-free `*_ws` training path;
+//! - [`workspace`] — the [`Workspace`] scratch-buffer arena every
+//!   forward and backward pass draws its buffers from;
 //! - [`serialize`] — versioned JSON persistence ([`NetSpec`]) with exact
 //!   round-tripping of weights;
 //! - [`stacked`] — ensemble inference as one grouped GEMM per layer
@@ -35,7 +35,7 @@
 //!
 //! Every layer maps a batch matrix of shape `(batch, in_dim)` to
 //! `(batch, out_dim)`; `Conv1d` interprets each row as a channel-major
-//! flattened `(channels, length)` signal. `backward` consumes
+//! flattened `(channels, length)` signal. `backward_ws` consumes
 //! `dL/d(output)` and returns `dL/d(input)`, *overwriting* (not
 //! accumulating) the stored parameter gradients. Loss functions average
 //! over the batch, so parameter gradients come out batch-averaged. All
@@ -53,7 +53,8 @@
 //!     .with(ReLU::new())
 //!     .with(Dense::new(8, 2, Init::XavierUniform, &mut rng));
 //! let x = Tensor::from_rows(&[vec![0.0, 1.0], vec![1.0, 0.0]]);
-//! let logits = net.forward(&x);
+//! let mut ws = Workspace::new();
+//! let logits = net.forward_ws(&x, &mut ws);
 //! assert_eq!((logits.rows(), logits.cols()), (2, 2));
 //! ```
 #![forbid(unsafe_code)]

@@ -1,22 +1,17 @@
-//! Loss functions: each returns `(scalar loss, gradient w.r.t. its input)`.
+//! Loss functions: each yields a scalar loss and its gradient w.r.t. its
+//! input.
 //!
 //! All reductions average over the batch (and, for MSE, over output
-//! elements), so the gradients handed back into `Sequential::backward`
+//! elements), so the gradients handed back into `Sequential::backward_ws`
 //! produce batch-averaged parameter gradients. Scalar accumulation happens
 //! in `f64` so the numerical gradient checks aren't drowned in `f32`
 //! rounding noise.
 
 use crate::tensor::Tensor;
 
-/// Mean squared error over all elements: `Σ (p − t)² / (rows·cols)`.
-pub fn mse(pred: &Tensor, target: &Tensor) -> (f32, Tensor) {
-    let mut grad = Tensor::zeros(pred.rows(), pred.cols());
-    let loss = mse_into(pred, target, &mut grad);
-    (loss, grad)
-}
-
-/// [`mse`] writing the gradient into a caller-owned buffer — the
-/// zero-alloc variant for steady-state training loops.
+/// Mean squared error over all elements, `Σ (p − t)² / (rows·cols)`,
+/// with its gradient written into a caller-owned buffer so steady-state
+/// training loops do not allocate.
 pub fn mse_into(pred: &Tensor, target: &Tensor, grad: &mut Tensor) -> f32 {
     assert_eq!(
         (pred.rows(), pred.cols()),
@@ -97,7 +92,8 @@ mod tests {
     #[test]
     fn mse_zero_when_equal() {
         let a = Tensor::from_rows(&[vec![1.0, -2.0], vec![0.5, 3.0]]);
-        let (l, g) = mse(&a, &a);
+        let mut g = Tensor::default();
+        let l = mse_into(&a, &a, &mut g);
         assert_eq!(l, 0.0);
         assert!(g.data().iter().all(|&x| x == 0.0));
     }
@@ -106,7 +102,8 @@ mod tests {
     fn mse_known_value() {
         let p = Tensor::vector(vec![1.0, 2.0]);
         let t = Tensor::vector(vec![0.0, 0.0]);
-        let (l, g) = mse(&p, &t);
+        let mut g = Tensor::default();
+        let l = mse_into(&p, &t, &mut g);
         assert!((l - 2.5).abs() < 1e-6); // (1 + 4) / 2
         assert_eq!(g.data(), &[1.0, 2.0]); // 2 d / 2
     }

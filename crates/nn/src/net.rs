@@ -46,15 +46,10 @@ impl Sequential {
     }
 
     /// Run the batch through every layer, caching intermediates for
-    /// `backward`. Allocating wrapper over [`Sequential::forward_ws`].
-    pub fn forward(&mut self, input: &Tensor) -> Tensor {
-        self.forward_ws(input, &mut Workspace::new())
-    }
-
-    /// Workspace-threaded forward pass: every intermediate activation is
-    /// drawn from (and recycled back into) `ws`, so a warmed-up training
-    /// loop allocates nothing. The returned tensor belongs to the caller,
-    /// who recycles it into `ws` when done with it.
+    /// `backward_ws`. Every intermediate activation is drawn from (and
+    /// recycled back into) `ws`, so a warmed-up training loop allocates
+    /// nothing. The returned tensor belongs to the caller, who recycles
+    /// it into `ws` when done with it.
     pub fn forward_ws(&mut self, input: &Tensor, ws: &mut Workspace) -> Tensor {
         let mut iter = self.layers.iter_mut();
         let Some(first) = iter.next() else {
@@ -71,13 +66,8 @@ impl Sequential {
 
     /// Propagate `dL/d(output)` back through every layer; parameter
     /// gradients end up stored in the layers, and `dL/d(input)` is
-    /// returned. Allocating wrapper over [`Sequential::backward_ws`].
-    pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        self.backward_ws(grad_out, &mut Workspace::new())
-    }
-
-    /// Workspace-threaded backward pass; the returned input gradient
-    /// belongs to the caller, who recycles it into `ws` when done.
+    /// returned in a buffer that belongs to the caller, who recycles it
+    /// into `ws` when done.
     pub fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
         let mut iter = self.layers.iter_mut().rev();
         let Some(first) = iter.next() else {
@@ -101,7 +91,7 @@ impl Sequential {
     }
 
     /// Apply one optimizer step to every parameter using the gradients
-    /// stored by the last `backward`.
+    /// stored by the last `backward_ws`.
     pub fn step(&mut self, opt: &mut dyn Optimizer) {
         opt.begin_step();
         let mut slot = 0;
@@ -109,20 +99,6 @@ impl Sequential {
             opt.update(slot, pg.value, pg.grad);
             slot += 1;
         });
-    }
-
-    /// All parameter/gradient pairs in slot order — the same numbering
-    /// `step` uses. Gradient checks and custom training loops use this to
-    /// inspect or perturb individual parameters.
-    pub fn params_flat(&mut self) -> Vec<crate::layer::ParamGrad<'_>> {
-        self.layers.iter_mut().flat_map(|l| l.params()).collect()
-    }
-
-    /// Forward through a single layer by index (caching for backward as
-    /// usual). Lets tests and branched architectures drive layers
-    /// individually.
-    pub fn layer_forward(&mut self, idx: usize, input: &Tensor) -> Tensor {
-        self.layers[idx].forward(input)
     }
 
     /// Total number of trainable scalars.
@@ -141,31 +117,22 @@ impl Sequential {
 
     // -- parameter/gradient vectors ------------------------------------------
     //
-    // The A3C-style trainer in `osa-mdp` (and later the ensembles in
-    // `osa-core`) syncs weights between a shared parameter server and
-    // per-worker replicas many times per second; JSON round-trips would
-    // dominate the training loop. These flat-vector views copy raw `f32`s
+    // The trainer in `osa-mdp` syncs weights between the server nets and
+    // per-stream replicas every round; JSON round-trips would dominate
+    // the training loop. These flat-vector views copy raw `f32`s
     // in slot order — the same stable numbering `step` uses — so a
     // snapshot taken from one net applies to any architecturally identical
     // net.
 
-    /// Copy every parameter into one contiguous vector, in slot order.
-    pub fn params_to_vec(&mut self) -> Vec<f32> {
-        let mut out = Vec::with_capacity(self.num_params());
-        self.copy_params_into(&mut out);
-        out
-    }
-
     /// Refill `out` with every parameter in slot order, reusing its
-    /// capacity — the zero-alloc counterpart of
-    /// [`Sequential::params_to_vec`] for per-step parameter-server syncs.
+    /// capacity, for per-step parameter-server syncs.
     pub fn copy_params_into(&mut self, out: &mut Vec<f32>) {
         out.clear();
         self.visit_params(&mut |pg| out.extend_from_slice(pg.value.data()));
     }
 
-    /// Overwrite every parameter from a flat vector produced by
-    /// [`Sequential::params_to_vec`] on an architecturally identical net.
+    /// Overwrite every parameter from a flat vector filled by
+    /// [`Sequential::copy_params_into`] on an architecturally identical net.
     /// Panics if the total length does not match.
     pub fn set_params_from_vec(&mut self, flat: &[f32]) {
         let mut off = 0;
@@ -178,17 +145,8 @@ impl Sequential {
         assert_eq!(off, flat.len(), "parameter vector too long");
     }
 
-    /// Copy every stored gradient into one contiguous vector, in slot
-    /// order. Meaningful after a `backward` pass.
-    pub fn grads_to_vec(&mut self) -> Vec<f32> {
-        let mut out = Vec::with_capacity(self.num_params());
-        self.copy_grads_into(&mut out);
-        out
-    }
-
     /// Refill `out` with every stored gradient in slot order, reusing its
-    /// capacity — the zero-alloc counterpart of
-    /// [`Sequential::grads_to_vec`].
+    /// capacity. Meaningful after a `backward_ws` pass.
     pub fn copy_grads_into(&mut self, out: &mut Vec<f32>) {
         out.clear();
         self.visit_params(&mut |pg| out.extend_from_slice(pg.grad.data()));
@@ -320,7 +278,7 @@ mod tests {
     #[test]
     fn forward_shapes() {
         let mut net = tiny_net(1);
-        let y = net.forward(&Tensor::zeros(5, 3));
+        let y = net.forward_ws(&Tensor::zeros(5, 3), &mut Workspace::new());
         assert_eq!((y.rows(), y.cols()), (5, 2));
     }
 
@@ -346,14 +304,21 @@ mod tests {
             vec![1.0, 1.0],
             vec![0.0, 0.0],
         ]);
-        let initial = loss::mse(&net.forward(&x), &t).0;
+        let (mut ws, mut grad) = (Workspace::new(), Tensor::default());
+        let mse = |net: &mut Sequential, ws: &mut Workspace, grad: &mut Tensor| {
+            let y = net.forward_ws(&x, ws);
+            let l = loss::mse_into(&y, &t, grad);
+            ws.recycle(y);
+            l
+        };
+        let initial = mse(&mut net, &mut ws, &mut grad);
         for _ in 0..200 {
-            let y = net.forward(&x);
-            let (_, grad) = loss::mse(&y, &t);
-            net.backward(&grad);
+            mse(&mut net, &mut ws, &mut grad);
+            let dx = net.backward_ws(&grad, &mut ws);
+            ws.recycle(dx);
             net.step(&mut opt);
         }
-        let trained = loss::mse(&net.forward(&x), &t).0;
+        let trained = mse(&mut net, &mut ws, &mut grad);
         assert!(
             trained < initial / 10.0,
             "loss did not drop: {initial} -> {trained}"
@@ -365,9 +330,10 @@ mod tests {
     fn spec_rebuild_preserves_forward() {
         let mut net = tiny_net(3);
         let x = Tensor::from_rows(&[vec![0.2, -0.4, 0.6]]);
-        let y1 = net.forward(&x);
+        let mut ws = Workspace::new();
+        let y1 = net.forward_ws(&x, &mut ws);
         let mut rebuilt = Sequential::from_spec(&net.to_spec());
-        let y2 = rebuilt.forward(&x);
+        let y2 = rebuilt.forward_ws(&x, &mut ws);
         assert_eq!(y1, y2);
     }
 }

@@ -40,7 +40,7 @@
 //! hot path:
 //! ties-to-even is the hardware's native FP rounding mode, which lets
 //! the activation-quantize pass extract rounded integers with the
-//! [`ROUND_MAGIC`] bit trick instead of a scalar float→int cast per
+//! `ROUND_MAGIC` bit trick instead of a scalar float→int cast per
 //! element. `f32::round`'s half-away-from-zero semantics would cost a
 //! libm call per element (measured ~2× on the whole quantized forward —
 //! activation quantization is a per-layer, per-element pass).

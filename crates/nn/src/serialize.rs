@@ -43,6 +43,39 @@ pub enum LayerSpec {
     },
 }
 
+impl LayerSpec {
+    /// Input and output width of a sized layer; `None` for the
+    /// shape-preserving `ReLU`/`Softmax` and for widths that overflow
+    /// `usize` (a forged document).
+    pub fn widths(&self) -> Option<(usize, usize)> {
+        match self {
+            LayerSpec::Dense { w, .. } => Some((w.rows(), w.cols())),
+            LayerSpec::Conv1d {
+                in_channels,
+                length,
+                out_channels,
+                kernel,
+                ..
+            } => {
+                let out_len = length.checked_sub(*kernel)?.checked_add(1)?;
+                Some((
+                    in_channels.checked_mul(*length)?,
+                    out_channels.checked_mul(out_len)?,
+                ))
+            }
+            LayerSpec::Branches { parts } => {
+                let mut dims = (0usize, 0usize);
+                for p in parts {
+                    let (i, o) = p.widths()?;
+                    dims = (dims.0.checked_add(i)?, dims.1.checked_add(o)?);
+                }
+                Some(dims)
+            }
+            LayerSpec::ReLU | LayerSpec::Softmax => None,
+        }
+    }
+}
+
 /// Activation tag for fused layers. `Identity` is omitted from the JSON so
 /// documents written before fused activations existed parse unchanged, and
 /// unfused nets keep producing byte-identical files.
@@ -326,7 +359,9 @@ impl NetSpec {
     }
 
     /// Inverse of [`NetSpec::to_value`]: validates the version, every
-    /// layer's schema and shapes, and that every weight is finite.
+    /// layer's schema and shapes, that each sized layer's input width is
+    /// the output width of the sized layer before it, and that every
+    /// weight is finite.
     pub fn from_value(doc: &Value) -> Result<NetSpec, LoadError> {
         let version = doc
             .get("format_version")
@@ -345,6 +380,21 @@ impl NetSpec {
             .iter()
             .map(layer_from_json)
             .collect::<Result<Vec<_>, _>>()?;
+        let mut prev_out: Option<usize> = None;
+        for (i, layer) in layers.iter().enumerate() {
+            if matches!(layer, LayerSpec::ReLU | LayerSpec::Softmax) {
+                continue;
+            }
+            let (inw, outw) = layer
+                .widths()
+                .ok_or_else(|| schema(format!("layer {i} width overflows")))?;
+            if let Some(prev) = prev_out.filter(|&p| p != inw) {
+                return Err(schema(format!(
+                    "layer {i} takes {inw} inputs but the layer before it yields {prev}"
+                )));
+            }
+            prev_out = Some(outw);
+        }
         Ok(NetSpec::new(layers))
     }
 
@@ -427,6 +477,16 @@ mod tests {
             "w":{"rows":0,"cols":8589934592,"data":[]},
             "b":{"rows":1,"cols":0,"data":[]}}]}"#;
         assert!(NetSpec::from_json(text).is_err());
+        // Each layer is well formed, but a 3×8 layer cannot feed a 5×2 one.
+        let text = r#"{"format_version":1,"layers":[{"type":"dense",
+            "w":{"rows":3,"cols":8,"data":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0]},
+            "b":{"rows":1,"cols":8,"data":[0,0,0,0,0,0,0,0]}},{"type":"dense",
+            "w":{"rows":5,"cols":2,"data":[0,0,0,0,0,0,0,0,0,0]},
+            "b":{"rows":1,"cols":2,"data":[0,0]}}]}"#;
+        assert!(matches!(
+            NetSpec::from_json(text),
+            Err(LoadError::Schema(msg)) if msg.contains("layer 1 takes 5 inputs")
+        ));
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! broadcast copy); deeper layers read the replica-major activations of
 //! the layer before. Each layer holds every replica's lowered
 //! `(in × out)` weights **packed once** at construction
-//! ([`PackedB`]): the cache-aligned `NR`-wide column panels that
+//! (`PackedB`): the cache-aligned `NR`-wide column panels that
 //! [`Tensor::matmul_into`] would build on every call, each with its
 //! nonzero K band (first nonzero row rounded down to a `KLANES` group,
 //! one past the last). The packed panels are the only copy of the

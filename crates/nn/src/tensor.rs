@@ -61,8 +61,8 @@ pub(crate) fn relu(x: f32) -> f32 {
 ///    `((l0+l1) + (l2+l3)) + ((l4+l5) + (l6+l7))` — see [`fold8`].
 ///
 /// The bits of the result depend *only* on this lane assignment and fold
-/// tree, never on blocking: row tiles ([`MR`]), column panels ([`NR`]),
-/// panel packing, column-block widths ([`NB`]), and path selection are
+/// tree, never on blocking: row tiles (`MR`), column panels (`NR`),
+/// panel packing, column-block widths (`NB`), and path selection are
 /// free to change (even per-architecture) without changing a single
 /// output bit, which is what keeps results bit-identical at any
 /// `OSA_THREADS` and lets autovectorization run at full SIMD width.
@@ -80,7 +80,7 @@ pub(crate) fn relu(x: f32) -> f32 {
 /// The same argument covers zero *weights* for finite `a`: a product
 /// `a[i,p] · (±0.0)` is `±0.0`, so a `KLANES` group of `b` rows whose
 /// weights are all `±0.0` can be skipped without changing a bit. Weights
-/// packed once ([`PackedB`], the stacked ensemble's layers) record each
+/// packed once (`PackedB`, the stacked ensemble's layers) record each
 /// panel's nonzero band — the first row holding a nonzero weight,
 /// rounded down to a `KLANES` group so each product keeps its lane, and
 /// one past the last — and the micro-kernel reduces over that band only.
@@ -294,13 +294,6 @@ impl Tensor {
         &mut self.data[r * c..(r + 1) * c]
     }
 
-    /// Matrix product `self · other`. Shapes `(m,k)·(k,n) → (m,n)`.
-    pub fn matmul(&self, other: &Tensor) -> Tensor {
-        let mut out = Tensor::zeros(self.rows, other.cols);
-        self.matmul_into(other, &mut out);
-        out
-    }
-
     /// In-place matrix product `out = self · other`, reshaping `out` to
     /// `(m,n)` without reallocating when its buffer already has capacity.
     ///
@@ -309,8 +302,8 @@ impl Tensor {
     /// across row sharding, panel packing, and path selection — pinned
     /// against a naive lane-fold reference by `tests/kernels.rs`. For
     /// moderate `k` the kernel packs `NR`-wide column panels of `other`
-    /// into a cache-aligned per-thread [`Workspace`] arena and runs an
-    /// [`MR`]`×`[`NR`] register micro-kernel over them; for large `k` it
+    /// into a cache-aligned per-thread [`Workspace`](crate::workspace::Workspace)
+    /// arena and runs an `MR×NR` register micro-kernel over them; for large `k` it
     /// streams `other` once per row through an L1-resident lane buffer,
     /// skipping zero activations (bit-neutral, see [`KLANES`]).
     pub fn matmul_into(&self, other: &Tensor, out: &mut Tensor) {
@@ -327,7 +320,7 @@ impl Tensor {
     ///
     /// The bias add and activation are applied to each accumulated tile
     /// as the kernel stores it, after the full sum, so `Identity`
-    /// activation reproduces `matmul` + `add_row_broadcast` bit-for-bit
+    /// activation reproduces `matmul_into` plus a bias add bit-for-bit
     /// and `Relu` reproduces a subsequent ReLU layer bit-for-bit — with no
     /// second pass over the output and zero intermediate buffers.
     pub fn matmul_bias_act_into(&self, w: &Tensor, bias: &Tensor, act: Act, out: &mut Tensor) {
@@ -348,18 +341,10 @@ impl Tensor {
         });
     }
 
-    /// `selfᵀ · other` without materializing the transpose.
-    /// Shapes `(k,m)ᵀ·(k,n) → (m,n)`.
-    pub fn tmatmul(&self, other: &Tensor) -> Tensor {
-        let mut out = Tensor::zeros(self.cols, other.cols);
-        self.tmatmul_into(other, &mut out);
-        out
-    }
-
     /// In-place `out = selfᵀ · other`, reshaping `out` without
     /// reallocating when possible.
     ///
-    /// Tiled into [`MR`]`×`[`NR`] register blocks like
+    /// Tiled into `MR×NR` register blocks like
     /// [`Tensor::matmul_into`]; because the left operand is stored
     /// `(k × m)`, the `MR` `x` values each `k` step needs are one
     /// contiguous load. Accumulation follows the fixed 8-lane fold order
@@ -376,14 +361,6 @@ impl Tensor {
         par_rows(&mut out.data, m, n, m * k * n, |rows, o| {
             tmatmul_rows(rows, k, m, n, a, b, o)
         });
-    }
-
-    /// `self · otherᵀ` without materializing the transpose.
-    /// Shapes `(m,k)·(n,k)ᵀ → (m,n)`.
-    pub fn matmul_t(&self, other: &Tensor) -> Tensor {
-        let mut out = Tensor::zeros(self.rows, other.rows);
-        self.matmul_t_into(other, &mut out);
-        out
     }
 
     /// In-place `out = self · otherᵀ`, reshaping `out` without
@@ -470,13 +447,6 @@ impl Tensor {
         }
     }
 
-    /// Materialized transpose.
-    pub fn transpose(&self) -> Tensor {
-        let mut out = Tensor::zeros(self.cols, self.rows);
-        self.transpose_into(&mut out);
-        out
-    }
-
     /// In-place transpose into a caller-owned buffer, reshaping it
     /// without reallocating when capacity suffices.
     ///
@@ -519,22 +489,6 @@ impl Tensor {
         }
     }
 
-    /// Elementwise difference `self - other` as a new tensor.
-    pub fn sub(&self, other: &Tensor) -> Tensor {
-        assert_eq!((self.rows, self.cols), (other.rows, other.cols));
-        let data = self
-            .data
-            .iter()
-            .zip(&other.data)
-            .map(|(&a, &b)| a - b)
-            .collect();
-        Tensor {
-            rows: self.rows,
-            cols: self.cols,
-            data,
-        }
-    }
-
     /// Multiply every element by a scalar, in place.
     pub fn scale(&mut self, s: f32) {
         for a in &mut self.data {
@@ -542,63 +496,9 @@ impl Tensor {
         }
     }
 
-    /// Elementwise map as a new tensor.
-    pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
-        Tensor {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().map(|&x| f(x)).collect(),
-        }
-    }
-
-    /// Elementwise (Hadamard) product as a new tensor.
-    pub fn hadamard(&self, other: &Tensor) -> Tensor {
-        assert_eq!((self.rows, self.cols), (other.rows, other.cols));
-        let data = self
-            .data
-            .iter()
-            .zip(&other.data)
-            .map(|(&a, &b)| a * b)
-            .collect();
-        Tensor {
-            rows: self.rows,
-            cols: self.cols,
-            data,
-        }
-    }
-
-    /// Add a `(1 × cols)` row vector to every row, in place.
-    pub fn add_row_broadcast(&mut self, row: &Tensor) {
-        assert_eq!(row.rows, 1, "broadcast source must be a row vector");
-        assert_eq!(row.cols, self.cols, "broadcast width mismatch");
-        for r in 0..self.rows {
-            let dst = &mut self.data[r * self.cols..(r + 1) * self.cols];
-            for (d, &s) in dst.iter_mut().zip(&row.data) {
-                *d += s;
-            }
-        }
-    }
-
-    /// Column sums as a `(1 × cols)` row vector.
-    pub fn col_sum(&self) -> Tensor {
-        let mut out = Tensor::zeros(1, self.cols);
-        for r in 0..self.rows {
-            let src = &self.data[r * self.cols..(r + 1) * self.cols];
-            for (o, &s) in out.data.iter_mut().zip(src) {
-                *o += s;
-            }
-        }
-        out
-    }
-
     /// Sum of all elements, accumulated in `f64`.
     pub fn sum(&self) -> f64 {
         self.data.iter().map(|&x| x as f64).sum()
-    }
-
-    /// Index of the largest element in each row (first on ties).
-    pub fn argmax_rows(&self) -> Vec<usize> {
-        (0..self.rows).map(|r| argmax(self.row(r))).collect()
     }
 
     /// True iff every element is finite.
@@ -1073,7 +973,7 @@ impl PackedB {
     }
 }
 
-/// `tmatmul` core over output rows `rows`: `o = a[k×m]ᵀ · b[k×n]` rows
+/// `tmatmul_into` core over output rows `rows`: `o = a[k×m]ᵀ · b[k×n]` rows
 /// `rows`, with `o` holding exactly those rows. The row slice of `aᵀ` is
 /// staged contiguously in the arena (one pass over `a`, read row-major),
 /// then the shared [`gemm_rows`] kernel runs — one code path, one
@@ -1104,7 +1004,7 @@ fn tmatmul_rows(
     PACK_ARENA.with(|arena| arena.borrow_mut().recycle(at_buf));
 }
 
-/// Output-column block of the `matmul_t` kernel: rows of `b` dotted
+/// Output-column block of the `matmul_t_into` kernel: rows of `b` dotted
 /// against one streamed row of `a` per sweep, reusing each loaded `a`
 /// lane group `JT` times.
 const JT: usize = 4;
@@ -1134,7 +1034,7 @@ pub(crate) fn dot_lane8(arow: &[f32], brow: &[f32]) -> f32 {
     fold8(lanes)
 }
 
-/// `matmul_t` core over output rows `rows`: `o = a[m×k] · b[n×k]ᵀ` rows
+/// `matmul_t_into` core over output rows `rows`: `o = a[m×k] · b[n×k]ᵀ` rows
 /// `rows`, with `o` holding exactly those rows. Both operands are
 /// contiguous along `k`, so every dot is a full-width lane-fold dot
 /// ([`dot_lane8`]), blocked [`JT`] `b` rows per sweep of the streamed
@@ -1195,7 +1095,8 @@ mod tests {
     fn matmul_small_known() {
         let a = Tensor::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
         let b = Tensor::from_rows(&[vec![5.0, 6.0], vec![7.0, 8.0]]);
-        let c = a.matmul(&b);
+        let mut c = Tensor::default();
+        a.matmul_into(&b, &mut c);
         assert_eq!(c.data(), &[19.0, 22.0, 43.0, 50.0]);
     }
 
@@ -1207,34 +1108,45 @@ mod tests {
             vec![0.0, 1.0, 0.0],
             vec![0.0, 0.0, 1.0],
         ]);
-        assert_eq!(a.matmul(&id), a);
+        let mut c = Tensor::default();
+        a.matmul_into(&id, &mut c);
+        assert_eq!(c, a);
     }
 
     #[test]
     fn tmatmul_matches_explicit_transpose() {
         let a = Tensor::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0], vec![5.0, 6.0]]);
         let b = Tensor::from_rows(&[vec![1.0, -1.0], vec![0.5, 2.0], vec![-3.0, 0.0]]);
-        assert_eq!(a.tmatmul(&b), a.transpose().matmul(&b));
+        let (mut at, mut want, mut got) = (Tensor::default(), Tensor::default(), Tensor::default());
+        a.transpose_into(&mut at);
+        at.matmul_into(&b, &mut want);
+        a.tmatmul_into(&b, &mut got);
+        assert_eq!(got, want);
     }
 
     #[test]
     fn matmul_t_matches_explicit_transpose() {
         let a = Tensor::from_rows(&[vec![1.0, 2.0, 3.0]]);
         let b = Tensor::from_rows(&[vec![4.0, 5.0, 6.0], vec![7.0, 8.0, 9.0]]);
-        assert_eq!(a.matmul_t(&b), a.matmul(&b.transpose()));
+        let (mut bt, mut want, mut got) = (Tensor::default(), Tensor::default(), Tensor::default());
+        b.transpose_into(&mut bt);
+        a.matmul_into(&bt, &mut want);
+        a.matmul_t_into(&b, &mut got);
+        assert_eq!(got, want);
     }
 
     #[test]
-    fn broadcast_and_col_sum() {
-        let mut a = Tensor::zeros(3, 2);
-        a.add_row_broadcast(&Tensor::vector(vec![1.0, -2.0]));
-        assert_eq!(a.col_sum().data(), &[3.0, -6.0]);
+    fn col_sum_into_overwrites_its_buffer() {
+        let a = Tensor::from_rows(&[vec![1.0, -2.0], vec![1.0, -2.0], vec![1.0, -2.0]]);
+        let mut out = Tensor::from_vec(1, 3, vec![f32::NAN; 3]);
+        a.col_sum_into(&mut out);
+        assert_eq!(out.data(), &[3.0, -6.0]);
     }
 
     #[test]
-    fn argmax_rows_first_on_ties() {
-        let a = Tensor::from_rows(&[vec![1.0, 3.0, 2.0], vec![5.0, 5.0, 1.0]]);
-        assert_eq!(a.argmax_rows(), vec![1, 0]);
+    fn argmax_first_on_ties() {
+        assert_eq!(super::argmax(&[1.0, 3.0, 2.0]), 1);
+        assert_eq!(super::argmax(&[5.0, 5.0, 1.0]), 0);
     }
 
     #[test]
@@ -1242,6 +1154,6 @@ mod tests {
     fn matmul_shape_mismatch_panics() {
         let a = Tensor::zeros(2, 3);
         let b = Tensor::zeros(2, 3);
-        let _ = a.matmul(&b);
+        a.matmul_into(&b, &mut Tensor::default());
     }
 }

@@ -18,80 +18,78 @@ fn close(analytic: f32, numeric: f32) -> bool {
     (analytic - numeric).abs() <= RTOL * (analytic.abs() + numeric.abs()) + ATOL
 }
 
-/// A scalar objective over (net, input); `grad` must return the analytic
-/// gradients for the same point by running forward + backward.
+/// A scalar objective over a network's output: returns the loss and
+/// writes `dL/d(output)` into `grad`.
 trait Objective {
-    fn loss(&self, net: &mut Sequential, x: &Tensor) -> f32;
-    /// Returns dL/d(input); parameter gradients are left stored in `net`.
-    fn input_grad(&self, net: &mut Sequential, x: &Tensor) -> Tensor;
+    fn loss(&self, y: &Tensor, grad: &mut Tensor) -> f32;
 }
 
 struct MseTo(Tensor);
 
 impl Objective for MseTo {
-    fn loss(&self, net: &mut Sequential, x: &Tensor) -> f32 {
-        loss::mse(&net.forward(x), &self.0).0
-    }
-    fn input_grad(&self, net: &mut Sequential, x: &Tensor) -> Tensor {
-        let y = net.forward(x);
-        let (_, g) = loss::mse(&y, &self.0);
-        net.backward(&g)
+    fn loss(&self, y: &Tensor, grad: &mut Tensor) -> f32 {
+        loss::mse_into(y, &self.0, grad)
     }
 }
 
 struct CrossEntropyTo(Tensor);
 
 impl Objective for CrossEntropyTo {
-    fn loss(&self, net: &mut Sequential, x: &Tensor) -> f32 {
-        loss::softmax_cross_entropy(&net.forward(x), &self.0).0
-    }
-    fn input_grad(&self, net: &mut Sequential, x: &Tensor) -> Tensor {
-        let y = net.forward(x);
-        let (_, g) = loss::softmax_cross_entropy(&y, &self.0);
-        net.backward(&g)
+    fn loss(&self, y: &Tensor, grad: &mut Tensor) -> f32 {
+        let (l, g) = loss::softmax_cross_entropy(y, &self.0);
+        *grad = g;
+        l
     }
 }
 
 /// Check every parameter gradient and the input gradient of `net` against
 /// central differences of the objective.
 fn check_all_grads(net: &mut Sequential, x: &Tensor, objective: &dyn Objective, label: &str) {
+    let (mut ws, mut grad_y) = (Workspace::new(), Tensor::default());
+
     // Analytic pass: stores param grads in the net, returns input grad.
-    let analytic_dx = objective.input_grad(net, x);
+    let y = net.forward_ws(x, &mut ws);
+    objective.loss(&y, &mut grad_y);
+    ws.recycle(y);
+    let analytic_dx = net.backward_ws(&grad_y, &mut ws);
+    let (mut analytic, mut theta) = (Vec::new(), Vec::new());
+    net.copy_grads_into(&mut analytic);
+    net.copy_params_into(&mut theta);
 
-    // Collect analytic parameter gradients before we start perturbing.
-    let analytic_params: Vec<Vec<f32>> = net
-        .layers_params_snapshot()
-        .into_iter()
-        .map(|(_, g)| g)
-        .collect();
+    let mut loss_at = |net: &mut Sequential, x: &Tensor| {
+        let y = net.forward_ws(x, &mut ws);
+        let l = objective.loss(&y, &mut grad_y);
+        ws.recycle(y);
+        l
+    };
 
-    // Numeric parameter gradients.
-    let mut slot = 0;
-    while let Some(n_elems) = net.param_len(slot) {
-        for (i, &analytic) in analytic_params[slot][..n_elems].iter().enumerate() {
-            let orig = net.param_get(slot, i);
-            net.param_set(slot, i, orig + EPS);
-            let lp = objective.loss(net, x);
-            net.param_set(slot, i, orig - EPS);
-            let lm = objective.loss(net, x);
-            net.param_set(slot, i, orig);
-            let numeric = (lp - lm) / (2.0 * EPS);
-            assert!(
-                close(analytic, numeric),
-                "{label}: param slot {slot} elem {i}: analytic {analytic} vs numeric {numeric}"
-            );
-        }
-        slot += 1;
+    // Numeric parameter gradients, over the flat slot-order vector.
+    for i in 0..theta.len() {
+        let orig = theta[i];
+        theta[i] = orig + EPS;
+        net.set_params_from_vec(&theta);
+        let lp = loss_at(net, x);
+        theta[i] = orig - EPS;
+        net.set_params_from_vec(&theta);
+        let lm = loss_at(net, x);
+        theta[i] = orig;
+        let numeric = (lp - lm) / (2.0 * EPS);
+        assert!(
+            close(analytic[i], numeric),
+            "{label}: param {i}: analytic {} vs numeric {numeric}",
+            analytic[i]
+        );
     }
+    net.set_params_from_vec(&theta);
 
     // Numeric input gradients.
     let mut xp = x.clone();
     for i in 0..x.len() {
         let orig = x.data()[i];
         xp.data_mut()[i] = orig + EPS;
-        let lp = objective.loss(net, &xp);
+        let lp = loss_at(net, &xp);
         xp.data_mut()[i] = orig - EPS;
-        let lm = objective.loss(net, &xp);
+        let lm = loss_at(net, &xp);
         xp.data_mut()[i] = orig;
         let numeric = (lp - lm) / (2.0 * EPS);
         let analytic = analytic_dx.data()[i];
@@ -99,45 +97,6 @@ fn check_all_grads(net: &mut Sequential, x: &Tensor, objective: &dyn Objective, 
             close(analytic, numeric),
             "{label}: input elem {i}: analytic {analytic} vs numeric {numeric}"
         );
-    }
-}
-
-/// Test-only param introspection helpers for `Sequential`.
-trait ParamAccess {
-    fn layers_params_snapshot(&mut self) -> Vec<(Vec<f32>, Vec<f32>)>;
-    fn param_len(&mut self, slot: usize) -> Option<usize>;
-    fn param_get(&mut self, slot: usize, i: usize) -> f32;
-    fn param_set(&mut self, slot: usize, i: usize, v: f32);
-}
-
-impl ParamAccess for Sequential {
-    fn layers_params_snapshot(&mut self) -> Vec<(Vec<f32>, Vec<f32>)> {
-        self.params_flat()
-            .into_iter()
-            .map(|pg| (pg.value.data().to_vec(), pg.grad.data().to_vec()))
-            .collect()
-    }
-    fn param_len(&mut self, slot: usize) -> Option<usize> {
-        self.params_flat()
-            .into_iter()
-            .nth(slot)
-            .map(|pg| pg.value.len())
-    }
-    fn param_get(&mut self, slot: usize, i: usize) -> f32 {
-        self.params_flat()
-            .into_iter()
-            .nth(slot)
-            .expect("slot in range")
-            .value
-            .data()[i]
-    }
-    fn param_set(&mut self, slot: usize, i: usize, v: f32) {
-        self.params_flat()
-            .into_iter()
-            .nth(slot)
-            .expect("slot in range")
-            .value
-            .data_mut()[i] = v;
     }
 }
 
@@ -175,35 +134,21 @@ fn relu_safe_case(
 ) -> (Sequential, Tensor) {
     for seed in 0..1000u64 {
         let mut rng = Rng::seed_from_u64(1000 + seed);
-        let mut net = build(&mut rng);
+        let net = build(&mut rng);
         let x = random_tensor(rows, in_dim, 1.0, &mut rng);
-        // Probe pre-activations by running prefixes of the net: a kink is
-        // near zero iff some intermediate output magnitude is tiny.
-        let mut safe = true;
-        let mut h = x.clone();
-        for li in 0..probe_layers {
-            h = net.forward_one(li, &h);
-            if h.data().iter().any(|v| v.abs() < 0.05) {
-                safe = false;
-                break;
-            }
-        }
+        // Probe pre-activations layer by layer: a kink is near zero iff
+        // some intermediate output magnitude is tiny.
+        let (mut h, mut ws) = (x.clone(), Workspace::new());
+        let safe = net.to_spec().layers[..probe_layers].iter().all(|layer| {
+            let mut one = Sequential::from_spec(&NetSpec::new(vec![layer.clone()]));
+            h = one.forward_ws(&h, &mut ws);
+            !h.data().iter().any(|v| v.abs() < 0.05)
+        });
         if safe {
             return (net, x);
         }
     }
     panic!("no kink-free seed found");
-}
-
-/// Test-only single-layer forward for kink probing.
-trait ForwardOne {
-    fn forward_one(&mut self, idx: usize, x: &Tensor) -> Tensor;
-}
-
-impl ForwardOne for Sequential {
-    fn forward_one(&mut self, idx: usize, x: &Tensor) -> Tensor {
-        self.layer_forward(idx, x)
-    }
 }
 
 #[test]
@@ -287,14 +232,15 @@ fn mse_input_gradient_matches_numeric() {
     let mut rng = Rng::seed_from_u64(16);
     let pred = random_tensor(3, 4, 2.0, &mut rng);
     let target = random_tensor(3, 4, 2.0, &mut rng);
-    let (_, analytic) = loss::mse(&pred, &target);
+    let (mut analytic, mut scratch) = (Tensor::default(), Tensor::default());
+    loss::mse_into(&pred, &target, &mut analytic);
     let mut p = pred.clone();
     for i in 0..p.len() {
         let orig = p.data()[i];
         p.data_mut()[i] = orig + EPS;
-        let lp = loss::mse(&p, &target).0;
+        let lp = loss::mse_into(&p, &target, &mut scratch);
         p.data_mut()[i] = orig - EPS;
-        let lm = loss::mse(&p, &target).0;
+        let lm = loss::mse_into(&p, &target, &mut scratch);
         p.data_mut()[i] = orig;
         let numeric = (lp - lm) / (2.0 * EPS);
         assert!(

@@ -129,33 +129,39 @@ fn from_rows_rejects_ragged_rows() {
 #[test]
 fn blocked_matmul_is_bit_identical_to_the_naive_loop() {
     let mut rng = Rng::seed_from_u64(400);
+    let mut out = Tensor::default();
     for case in 0..CASES {
         let (m, k, n) = random_dims(case, &mut rng);
         let a = random_tensor(m, k, &mut rng);
         let b = random_tensor(k, n, &mut rng);
-        assert_bits_eq(&a.matmul(&b), &naive_matmul(&a, &b), "matmul", case);
+        a.matmul_into(&b, &mut out);
+        assert_bits_eq(&out, &naive_matmul(&a, &b), "matmul", case);
     }
 }
 
 #[test]
 fn blocked_tmatmul_is_bit_identical_to_the_naive_loop() {
     let mut rng = Rng::seed_from_u64(401);
+    let mut out = Tensor::default();
     for case in 0..CASES {
         let (m, k, n) = random_dims(case, &mut rng);
         let a = random_tensor(k, m, &mut rng);
         let b = random_tensor(k, n, &mut rng);
-        assert_bits_eq(&a.tmatmul(&b), &naive_tmatmul(&a, &b), "tmatmul", case);
+        a.tmatmul_into(&b, &mut out);
+        assert_bits_eq(&out, &naive_tmatmul(&a, &b), "tmatmul", case);
     }
 }
 
 #[test]
 fn blocked_matmul_t_is_bit_identical_to_the_naive_loop() {
     let mut rng = Rng::seed_from_u64(402);
+    let mut out = Tensor::default();
     for case in 0..CASES {
         let (m, k, n) = random_dims(case, &mut rng);
         let a = random_tensor(m, k, &mut rng);
         let b = random_tensor(n, k, &mut rng);
-        assert_bits_eq(&a.matmul_t(&b), &naive_matmul_t(&a, &b), "matmul_t", case);
+        a.matmul_t_into(&b, &mut out);
+        assert_bits_eq(&out, &naive_matmul_t(&a, &b), "matmul_t", case);
     }
 }
 
@@ -175,10 +181,12 @@ fn packed_panel_path_is_bit_identical_to_the_naive_loop() {
         (4, 7, 17),                 // k below one lane group
         (3, 24, 16),                // below PACK_MIN_ROWS: unpacked tiles
     ];
+    let mut out = Tensor::default();
     for (case, &(m, k, n)) in shapes.iter().enumerate() {
         let a = random_tensor(m, k, &mut rng);
         let b = random_tensor(k, n, &mut rng);
-        assert_bits_eq(&a.matmul(&b), &naive_matmul(&a, &b), "packed matmul", case);
+        a.matmul_into(&b, &mut out);
+        assert_bits_eq(&out, &naive_matmul(&a, &b), "packed matmul", case);
     }
 }
 
@@ -461,14 +469,16 @@ fn streaming_path_zero_skip_is_bit_neutral() {
     {
         let a = sparse_tensor(m, k, &mut rng);
         let b = random_tensor(k, n, &mut rng);
-        assert_bits_eq(&a.matmul(&b), &naive_matmul(&a, &b), "stream matmul", case);
+        let mut out = Tensor::default();
+        a.matmul_into(&b, &mut out);
+        assert_bits_eq(&out, &naive_matmul(&a, &b), "stream matmul", case);
     }
 }
 
 /// The `_into` kernels must fully overwrite a reused buffer: one dirty
 /// `Tensor` is threaded through all 100 cases with shapes that never
-/// match its previous contents, and each result must equal a fresh
-/// allocation bit-for-bit.
+/// match its previous contents, and each result must equal the same
+/// kernel's output into a fresh buffer bit-for-bit.
 #[test]
 fn into_kernels_overwrite_dirty_reused_buffers() {
     let mut rng = Rng::seed_from_u64(403);
@@ -477,16 +487,22 @@ fn into_kernels_overwrite_dirty_reused_buffers() {
         let (m, k, n) = random_dims(case, &mut rng);
         let a = random_tensor(m, k, &mut rng);
         let b = random_tensor(k, n, &mut rng);
+        let mut fresh = Tensor::default();
         a.matmul_into(&b, &mut out);
-        assert_bits_eq(&out, &a.matmul(&b), "matmul_into reuse", case);
+        a.matmul_into(&b, &mut fresh);
+        assert_bits_eq(&out, &fresh, "matmul_into reuse", case);
 
         let bt = random_tensor(n, k, &mut rng);
         a.matmul_t_into(&bt, &mut out);
-        assert_bits_eq(&out, &a.matmul_t(&bt), "matmul_t_into reuse", case);
+        let mut fresh = Tensor::default();
+        a.matmul_t_into(&bt, &mut fresh);
+        assert_bits_eq(&out, &fresh, "matmul_t_into reuse", case);
 
         let at = random_tensor(k, m, &mut rng);
         at.tmatmul_into(&b, &mut out);
-        assert_bits_eq(&out, &at.tmatmul(&b), "tmatmul_into reuse", case);
+        let mut fresh = Tensor::default();
+        at.tmatmul_into(&b, &mut fresh);
+        assert_bits_eq(&out, &fresh, "tmatmul_into reuse", case);
     }
 }
 
@@ -526,7 +542,8 @@ fn fused_bias_act_matches_the_unfused_sequence() {
             Act::Identity
         };
 
-        let mut reference = a.matmul(&w);
+        let mut reference = Tensor::default();
+        a.matmul_into(&w, &mut reference);
         for r in 0..m {
             for (o, &bv) in reference.row_mut(r).iter_mut().zip(bias.row(0)) {
                 *o = act.apply(*o + bv);
@@ -602,8 +619,9 @@ fn fused_dense_forward_matches_dense_then_relu_layer() {
         let mut fused = Dense::new(k, n, Init::HeUniform, &mut rng_a).with_act(Act::Relu);
         let mut plain = Dense::new(k, n, Init::HeUniform, &mut rng_b);
         let x = random_tensor(m, k, &mut shape_rng);
-        let fused_y = fused.forward(&x);
-        let plain_y = ReLU::new().forward(&plain.forward(&x));
+        let mut ws = Workspace::new();
+        let fused_y = fused.forward_ws(&x, &mut ws);
+        let plain_y = ReLU::new().forward_ws(&plain.forward_ws(&x, &mut ws), &mut ws);
         assert_bits_eq(&fused_y, &plain_y, "fused Dense", seed as usize);
     }
 }

@@ -24,28 +24,33 @@ fn random_tensor(rows: usize, cols: usize, rng: &mut Rng) -> Tensor {
 }
 
 /// Run forward + MSE backward so the net holds a real gradient.
-fn populate_grads(net: &mut Sequential, x: &Tensor, t: &Tensor) -> f32 {
-    let y = net.forward(x);
-    let (l, g) = loss::mse(&y, t);
-    net.backward(&g);
-    l
+fn populate_grads(net: &mut Sequential, x: &Tensor, t: &Tensor) {
+    let (mut ws, mut g) = (Workspace::new(), Tensor::default());
+    let y = net.forward_ws(x, &mut ws);
+    loss::mse_into(&y, t, &mut g);
+    net.backward_ws(&g, &mut ws);
 }
 
 #[test]
 fn params_vec_round_trips_bit_exact() {
     let mut net = tiny_net(1);
-    let flat = net.params_to_vec();
+    let mut flat = Vec::new();
+    net.copy_params_into(&mut flat);
     assert_eq!(flat.len(), net.num_params());
 
     let mut other = tiny_net(2);
-    assert_ne!(other.params_to_vec(), flat, "distinct seeds must differ");
+    let mut copy = Vec::new();
+    other.copy_params_into(&mut copy);
+    assert_ne!(copy, flat, "distinct seeds must differ");
     other.set_params_from_vec(&flat);
-    assert_eq!(other.params_to_vec(), flat);
+    other.copy_params_into(&mut copy);
+    assert_eq!(copy, flat);
 
     // Identical parameters ⇒ identical forward pass, bit for bit.
     let mut rng = Rng::seed_from_u64(3);
     let x = random_tensor(5, 4, &mut rng);
-    assert_eq!(net.forward(&x), other.forward(&x));
+    let mut ws = Workspace::new();
+    assert_eq!(net.forward_ws(&x, &mut ws), other.forward_ws(&x, &mut ws));
 }
 
 #[test]
@@ -57,16 +62,20 @@ fn grads_vec_round_trips_and_applies_through_step() {
     // Worker replica computes the gradient...
     let mut worker = tiny_net(5);
     populate_grads(&mut worker, &x, &t);
-    let grads = worker.grads_to_vec();
+    let mut grads = Vec::new();
+    worker.copy_grads_into(&mut grads);
     assert_eq!(grads.len(), worker.num_params());
 
     // ...the server applies it without ever running backward itself.
     let mut server = tiny_net(5);
     server.set_grads_from_vec(&grads);
-    assert_eq!(server.grads_to_vec(), grads);
-    let before = server.params_to_vec();
+    let mut copy = Vec::new();
+    server.copy_grads_into(&mut copy);
+    assert_eq!(copy, grads);
+    let (mut before, mut after) = (Vec::new(), Vec::new());
+    server.copy_params_into(&mut before);
     server.step(&mut Sgd::new(0.1));
-    let after = server.params_to_vec();
+    server.copy_params_into(&mut after);
     for ((b, a), g) in before.iter().zip(&after).zip(&grads) {
         assert!((a - (b - 0.1 * g)).abs() < 1e-6);
     }
@@ -91,16 +100,23 @@ fn grad_global_norm_matches_central_differences() {
 
     // Numeric gradient of the same loss w.r.t. every parameter, via the
     // flat vector API itself (which the round-trip tests above pin down).
-    let theta = net.params_to_vec();
+    let mut theta = Vec::new();
+    net.copy_params_into(&mut theta);
+    let (mut ws, mut g) = (Workspace::new(), Tensor::default());
+    let mut loss_at = |net: &mut Sequential, params: &[f32]| {
+        net.set_params_from_vec(params);
+        let y = net.forward_ws(&x, &mut ws);
+        let l = loss::mse_into(&y, &t, &mut g);
+        ws.recycle(y);
+        l
+    };
     let mut numeric_sq = 0.0f64;
     for i in 0..theta.len() {
         let mut tp = theta.clone();
         tp[i] = theta[i] + EPS;
-        net.set_params_from_vec(&tp);
-        let lp = loss::mse(&net.forward(&x), &t).0;
+        let lp = loss_at(&mut net, &tp);
         tp[i] = theta[i] - EPS;
-        net.set_params_from_vec(&tp);
-        let lm = loss::mse(&net.forward(&x), &t).0;
+        let lm = loss_at(&mut net, &tp);
         let g = ((lp - lm) / (2.0 * EPS)) as f64;
         numeric_sq += g * g;
     }
@@ -120,10 +136,12 @@ fn clip_caps_norm_and_preserves_direction() {
     let mut rng = Rng::seed_from_u64(10);
     let x = random_tensor(2, 4, &mut rng);
     // A far-away target makes the gradient large enough to clip.
-    let t = random_tensor(2, 3, &mut rng).map(|v| v * 100.0);
+    let mut t = random_tensor(2, 3, &mut rng);
+    t.scale(100.0);
     populate_grads(&mut net, &x, &t);
 
-    let before = net.grads_to_vec();
+    let mut before = Vec::new();
+    net.copy_grads_into(&mut before);
     let norm_before = net.grad_global_norm();
     assert!(norm_before > 1.0, "test setup: gradient too small to clip");
 
@@ -133,7 +151,8 @@ fn clip_caps_norm_and_preserves_direction() {
     assert!((norm_after - 1.0).abs() < 1e-4, "clipped norm {norm_after}");
 
     // Direction preserved: every component scaled by the same factor.
-    let after = net.grads_to_vec();
+    let mut after = Vec::new();
+    net.copy_grads_into(&mut after);
     let scale = 1.0 / norm_before;
     for (b, a) in before.iter().zip(&after) {
         assert!((a - b * scale).abs() < 1e-6);
@@ -147,12 +166,10 @@ fn clip_is_noop_below_threshold() {
     let x = random_tensor(2, 4, &mut rng);
     let t = random_tensor(2, 3, &mut rng);
     populate_grads(&mut net, &x, &t);
-    let before = net.grads_to_vec();
+    let (mut before, mut after) = (Vec::new(), Vec::new());
+    net.copy_grads_into(&mut before);
     let norm = net.grad_global_norm();
     net.clip_grad_global_norm(norm + 1.0);
-    assert_eq!(
-        net.grads_to_vec(),
-        before,
-        "no-op clip must not touch grads"
-    );
+    net.copy_grads_into(&mut after);
+    assert_eq!(after, before, "no-op clip must not touch grads");
 }

@@ -27,7 +27,7 @@ fn softmax_rows_always_normalize() {
         // Mix moderate and extreme scales to stress the max-subtraction.
         let scale = if case % 3 == 0 { 1e4 } else { 5.0 };
         let x = random_tensor(rows, cols, scale, &mut rng);
-        let y = Softmax::new().forward(&x);
+        let y = Softmax::new().forward_ws(&x, &mut Workspace::new());
         assert!(y.is_finite(), "case {case}: non-finite softmax");
         for r in 0..rows {
             let row = y.row(r);
@@ -49,7 +49,7 @@ fn relu_nonnegative_and_identity_on_positives() {
         let rows = 1 + rng.below(4);
         let cols = 1 + rng.below(16);
         let x = random_tensor(rows, cols, 10.0, &mut rng);
-        let y = ReLU::new().forward(&x);
+        let y = ReLU::new().forward_ws(&x, &mut Workspace::new());
         for (xi, yi) in x.data().iter().zip(y.data()) {
             assert!(*yi >= 0.0, "case {case}: negative ReLU output");
             if *xi > 0.0 {
@@ -126,16 +126,17 @@ fn uniform_init_respects_bounds() {
     }
 }
 
-/// matmul agrees with a naive triple loop (the i-k-j ordering is an
-/// optimization, not a semantic change).
+/// `matmul_into` agrees with a naive triple loop (the i-k-j ordering is
+/// an optimization, not a semantic change).
 #[test]
 fn matmul_matches_naive_reference() {
     let mut rng = Rng::seed_from_u64(105);
+    let mut fast = Tensor::default();
     for case in 0..CASES {
         let (m, k, n) = (1 + rng.below(6), 1 + rng.below(6), 1 + rng.below(6));
         let a = random_tensor(m, k, 2.0, &mut rng);
         let b = random_tensor(k, n, 2.0, &mut rng);
-        let fast = a.matmul(&b);
+        a.matmul_into(&b, &mut fast);
         for i in 0..m {
             for j in 0..n {
                 let mut acc = 0.0f32;
@@ -205,16 +206,21 @@ fn dense_fits_linear_targets() {
     for case in 0..5 {
         let w_true = random_tensor(3, 2, 1.0, &mut rng);
         let x = random_tensor(16, 3, 1.0, &mut rng);
-        let t = x.matmul(&w_true);
+        let mut t = Tensor::default();
+        x.matmul_into(&w_true, &mut t);
         let mut net = Sequential::new().with(Dense::new(3, 2, Init::XavierUniform, &mut rng));
         let mut opt = Adam::new(0.05);
+        let (mut ws, mut g) = (Workspace::new(), Tensor::default());
         for _ in 0..300 {
-            let y = net.forward(&x);
-            let (_, g) = loss::mse(&y, &t);
-            net.backward(&g);
+            let y = net.forward_ws(&x, &mut ws);
+            loss::mse_into(&y, &t, &mut g);
+            ws.recycle(y);
+            let dx = net.backward_ws(&g, &mut ws);
+            ws.recycle(dx);
             net.step(&mut opt);
         }
-        let final_loss = loss::mse(&net.forward(&x), &t).0;
+        let y = net.forward_ws(&x, &mut ws);
+        let final_loss = loss::mse_into(&y, &t, &mut g);
         assert!(final_loss < 1e-3, "case {case}: loss stuck at {final_loss}");
     }
 }

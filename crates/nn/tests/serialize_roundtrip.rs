@@ -50,11 +50,12 @@ fn json_roundtrip_preserves_forward_bits_for_random_models() {
             "seed {seed}: specs differ after round-trip"
         );
 
+        let mut ws = Workspace::new();
         for _ in 0..3 {
             let batch = 1 + rng.below(4);
             let x = random_input(batch, in_dim, &mut rng);
-            let y1 = net.forward(&x);
-            let y2 = loaded.forward(&x);
+            let y1 = net.forward_ws(&x, &mut ws);
+            let y2 = loaded.forward_ws(&x, &mut ws);
             assert_eq!(
                 (y1.rows(), y1.cols()),
                 (y2.rows(), y2.cols()),
@@ -91,8 +92,9 @@ fn file_roundtrip() {
     std::fs::remove_file(&path).ok();
 
     let x = random_input(2, in_dim, &mut rng);
-    let y1 = net.forward(&x);
-    let y2 = loaded.forward(&x);
+    let mut ws = Workspace::new();
+    let y1 = net.forward_ws(&x, &mut ws);
+    let y2 = loaded.forward_ws(&x, &mut ws);
     for (a, b) in y1.data().iter().zip(y2.data()) {
         assert_eq!(a.to_bits(), b.to_bits());
     }
@@ -120,15 +122,18 @@ fn trained_weights_survive_roundtrip() {
         vec![1.0, 0.0],
     ]);
     let mut opt = Adam::new(0.05);
+    let mut ws = Workspace::new();
     for _ in 0..100 {
-        let y = net.forward(&x);
+        let y = net.forward_ws(&x, &mut ws);
         let (_, g) = loss::softmax_cross_entropy(&y, &t);
-        net.backward(&g);
+        let dx = net.backward_ws(&g, &mut ws);
+        ws.recycle(dx);
+        ws.recycle(y);
         net.step(&mut opt);
     }
     let mut loaded = Sequential::from_json(&net.to_json()).unwrap();
-    let y1 = net.forward(&x);
-    let y2 = loaded.forward(&x);
+    let y1 = net.forward_ws(&x, &mut ws);
+    let y2 = loaded.forward_ws(&x, &mut ws);
     for (a, b) in y1.data().iter().zip(y2.data()) {
         assert_eq!(a.to_bits(), b.to_bits());
     }

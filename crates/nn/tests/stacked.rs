@@ -66,7 +66,7 @@ fn dense_replicas_match_bit_for_bit() {
     assert_eq!((out.rows(), out.cols()), (15, 4));
 
     for (r, net) in nets.iter_mut().enumerate() {
-        let y = net.forward(&x);
+        let y = net.forward_ws(&x, &mut ws);
         for s in 0..3 {
             for (a, b) in out.row(r * 3 + s).iter().zip(y.row(s)) {
                 assert_eq!(a.to_bits(), b.to_bits(), "replica {r} row {s}");
@@ -88,7 +88,7 @@ fn pensieve_shaped_towers_match_within_rounding() {
     let mut out = Tensor::zeros(0, 0);
     stacked.forward_into(&x, &mut ws, &mut out);
     for (r, net) in nets.iter_mut().enumerate() {
-        let y = net.forward(&x);
+        let y = net.forward_ws(&x, &mut ws);
         for s in 0..2 {
             for (j, (&a, &b)) in out.row(r * 2 + s).iter().zip(y.row(s)).enumerate() {
                 let scale = b.abs().max(1.0);

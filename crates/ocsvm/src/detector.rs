@@ -255,7 +255,7 @@ impl OcSvm {
     /// per 16-lane register: each group of four is standardized and
     /// staged once, then one pass over the support-vector blocks computes
     /// cross terms, distances, exponentials and the α-weighted sums of
-    /// all four (see [`OcSvm::group_sums`]). Every lane holds one (row,
+    /// all four (see `OcSvm::group_sums`). Every lane holds one (row,
     /// support vector) pair and runs the one-row operation sequence, so a
     /// row's bits never depend on its group-mates. A row range that is
     /// not a multiple of four pads its last group with zero rows whose

@@ -77,7 +77,7 @@ pub struct SmoResult {
 ///
 /// # Panics
 /// If `x` has no rows, holds a NaN or ±∞, or `nu` is outside `(0, 1]`.
-/// [`crate::OcSvm::fit`] checks its input first and returns a typed
+/// [`OcSvm::fit`](crate::NoveltyDetector::fit) checks its input first and returns a typed
 /// error instead.
 pub fn solve_one_class(x: &Tensor, gamma: f32, nu: f64, cfg: &SmoConfig) -> SmoResult {
     let n = x.rows();
@@ -172,7 +172,7 @@ type Lanes = [f32; BLOCK];
 /// row, two rows per pass.
 ///
 /// The training set is copied once into blocks
-/// of [`BLOCK`] rows, each block feature-major (feature `p` of row `j`
+/// of `BLOCK` rows, each block feature-major (feature `p` of row `j`
 /// at `blocks[j / BLOCK · d + p][j mod BLOCK]`), with the row norms
 /// beside it; the last block is zero-padded. A pass stages the two query
 /// rows' features, each broadcast over a register, and streams the

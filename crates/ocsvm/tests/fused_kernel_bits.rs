@@ -4,7 +4,7 @@
 //! The reference below is the earlier scoring path, rebuilt from the
 //! public pieces: the same standardization and SMO fit, then unscaled
 //! f32 dual coefficients, the cross terms of the whole batch as one
-//! `matmul_t` GEMM, and the lane-8 `αᵢ·exp_fast(−γd²)` reduction per
+//! `matmul_t_into` GEMM, and the lane-8 `αᵢ·exp_fast(−γd²)` reduction per
 //! row. The fused kernel pre-scales α by an exact power of two and
 //! computes the cross terms per block of support vectors in the same
 //! lane order, so:
@@ -98,7 +98,8 @@ impl Reference {
 
     fn kernel_sums(&self, x: &Tensor) -> Vec<f32> {
         let z = self.standardize(x);
-        let cross = z.matmul_t(&self.svs);
+        let mut cross = Tensor::default();
+        z.matmul_t_into(&self.svs, &mut cross);
         (0..x.rows())
             .map(|i| self.weighted_row(sq_norm(z.row(i)), cross.row(i)))
             .collect()

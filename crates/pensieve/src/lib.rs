@@ -129,38 +129,14 @@ fn build_tower(cfg: &PensieveConfig, out_dim: usize, rng: &mut Rng) -> Sequentia
         .with(Dense::new(cfg.merge, out_dim, Init::XavierUniform, rng))
 }
 
-/// Input/output width of one layer spec, `None` for shape-preserving
-/// activation layers and for widths that overflow `usize` (a forged
-/// document; the missing entry then fails the architecture check).
-fn spec_dims(spec: &LayerSpec) -> Option<(usize, usize)> {
-    match spec {
-        LayerSpec::Dense { w, .. } => Some((w.rows(), w.cols())),
-        LayerSpec::Conv1d {
-            in_channels,
-            length,
-            out_channels,
-            kernel,
-            ..
-        } => Some((
-            in_channels.checked_mul(*length)?,
-            out_channels.checked_mul(length - kernel + 1)?,
-        )),
-        LayerSpec::Branches { parts } => {
-            let mut dims = (0usize, 0usize);
-            for p in parts {
-                let (i, o) = spec_dims(p)?;
-                dims = (dims.0.checked_add(i)?, dims.1.checked_add(o)?);
-            }
-            Some(dims)
-        }
-        LayerSpec::ReLU | LayerSpec::Softmax => None,
-    }
-}
-
 /// The (input, output) widths of every sized layer in a network, in
 /// order, read off its spec.
 fn sized_dims(net: &Sequential) -> Vec<(usize, usize)> {
-    net.to_spec().layers.iter().filter_map(spec_dims).collect()
+    net.to_spec()
+        .layers
+        .iter()
+        .filter_map(LayerSpec::widths)
+        .collect()
 }
 
 /// A Pensieve actor-critic: branched towers wrapped in the workspace's

@@ -30,10 +30,13 @@ fn digest(xs: &[f32]) -> u64 {
 /// `[actor params, critic params, episode returns]` digests plus the
 /// number of completed episodes.
 fn digests(ac: &mut ActorCritic, report: &TrainReport) -> ([u64; 3], usize) {
+    let (mut actor, mut critic) = (Vec::new(), Vec::new());
+    ac.actor.copy_params_into(&mut actor);
+    ac.critic.copy_params_into(&mut critic);
     (
         [
-            digest(&ac.actor.params_to_vec()),
-            digest(&ac.critic.params_to_vec()),
+            digest(&actor),
+            digest(&critic),
             digest(&report.episode_returns),
         ],
         report.episode_returns.len(),

@@ -19,7 +19,7 @@ use crate::trace::Trace;
 pub const BYTES_PER_MBIT: f64 = 125_000.0;
 
 /// Total bytes one full period of `trace` can deliver
-/// (Σᵢ mbps[i] · interval · 125 000). Zero for an all-outage trace.
+/// (`Σᵢ mbps[i] · interval · 125 000`). Zero for an all-outage trace.
 pub fn bytes_per_period(trace: &Trace) -> f64 {
     let dt = trace.interval_s as f64;
     trace

@@ -80,9 +80,11 @@ fn main() {
     );
 
     let (mut ac2, report2) = train_once(seed);
+    let (mut params, mut params2) = (Vec::new(), Vec::new());
+    ac.actor.copy_params_into(&mut params);
+    ac2.actor.copy_params_into(&mut params2);
     assert_eq!(
-        ac.actor.params_to_vec(),
-        ac2.actor.params_to_vec(),
+        params, params2,
         "re-run diverged: training is not deterministic"
     );
     assert_eq!(report.episode_returns, report2.episode_returns);

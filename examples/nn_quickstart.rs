@@ -7,6 +7,7 @@
 //! ```
 
 use osa::nn::prelude::*;
+use osa::nn::tensor::argmax;
 
 fn main() {
     let seed = 42;
@@ -31,13 +32,16 @@ fn main() {
         .with(ReLU::new())
         .with(Dense::new(8, 2, Init::XavierUniform, &mut rng));
     let mut opt = Adam::new(0.05);
+    let mut ws = Workspace::new();
 
     let start = std::time::Instant::now();
     let epochs = 500;
     for epoch in 0..epochs {
-        let logits = net.forward(&x);
+        let logits = net.forward_ws(&x, &mut ws);
         let (loss, grad) = loss::softmax_cross_entropy(&logits, &targets);
-        net.backward(&grad);
+        let dx = net.backward_ws(&grad, &mut ws);
+        ws.recycle(dx);
+        ws.recycle(logits);
         net.step(&mut opt);
         if epoch % 100 == 0 {
             println!("epoch {epoch:>4}  cross-entropy {loss:.6}");
@@ -45,7 +49,8 @@ fn main() {
     }
     let elapsed = start.elapsed();
 
-    let predictions = net.forward(&x).argmax_rows();
+    let logits = net.forward_ws(&x, &mut ws);
+    let predictions: Vec<usize> = (0..logits.rows()).map(|r| argmax(logits.row(r))).collect();
     let correct = predictions
         .iter()
         .zip(&labels)

@@ -35,7 +35,7 @@ mod tests {
         use crate::nn::prelude::*;
         let mut rng = Rng::seed_from_u64(1);
         let mut net = Sequential::new().with(Dense::new(2, 2, Init::XavierUniform, &mut rng));
-        let y = net.forward(&Tensor::from_rows(&[vec![1.0, 2.0]]));
+        let y = net.forward_ws(&Tensor::from_rows(&[vec![1.0, 2.0]]), &mut Workspace::new());
         assert_eq!((y.rows(), y.cols()), (1, 2));
     }
 
