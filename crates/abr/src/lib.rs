@@ -9,16 +9,16 @@
 //! - [`sim`] — the chunk-level download simulator substituting MahiMahi
 //!   (DESIGN.md §2.1): trace-driven link capacity integrated through
 //!   [`osa_trace::link`], 80 ms RTT, buffer drain/fill, rebuffering, and
-//!   the §3.1 linear QoE metric — both as the pure per-chunk transition
-//!   [`sim::step_chunk`] and as the struct-of-arrays [`sim::MultiSession`]
-//!   engine whose batched `step_all` advances thousands of concurrent
-//!   sessions per `osa-runtime` pool lane, bit-identical at any worker
-//!   count;
+//!   the §3.1 linear QoE metric — as the pure per-chunk transition
+//!   [`sim::step_chunk`], one session's state [`sim::SessionCursor`], and
+//!   the [`sim::MultiSession`] engine, a vector of cursors whose batched
+//!   `step_all` steps each `osa-runtime` pool lane's sessions in place in
+//!   one pass, bit-identical at any worker count;
 //! - [`policy`] — the [`policy::AbrPolicy`] batched decision trait with
 //!   the Buffer-Based (reservoir/cushion) and Random baselines;
 //! - [`env`](mod@env) — [`env::AbrEnv`], the single-session [`osa_mdp::Env`]
-//!   adapter RL training runs against (shares `step_chunk` with the
-//!   multi-session engine, so the two are bit-equal by construction);
+//!   adapter RL training runs against (steps the same `SessionCursor` as
+//!   the multi-session engine, so the two are bit-equal by construction);
 //! - [`eval`] — policy scoring over a trace set, including the ROADMAP's
 //!   normalized score (0 = Random, 1 = BB).
 //!
@@ -40,7 +40,7 @@ pub mod video;
 pub use env::AbrEnv;
 pub use eval::{evaluate_policy, normalized_score, PolicyScore};
 pub use policy::{AbrPolicy, BufferBased, RandomPolicy};
-pub use sim::{encode_obs, step_chunk, AbrConfig, ChunkOutcome, MultiSession};
+pub use sim::{step_chunk, AbrConfig, ChunkOutcome, MultiSession};
 pub use video::VideoModel;
 
 /// Round-trip time the paper's emulation applies to every chunk request.
@@ -53,7 +53,8 @@ pub const NUM_BITRATES: usize = 6;
 /// observation (Pensieve's k = 8 past chunks).
 pub const HISTORY_LEN: usize = 8;
 
-/// Width of the flattened observation vector [`sim::encode_obs`] emits:
+/// Width of the flattened observation vector
+/// [`sim::SessionCursor::encode_obs`] emits:
 /// two histories, the next-chunk size at each bitrate, and three scalars
 /// (buffer, chunks remaining, last bitrate).
 pub const OBS_DIM: usize = 2 * HISTORY_LEN + NUM_BITRATES + 3;
@@ -63,9 +64,7 @@ pub mod prelude {
     pub use crate::env::AbrEnv;
     pub use crate::eval::{evaluate_policy, normalized_score, PolicyScore};
     pub use crate::policy::{AbrPolicy, BufferBased, RandomPolicy};
-    pub use crate::sim::{
-        encode_obs, step_chunk, AbrConfig, ChunkOutcome, MultiSession, SessionCursor,
-    };
+    pub use crate::sim::{step_chunk, AbrConfig, ChunkOutcome, MultiSession, SessionCursor};
     pub use crate::video::{VideoModel, BITRATES_KBPS, CHUNK_COUNT};
     pub use crate::{HISTORY_LEN, NUM_BITRATES, OBS_DIM, RTT_MS};
 }

@@ -1,6 +1,6 @@
 //! The chunk-level download simulator: the pure per-chunk transition
-//! [`step_chunk`], the observation encoding [`encode_obs`], and the
-//! struct-of-arrays [`MultiSession`] batch engine.
+//! [`step_chunk`], one session's state [`SessionCursor`], and the
+//! [`MultiSession`] batch engine, a vector of cursors.
 //!
 //! # Dynamics (per chunk, Pensieve's MahiMahi-equivalent model)
 //!
@@ -24,13 +24,13 @@
 //! # Determinism
 //!
 //! `step_chunk` is a pure `f64` function of its arguments — no RNG, no
-//! global state. [`MultiSession::step_all`] runs it over sessions in two
-//! phases: a parallel compute phase where each pool lane fills a
-//! disjoint slice of per-session outcomes (sessions are independent, so
-//! lane assignment cannot change any arithmetic), then a serial apply
-//! phase that folds the outcomes into the state arrays in session order.
-//! Results are therefore bit-identical for any worker count, which
-//! `tests/properties.rs` pins for pools of 1, 2, 4 and 8.
+//! global state. [`MultiSession::step_all`] splits its sessions across
+//! the pool's lanes in one pass, and each lane steps its own sessions'
+//! [`SessionCursor`]s in place and folds the outcomes into their
+//! lifetime counters. Sessions are independent, so lane assignment
+//! cannot change any arithmetic: results are bit-identical for any
+//! worker count, which `tests/properties.rs` pins for pools of 1, 2, 4
+//! and 8.
 
 use osa_nn::tensor::Tensor;
 use osa_trace::link;
@@ -66,7 +66,7 @@ impl Default for AbrConfig {
 
 /// Everything one chunk download did to a session, computed by
 /// [`step_chunk`] before any state is mutated.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ChunkOutcome {
     /// Wall-clock seconds from request to last byte (RTT + transfer).
     pub delay_s: f64,
@@ -89,8 +89,8 @@ pub struct ChunkOutcome {
 }
 
 /// Advance one session by one chunk download — the single transition
-/// function shared by [`MultiSession`] and [`crate::env::AbrEnv`], which
-/// is what makes the two bit-equal by construction. `period_bytes` is
+/// function, which [`SessionCursor::step`] runs for [`MultiSession`] and
+/// [`crate::env::AbrEnv`] alike. `period_bytes` is
 /// [`link::bytes_per_period`]`(trace)`, computed once per trace by the
 /// caller.
 ///
@@ -139,61 +139,15 @@ pub fn step_chunk(
     }
 }
 
-/// Write the Pensieve state vector for one session into `out`
-/// (`out.len() == OBS_DIM`). Layout, with normalizations chosen to keep
-/// every feature roughly in [0, 1]:
-///
-/// | cols                | feature                                   |
-/// |---------------------|-------------------------------------------|
-/// | `0 .. H`            | past chunk throughputs, Mbit/s ÷ 10       |
-/// | `H .. 2H`           | past chunk download times, s ÷ 10         |
-/// | `2H .. 2H+6`        | next-chunk size per level, MB (0 at end)  |
-/// | `2H+6`              | buffer level, s ÷ 10                      |
-/// | `2H+7`              | chunks remaining ÷ chunk count            |
-/// | `2H+8`              | last bitrate level ÷ (levels − 1)         |
-pub fn encode_obs(
-    out: &mut [f32],
-    video: &VideoModel,
-    tput_hist: &[f32],
-    delay_hist: &[f32],
-    buffer_s: f64,
-    next_chunk: usize,
-    prev_level: usize,
-) {
-    assert_eq!(out.len(), OBS_DIM);
-    assert_eq!(tput_hist.len(), HISTORY_LEN);
-    assert_eq!(delay_hist.len(), HISTORY_LEN);
-    for (o, &t) in out[..HISTORY_LEN].iter_mut().zip(tput_hist) {
-        *o = t / 10.0;
-    }
-    for (o, &d) in out[HISTORY_LEN..2 * HISTORY_LEN].iter_mut().zip(delay_hist) {
-        *o = d / 10.0;
-    }
-    let sizes = &mut out[2 * HISTORY_LEN..2 * HISTORY_LEN + NUM_BITRATES];
-    if next_chunk < video.chunk_count() {
-        for (level, o) in sizes.iter_mut().enumerate() {
-            *o = (video.size_bytes(next_chunk, level) / 1e6) as f32;
-        }
-    } else {
-        sizes.fill(0.0);
-    }
-    let remaining = video.chunk_count().saturating_sub(next_chunk);
-    out[2 * HISTORY_LEN + NUM_BITRATES] = (buffer_s / 10.0) as f32;
-    out[2 * HISTORY_LEN + NUM_BITRATES + 1] = remaining as f32 / video.chunk_count() as f32;
-    out[2 * HISTORY_LEN + NUM_BITRATES + 2] = prev_level as f32 / (NUM_BITRATES - 1) as f32;
-}
-
 /// Scalar state of one streaming session, stepped against *borrowed*
-/// video/config/trace — the single-session counterpart of the
-/// struct-of-arrays [`MultiSession`], and the one place that state
-/// lives for a single session: [`crate::env::AbrEnv`] trains on a
-/// cursor, and single-session evaluation loops (calibration sweeps)
-/// spin one up per trace.
+/// video/config/trace — the one place a session's state lives:
+/// [`crate::env::AbrEnv`] trains on a cursor, single-session evaluation
+/// loops (calibration sweeps) spin one up per trace, and
+/// [`MultiSession`] holds one per session, which keeps all three
+/// bit-equal by construction (pinned in this module's tests).
 ///
 /// A cursor is a few plain scalars and two fixed history arrays, so
-/// per-session setup is allocation- and clone-free. Cursor and batch
-/// share [`step_chunk`] and [`encode_obs`], which keeps them bit-equal
-/// by construction (pinned in this module's tests).
+/// per-session setup is allocation- and clone-free.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SessionCursor {
     time_s: f64,
@@ -229,22 +183,47 @@ impl SessionCursor {
         self.next_chunk >= video.chunk_count()
     }
 
-    /// Write this session's observation row (`out.len() == OBS_DIM`).
+    /// Write this session's Pensieve state vector into `out`
+    /// (`out.len() == OBS_DIM`). Layout, with normalizations chosen to
+    /// keep every feature roughly in [0, 1]:
+    ///
+    /// | cols                | feature                                   |
+    /// |---------------------|-------------------------------------------|
+    /// | `0 .. H`            | past chunk throughputs, Mbit/s ÷ 10       |
+    /// | `H .. 2H`           | past chunk download times, s ÷ 10         |
+    /// | `2H .. 2H+6`        | next-chunk size per level, MB (0 at end)  |
+    /// | `2H+6`              | buffer level, s ÷ 10                      |
+    /// | `2H+7`              | chunks remaining ÷ chunk count            |
+    /// | `2H+8`              | last bitrate level ÷ (levels − 1)         |
     pub fn encode_obs(&self, video: &VideoModel, out: &mut [f32]) {
-        encode_obs(
-            out,
-            video,
-            &self.tput_hist,
-            &self.delay_hist,
-            self.buffer_s,
-            self.next_chunk,
-            self.prev_level,
-        );
+        assert_eq!(out.len(), OBS_DIM);
+        for (o, &t) in out[..HISTORY_LEN].iter_mut().zip(&self.tput_hist) {
+            *o = t / 10.0;
+        }
+        for (o, &d) in out[HISTORY_LEN..2 * HISTORY_LEN]
+            .iter_mut()
+            .zip(&self.delay_hist)
+        {
+            *o = d / 10.0;
+        }
+        let sizes = &mut out[2 * HISTORY_LEN..2 * HISTORY_LEN + NUM_BITRATES];
+        if self.next_chunk < video.chunk_count() {
+            for (level, o) in sizes.iter_mut().enumerate() {
+                *o = (video.size_bytes(self.next_chunk, level) / 1e6) as f32;
+            }
+        } else {
+            sizes.fill(0.0);
+        }
+        let remaining = video.chunk_count().saturating_sub(self.next_chunk);
+        out[2 * HISTORY_LEN + NUM_BITRATES] = (self.buffer_s / 10.0) as f32;
+        out[2 * HISTORY_LEN + NUM_BITRATES + 1] = remaining as f32 / video.chunk_count() as f32;
+        out[2 * HISTORY_LEN + NUM_BITRATES + 2] =
+            self.prev_level as f32 / (NUM_BITRATES - 1) as f32;
     }
 
-    /// Download the next chunk at `level`, folding the outcome into the
-    /// session state exactly like [`MultiSession::step_all`]'s apply
-    /// phase; `period_bytes` is [`link::bytes_per_period`]`(trace)`.
+    /// Download the next chunk at `level` and fold the outcome into the
+    /// session state — the only place a chunk outcome updates a session;
+    /// `period_bytes` is [`link::bytes_per_period`]`(trace)`.
     /// Panics if the session is already [`done`](Self::done).
     pub fn step(
         &mut self,
@@ -310,7 +289,22 @@ pub(crate) fn checked_period_bytes(traces: &[Trace]) -> Vec<f64> {
         .collect()
 }
 
-/// Struct-of-arrays batch of concurrent streaming sessions.
+/// One session of a [`MultiSession`]: its streaming state, the trace
+/// it streams, and its lifetime accounting (across auto-resets).
+struct Session {
+    cursor: SessionCursor,
+    trace: u32,
+    active: bool,
+    /// Reward of the last `step_all` (0 while inactive).
+    reward: f32,
+    qoe_total: f64,
+    rebuffer_total: f64,
+    bitrate_total_mbps: f64,
+    chunks_total: u64,
+    sessions_completed: u64,
+}
+
+/// Batch of concurrent streaming sessions, one [`SessionCursor`] each.
 ///
 /// Session `i` starts on trace `i mod traces.len()` at its beginning.
 /// With `auto_reset` the session rolls onto the next trace
@@ -325,24 +319,8 @@ pub struct MultiSession {
     /// [`link::bytes_per_period`] of each trace, computed once.
     period_bytes: Vec<f64>,
     auto_reset: bool,
-    // Per-session state, indexed 0..n.
-    trace_of: Vec<u32>,
-    time_s: Vec<f64>,
-    buffer_s: Vec<f64>,
-    next_chunk: Vec<u32>,
-    prev_level: Vec<u8>,
-    active: Vec<bool>,
-    /// `n × HISTORY_LEN`, most recent sample last.
-    tput_hist: Vec<f32>,
-    delay_hist: Vec<f32>,
-    // Lifetime accounting (across auto-resets).
-    qoe_total: Vec<f64>,
-    rebuffer_total: Vec<f64>,
-    bitrate_total_mbps: Vec<f64>,
-    chunks_total: Vec<u64>,
-    sessions_completed: Vec<u64>,
-    // Scratch for the parallel compute phase and the returned rewards.
-    outcomes: Vec<ChunkOutcome>,
+    sessions: Vec<Session>,
+    /// The sessions' last rewards, contiguous for [`MultiSession::rewards`].
     rewards: Vec<f32>,
 }
 
@@ -360,34 +338,33 @@ impl MultiSession {
         assert!(!traces.is_empty(), "MultiSession needs at least one trace");
         assert!(n > 0, "MultiSession needs at least one session");
         let period_bytes = checked_period_bytes(&traces);
-        let trace_of: Vec<u32> = (0..n).map(|i| (i % traces.len()) as u32).collect();
+        let sessions = (0..n)
+            .map(|i| Session {
+                cursor: SessionCursor::new(),
+                trace: (i % traces.len()) as u32,
+                active: true,
+                reward: 0.0,
+                qoe_total: 0.0,
+                rebuffer_total: 0.0,
+                bitrate_total_mbps: 0.0,
+                chunks_total: 0,
+                sessions_completed: 0,
+            })
+            .collect();
         MultiSession {
             video,
             cfg,
             traces,
             period_bytes,
             auto_reset,
-            trace_of,
-            time_s: vec![0.0; n],
-            buffer_s: vec![0.0; n],
-            next_chunk: vec![0; n],
-            prev_level: vec![0; n],
-            active: vec![true; n],
-            tput_hist: vec![0.0; n * HISTORY_LEN],
-            delay_hist: vec![0.0; n * HISTORY_LEN],
-            qoe_total: vec![0.0; n],
-            rebuffer_total: vec![0.0; n],
-            bitrate_total_mbps: vec![0.0; n],
-            chunks_total: vec![0; n],
-            sessions_completed: vec![0; n],
-            outcomes: vec![ChunkOutcome::default(); n],
+            sessions,
             rewards: vec![0.0; n],
         }
     }
 
     /// Number of sessions in the batch.
     pub fn len(&self) -> usize {
-        self.time_s.len()
+        self.sessions.len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -408,92 +385,49 @@ impl MultiSession {
         actions: &[usize],
         pool: &osa_runtime::ThreadPool,
     ) -> &[f32] {
-        let n = self.len();
-        assert_eq!(actions.len(), n, "one action per session");
-
-        // Phase 1 — parallel, pure: lanes fill disjoint outcome slices
-        // from immutable session state. Destructure so the mutable
-        // borrow of `outcomes` can coexist with the shared borrows.
-        {
-            let MultiSession {
-                video,
-                cfg,
-                traces,
-                period_bytes,
-                trace_of,
-                time_s,
-                buffer_s,
-                next_chunk,
-                prev_level,
-                active,
-                outcomes,
-                ..
-            } = self;
-            pool.parallel_for_slice(outcomes, 1, |_, first, slots| {
-                for (off, slot) in slots.iter_mut().enumerate() {
-                    let i = first + off;
-                    *slot = if active[i] {
-                        let t = trace_of[i] as usize;
-                        step_chunk(
-                            video,
-                            cfg,
-                            &traces[t],
-                            period_bytes[t],
-                            time_s[i],
-                            buffer_s[i],
-                            next_chunk[i] as usize,
-                            prev_level[i] as usize,
-                            actions[i],
-                        )
+        assert_eq!(actions.len(), self.len(), "one action per session");
+        let MultiSession {
+            video,
+            cfg,
+            traces,
+            period_bytes,
+            auto_reset,
+            sessions,
+            rewards,
+        } = self;
+        // One pass: each lane steps its own sessions in place.
+        pool.parallel_for_slice(sessions, 1, |_, first, lane| {
+            for (s, &level) in lane.iter_mut().zip(&actions[first..]) {
+                if !s.active {
+                    s.reward = 0.0;
+                    continue;
+                }
+                let t = s.trace as usize;
+                let o = s
+                    .cursor
+                    .step(video, cfg, &traces[t], period_bytes[t], level);
+                s.reward = o.reward as f32;
+                s.qoe_total += o.reward;
+                s.rebuffer_total += o.rebuffer_s;
+                s.bitrate_total_mbps += video.bitrate_mbps(level);
+                s.chunks_total += 1;
+                if o.finished {
+                    s.sessions_completed += 1;
+                    if *auto_reset {
+                        // Deterministic round-robin onto the next trace;
+                        // no RNG, so worker count can't perturb anything.
+                        s.trace = (s.trace + 1) % traces.len() as u32;
+                        s.cursor.reset();
                     } else {
-                        ChunkOutcome::default()
-                    };
-                }
-            });
-        }
-
-        // Phase 2 — serial, in session order: fold outcomes into state.
-        let num_traces = self.traces.len() as u32;
-        #[allow(clippy::needless_range_loop)] // i indexes a dozen parallel arrays
-        for i in 0..n {
-            if !self.active[i] {
-                self.rewards[i] = 0.0;
-                continue;
-            }
-            let o = self.outcomes[i];
-            self.rewards[i] = o.reward as f32;
-            self.time_s[i] = o.new_time_s;
-            self.buffer_s[i] = o.new_buffer_s;
-            self.prev_level[i] = actions[i] as u8;
-            self.next_chunk[i] += 1;
-            self.qoe_total[i] += o.reward;
-            self.rebuffer_total[i] += o.rebuffer_s;
-            self.bitrate_total_mbps[i] += self.video.bitrate_mbps(actions[i]);
-            self.chunks_total[i] += 1;
-            let h = &mut self.tput_hist[i * HISTORY_LEN..(i + 1) * HISTORY_LEN];
-            h.copy_within(1.., 0);
-            h[HISTORY_LEN - 1] = o.tput_mbps as f32;
-            let h = &mut self.delay_hist[i * HISTORY_LEN..(i + 1) * HISTORY_LEN];
-            h.copy_within(1.., 0);
-            h[HISTORY_LEN - 1] = o.delay_s as f32;
-            if o.finished {
-                self.sessions_completed[i] += 1;
-                if self.auto_reset {
-                    // Deterministic round-robin onto the next trace; no
-                    // RNG, so worker count can't perturb anything.
-                    self.trace_of[i] = (self.trace_of[i] + 1) % num_traces;
-                    self.time_s[i] = 0.0;
-                    self.buffer_s[i] = 0.0;
-                    self.next_chunk[i] = 0;
-                    self.prev_level[i] = 0;
-                    self.tput_hist[i * HISTORY_LEN..(i + 1) * HISTORY_LEN].fill(0.0);
-                    self.delay_hist[i * HISTORY_LEN..(i + 1) * HISTORY_LEN].fill(0.0);
-                } else {
-                    self.active[i] = false;
+                        s.active = false;
+                    }
                 }
             }
+        });
+        for (r, s) in rewards.iter_mut().zip(sessions.iter()) {
+            *r = s.reward;
         }
-        &self.rewards
+        rewards
     }
 
     /// Write the `(n × OBS_DIM)` observation matrix into `out`, reusing
@@ -510,94 +444,67 @@ impl MultiSession {
     pub fn fill_observations_range(&self, first: usize, count: usize, out: &mut Tensor) {
         assert!(first + count <= self.len(), "session range out of bounds");
         out.resize_shape(count, OBS_DIM);
-        for off in 0..count {
-            let i = first + off;
-            encode_obs(
-                out.row_mut(off),
-                &self.video,
-                &self.tput_hist[i * HISTORY_LEN..(i + 1) * HISTORY_LEN],
-                &self.delay_hist[i * HISTORY_LEN..(i + 1) * HISTORY_LEN],
-                self.buffer_s[i],
-                self.next_chunk[i] as usize,
-                self.prev_level[i] as usize,
-            );
+        for (off, s) in self.sessions[first..first + count].iter().enumerate() {
+            s.cursor.encode_obs(&self.video, out.row_mut(off));
         }
     }
 
     // -- accessors -------------------------------------------------------
-
-    pub fn video(&self) -> &VideoModel {
-        &self.video
-    }
-
-    pub fn cfg(&self) -> &AbrConfig {
-        &self.cfg
-    }
-
-    pub fn num_traces(&self) -> usize {
-        self.traces.len()
-    }
 
     /// Per-session rewards of the last `step_all`.
     pub fn rewards(&self) -> &[f32] {
         &self.rewards
     }
 
-    /// Per-session outcomes of the last `step_all` (zeroed for sessions
-    /// that were inactive).
-    pub fn outcomes(&self) -> &[ChunkOutcome] {
-        &self.outcomes
-    }
-
     pub fn active(&self, i: usize) -> bool {
-        self.active[i]
+        self.sessions[i].active
     }
 
     /// True when every session has finished (never true with
     /// `auto_reset`).
     pub fn all_done(&self) -> bool {
-        self.active.iter().all(|&a| !a)
+        self.sessions.iter().all(|s| !s.active)
     }
 
     pub fn time_s(&self, i: usize) -> f64 {
-        self.time_s[i]
+        self.sessions[i].cursor.time_s()
     }
 
     pub fn buffer_s(&self, i: usize) -> f64 {
-        self.buffer_s[i]
+        self.sessions[i].cursor.buffer_s()
     }
 
     pub fn next_chunk(&self, i: usize) -> usize {
-        self.next_chunk[i] as usize
+        self.sessions[i].cursor.next_chunk()
     }
 
     pub fn prev_level(&self, i: usize) -> usize {
-        self.prev_level[i] as usize
+        self.sessions[i].cursor.prev_level()
     }
 
     /// Lifetime QoE sum of session slot `i` (across auto-resets).
     pub fn qoe_total(&self, i: usize) -> f64 {
-        self.qoe_total[i]
+        self.sessions[i].qoe_total
     }
 
     /// Lifetime rebuffering seconds of session slot `i`.
     pub fn rebuffer_total(&self, i: usize) -> f64 {
-        self.rebuffer_total[i]
+        self.sessions[i].rebuffer_total
     }
 
     /// Lifetime sum of selected bitrates (Mbit/s) of session slot `i`.
     pub fn bitrate_total_mbps(&self, i: usize) -> f64 {
-        self.bitrate_total_mbps[i]
+        self.sessions[i].bitrate_total_mbps
     }
 
     /// Lifetime chunks downloaded by session slot `i`.
     pub fn chunks_total(&self, i: usize) -> u64 {
-        self.chunks_total[i]
+        self.sessions[i].chunks_total
     }
 
     /// Videos finished by session slot `i`.
     pub fn sessions_completed(&self, i: usize) -> u64 {
-        self.sessions_completed[i]
+        self.sessions[i].sessions_completed
     }
 }
 
@@ -700,10 +607,16 @@ mod tests {
     #[test]
     fn observation_layout_and_normalization() {
         let video = VideoModel::constant_bitrate();
-        let tput = [2.0f32; HISTORY_LEN];
-        let delay = [1.0f32; HISTORY_LEN];
+        let mut cur = SessionCursor {
+            time_s: 0.0,
+            buffer_s: 30.0,
+            next_chunk: 10,
+            prev_level: 3,
+            tput_hist: [2.0; HISTORY_LEN],
+            delay_hist: [1.0; HISTORY_LEN],
+        };
         let mut obs = [0.0f32; OBS_DIM];
-        encode_obs(&mut obs, &video, &tput, &delay, 30.0, 10, 3);
+        cur.encode_obs(&video, &mut obs);
         assert_eq!(obs[0], 0.2);
         assert_eq!(obs[HISTORY_LEN], 0.1);
         assert_eq!(obs[2 * HISTORY_LEN], 0.15); // 150 kB in MB
@@ -711,7 +624,8 @@ mod tests {
         assert_eq!(obs[2 * HISTORY_LEN + NUM_BITRATES + 1], 38.0 / 48.0);
         assert_eq!(obs[2 * HISTORY_LEN + NUM_BITRATES + 2], 0.6);
         // Past the last chunk the size columns go dark.
-        encode_obs(&mut obs, &video, &tput, &delay, 30.0, 48, 3);
+        cur.next_chunk = 48;
+        cur.encode_obs(&video, &mut obs);
         assert_eq!(
             &obs[2 * HISTORY_LEN..2 * HISTORY_LEN + NUM_BITRATES],
             &[0.0; 6]
@@ -740,8 +654,9 @@ mod tests {
     #[test]
     fn auto_reset_rolls_onto_next_trace() {
         let video = VideoModel::constant_bitrate();
+        let cfg = AbrConfig::default();
         let traces = vec![flat_trace(8.0), flat_trace(4.0)];
-        let mut sim = MultiSession::new(video, AbrConfig::default(), traces, 1, true);
+        let mut sim = MultiSession::new(video.clone(), cfg.clone(), traces, 1, true);
         let actions = vec![0usize];
         for _ in 0..CHUNK_COUNT_LOCAL {
             sim.step_all(&actions);
@@ -751,6 +666,25 @@ mod tests {
         assert_eq!(sim.next_chunk(0), 0);
         assert_eq!(sim.time_s(0), 0.0);
         assert_eq!(sim.buffer_s(0), 0.0);
+        // A fresh session: no download history.
+        let mut obs = Tensor::default();
+        sim.fill_observations(&mut obs);
+        assert!(obs.row(0)[..2 * HISTORY_LEN].iter().all(|&x| x == 0.0));
+        // The next chunk streams over the second trace, from its start.
+        let want = step_chunk(
+            &video,
+            &cfg,
+            &flat_trace(4.0),
+            flat_period(4.0),
+            0.0,
+            0.0,
+            0,
+            0,
+            0,
+        );
+        let r = sim.step_all(&actions)[0];
+        assert_eq!(r.to_bits(), (want.reward as f32).to_bits());
+        assert_eq!(sim.time_s(0).to_bits(), want.new_time_s.to_bits());
     }
 
     #[test]
@@ -763,17 +697,31 @@ mod tests {
         let mut cur = SessionCursor::new();
         let mut batch_obs = Tensor::zeros(1, OBS_DIM);
         let mut cur_obs = [0.0f32; OBS_DIM];
+        let (mut qoe, mut rebuffer) = (0.0f64, 0.0f64);
         let mut k = 0usize;
-        while !sim.all_done() {
+        loop {
+            // The observation carries the newest throughput and delay.
             sim.fill_observations(&mut batch_obs);
             cur.encode_obs(&video, &mut cur_obs);
             assert_eq!(batch_obs.row(0), &cur_obs[..], "obs diverged at chunk {k}");
+            if sim.all_done() {
+                break;
+            }
             let level = k % NUM_BITRATES; // exercise every level
             let o = cur.step(&video, &cfg, &trace, link::bytes_per_period(&trace), level);
-            sim.step_all(&[level]);
-            assert_eq!(o, sim.outcomes()[0], "outcome diverged at chunk {k}");
+            let r = sim.step_all(&[level])[0];
+            assert_eq!(
+                r.to_bits(),
+                (o.reward as f32).to_bits(),
+                "reward at chunk {k}"
+            );
+            qoe += o.reward;
+            rebuffer += o.rebuffer_s;
+            assert_eq!(sim.qoe_total(0).to_bits(), qoe.to_bits());
+            assert_eq!(sim.rebuffer_total(0).to_bits(), rebuffer.to_bits());
             assert_eq!(cur.time_s().to_bits(), sim.time_s(0).to_bits());
             assert_eq!(cur.buffer_s().to_bits(), sim.buffer_s(0).to_bits());
+            assert_eq!(sim.active(0), !o.finished);
             k += 1;
         }
         assert!(cur.done(&video));

@@ -14,7 +14,10 @@ fn corpus(count: usize, seed: u64) -> Vec<Trace> {
 }
 
 /// Invariants that must hold on every transition, driven by a random
-/// policy over a Norway corpus: rebuffer ≥ 0, 0 ≤ buffer ≤ cap, chunk
+/// policy over a Norway corpus, read from the engine's observable state:
+/// rebuffer ≥ 0, a finite positive download time and throughput (the
+/// observation's newest history columns), a clock that advances by at
+/// least the download time (sleep ≥ 0), 0 ≤ buffer ≤ cap, chunk
 /// accounting conserved.
 #[test]
 fn transition_invariants_hold_under_random_policy() {
@@ -25,21 +28,43 @@ fn transition_invariants_hold_under_random_policy() {
     let mut sim = MultiSession::new(video, cfg.clone(), corpus(7, 42), n, true);
     let mut rng = Rng::seed_from_u64(1);
     let mut actions = vec![0usize; n];
+    let mut obs = Tensor::default();
+    let mut rolled = 0;
     for _ in 0..steps {
         for a in actions.iter_mut() {
             *a = rng.below(NUM_BITRATES);
         }
+        let before: Vec<(f64, f64, u64)> = (0..n)
+            .map(|i| {
+                (
+                    sim.time_s(i),
+                    sim.rebuffer_total(i),
+                    sim.sessions_completed(i),
+                )
+            })
+            .collect();
         sim.step_all(&actions);
-        for i in 0..n {
-            let o = sim.outcomes()[i];
-            assert!(o.rebuffer_s >= 0.0);
-            assert!(o.sleep_s >= 0.0);
-            assert!(o.delay_s > 0.0 && o.delay_s.is_finite());
-            assert!(o.tput_mbps > 0.0 && o.tput_mbps.is_finite());
+        sim.fill_observations(&mut obs);
+        for (i, &(time0, rebuffer0, completed0)) in before.iter().enumerate() {
+            assert!(sim.rebuffer_total(i) - rebuffer0 >= 0.0);
             assert!((0.0..=cfg.buffer_cap_s).contains(&sim.buffer_s(i)));
             assert!(sim.time_s(i).is_finite());
+            if sim.sessions_completed(i) != completed0 {
+                // Rolled onto the next video: the history starts over.
+                rolled += 1;
+                assert_eq!(sim.time_s(i), 0.0);
+                assert!(obs.row(i)[..2 * HISTORY_LEN].iter().all(|&x| x == 0.0));
+                continue;
+            }
+            let tput = obs.row(i)[HISTORY_LEN - 1] as f64 * 10.0;
+            let delay = obs.row(i)[2 * HISTORY_LEN - 1] as f64 * 10.0;
+            assert!(delay > 0.0 && delay.is_finite());
+            assert!(tput > 0.0 && tput.is_finite());
+            // The history holds the delay as f32; allow its rounding.
+            assert!(sim.time_s(i) - time0 >= delay * (1.0 - 1e-6));
         }
     }
+    assert!(rolled > 0, "no session finished a video");
     // Chunk conservation: with auto-reset every session downloads
     // exactly one chunk per step, and completed videos account for all
     // but the in-progress remainder.
@@ -74,8 +99,8 @@ fn finite_sessions_conserve_chunks() {
 
 /// The batched engine must be bit-equal to the single-session
 /// `AbrEnv` adapter: same traces, same per-session action sequences →
-/// identical rewards and identical observations, because both run the
-/// same `step_chunk`.
+/// identical rewards and identical observations, because both step the
+/// same `SessionCursor`.
 #[test]
 fn multi_session_is_bit_equal_to_single_session_env() {
     let video = VideoModel::envivio();
@@ -192,11 +217,13 @@ fn observations_stay_finite_and_bounded() {
 }
 
 /// `MultiSession` computes each trace's period capacity once; every
-/// outcome must be bit-identical to `step_chunk` with the capacity
-/// recomputed for that chunk. The traces include fault-injected ones
-/// (an outage, a rate limit, a spike) and a short, slow trace whose
-/// period delivers less than one chunk, so the whole-period
-/// fast-forward branch of `transfer_time` runs.
+/// chunk must leave the same state as `step_chunk` with the capacity
+/// recomputed for that chunk: the reward's bits, the clock, the buffer,
+/// the lifetime QoE and rebuffer sums, the observation's newest
+/// throughput and delay, and the active flag. The traces include
+/// fault-injected ones (an outage, a rate limit, a spike) and a short,
+/// slow trace whose period delivers less than one chunk, so the
+/// whole-period fast-forward branch of `transfer_time` runs.
 #[test]
 fn period_capacity_computed_once_matches_recomputing_per_chunk() {
     let video = VideoModel::envivio();
@@ -232,6 +259,8 @@ fn period_capacity_computed_once_matches_recomputing_per_chunk() {
     let mut sim = MultiSession::new(video.clone(), cfg.clone(), traces.clone(), n, false);
     let mut rng = Rng::seed_from_u64(0x9E2);
     let mut actions = vec![0usize; n];
+    let mut obs = Tensor::default();
+    let (mut qoe, mut rebuffer) = (vec![0.0f64; n], vec![0.0f64; n]);
     let mut fast_forwards = 0;
     while !sim.all_done() {
         for a in actions.iter_mut() {
@@ -257,17 +286,36 @@ fn period_capacity_computed_once_matches_recomputing_per_chunk() {
                 })
             })
             .collect();
-        sim.step_all(&actions);
+        let rewards = sim.step_all(&actions).to_vec();
+        sim.fill_observations(&mut obs);
         for (i, want) in want.iter().enumerate() {
-            if let Some(want) = want {
-                // Debug formatting round-trips every f64, so equal
-                // strings mean equal bits.
-                assert_eq!(
-                    format!("{:?}", sim.outcomes()[i]),
-                    format!("{want:?}"),
-                    "session {i}"
-                );
-            }
+            let Some(want) = want else { continue };
+            qoe[i] += want.reward;
+            rebuffer[i] += want.rebuffer_s;
+            let row = obs.row(i);
+            assert_eq!(
+                (
+                    rewards[i].to_bits(),
+                    sim.qoe_total(i).to_bits(),
+                    sim.time_s(i).to_bits(),
+                    sim.buffer_s(i).to_bits(),
+                    sim.rebuffer_total(i).to_bits(),
+                    row[HISTORY_LEN - 1].to_bits(),
+                    row[2 * HISTORY_LEN - 1].to_bits(),
+                    sim.active(i),
+                ),
+                (
+                    (want.reward as f32).to_bits(),
+                    qoe[i].to_bits(),
+                    want.new_time_s.to_bits(),
+                    want.new_buffer_s.to_bits(),
+                    rebuffer[i].to_bits(),
+                    (want.tput_mbps as f32 / 10.0).to_bits(),
+                    (want.delay_s as f32 / 10.0).to_bits(),
+                    !want.finished,
+                ),
+                "session {i}"
+            );
         }
     }
     assert!(fast_forwards > 0, "no download outran a whole period");

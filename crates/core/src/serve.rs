@@ -3,12 +3,12 @@
 //!
 //! [`FleetEngine`] is the one implementation of the paper's switching
 //! rule: it serves fleets, and [`crate::eval`] runs it one session per
-//! trace for calibration and the figures. It holds the whole fleet in
-//! struct-of-arrays form — the `osa_abr::MultiSession` simulator for
-//! the streaming state, [`FleetMonitors`] for the per-session safety
-//! state (k-window variance rings, l-counters, and the switch/recovery
-//! state machines), and per-session [`FeatureWindow`]s when the fleet
-//! is guarded by U_S.
+//! trace for calibration and the figures. It holds the whole fleet —
+//! the `osa_abr::MultiSession` simulator (one session record each) for
+//! the streaming state, the struct-of-arrays [`FleetMonitors`] for the
+//! per-session safety state (k-window variance rings, l-counters, and
+//! the switch/recovery state machines), and per-session
+//! [`FeatureWindow`]s when the fleet is guarded by U_S.
 //!
 //! # One decision round
 //!
@@ -24,16 +24,18 @@
 //!    U_S). Lanes write only their own slice
 //!    of `SessionSlot`s and their own [`LaneSlots`] scratch.
 //! 2. **Serial apply** — in session order: fold each raw value into the
-//!    session's monitor, pick the learned or fallback action, then
-//!    advance the simulator one chunk (`step_all`, itself two-phase).
+//!    session's monitor and pick the learned or fallback action.
+//! 3. **Simulator step** — `step_all` advances every session one chunk
+//!    in one pass, each lane stepping its own sessions in place.
 //!
 //! # Determinism
 //!
 //! Worker count changes *which lane* computes a session and how big the
 //! GEMM batches are — never the bits: `osa_nn::stacked` guarantees row
 //! arithmetic independent of batch size and run split, every
-//! per-session reduction here runs in a fixed order, and all state
-//! mutation happens in the serial phase in session order. Telemetry and
+//! per-session reduction here runs in a fixed order, monitor state
+//! changes only in the serial phase in session order, and the simulator
+//! steps each session independently of the lane that owns it. Telemetry and
 //! per-session switch/recovery indices are bit-identical at any
 //! `OSA_THREADS`, pinned by `tests/serve_determinism.rs`.
 //!

@@ -3,9 +3,11 @@
 //!
 //! Std only, driven by the in-tree `osa_nn::Rng`. Each case starts from a
 //! valid document and stacks one to three mutations: a bit flip, a
-//! truncation, or a splice of `1e999`, `-0`, `"` or the `\u0000` escape,
+//! truncation, a splice of `1e999`, `-0`, `"` or the `\u0000` escape,
 //! either inserted at a random byte or replacing a random number token
-//! (so header dimensions, versions and weights all get hit).
+//! (so header dimensions, versions and weights all get hit), or a
+//! structural edit that duplicates or deletes one whole object of a
+//! `layers` array (so well-formed nets whose widths do not chain get hit).
 //!
 //! The default run takes about a second. `OSA_FUZZ_CASES=<n>` sets the
 //! number of cases per loader for a long run, e.g.
@@ -39,18 +41,77 @@ fn number_starts(doc: &[u8]) -> Vec<usize> {
         .collect()
 }
 
+/// Byte ranges of the objects directly inside the first `"layers"`
+/// array; empty when the document has none or earlier mutations broke
+/// its nesting.
+fn layer_objects(doc: &[u8]) -> Vec<(usize, usize)> {
+    const KEY: &[u8] = b"\"layers\":[";
+    let Some(open) = doc.windows(KEY.len()).position(|w| w == KEY) else {
+        return Vec::new();
+    };
+    let mut objects = Vec::new();
+    let (mut depth, mut start, mut in_str, mut escaped) = (0usize, 0, false, false);
+    for (i, &b) in doc.iter().enumerate().skip(open + KEY.len()) {
+        if in_str {
+            match b {
+                _ if escaped => escaped = false,
+                b'\\' => escaped = true,
+                b'"' => in_str = false,
+                _ => {}
+            }
+            continue;
+        }
+        match b {
+            b'"' => in_str = true,
+            b'{' | b'[' => {
+                if depth == 0 {
+                    start = i;
+                }
+                depth += 1;
+            }
+            b'}' | b']' if depth == 0 => return objects,
+            b'}' | b']' => {
+                depth -= 1;
+                if depth == 0 && b == b'}' {
+                    objects.push((start, i + 1));
+                }
+            }
+            _ => {}
+        }
+    }
+    Vec::new()
+}
+
 /// Apply one random mutation in place.
 fn mutate(doc: &mut Vec<u8>, rng: &mut Rng) {
     if doc.is_empty() {
         return;
     }
     let at = rng.below(doc.len());
-    match rng.below(4) {
+    match rng.below(5) {
         0 => doc[at] ^= 1 << rng.below(8),
         1 => doc.truncate(at),
         2 => {
             let lit = SPLICES[rng.below(SPLICES.len())].bytes();
             doc.splice(at..at, lit);
+        }
+        3 => {
+            let objects = layer_objects(doc);
+            if objects.is_empty() {
+                return;
+            }
+            let k = rng.below(objects.len());
+            let (s, e) = objects[k];
+            if rng.below(2) == 0 {
+                let copy = doc[s..e].to_vec();
+                doc.splice(e..e, std::iter::once(b',').chain(copy));
+            } else if k + 1 < objects.len() {
+                doc.drain(s..objects[k + 1].0);
+            } else if k > 0 {
+                doc.drain(objects[k - 1].1..e);
+            } else {
+                doc.drain(s..e);
+            }
         }
         _ => {
             let starts = number_starts(doc);

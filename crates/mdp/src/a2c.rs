@@ -125,29 +125,17 @@ impl ValueFunction for ActorCritic {
     }
 }
 
-/// Fused softmax policy gradient with entropy bonus, on logits.
+/// Fused softmax policy gradient with entropy bonus, on logits, with
+/// `dL/d logits` written into a caller-owned buffer so steady-state
+/// training loops do not allocate.
 ///
 /// Loss per fragment of `T` transitions:
 /// `L = −(1/T)·Σ_t A_t·ln π(a_t|s_t) − β·(1/T)·Σ_t H(π(·|s_t))`.
-/// Returns `(policy loss, mean entropy, dL/d logits)`. Working from
+/// Returns `(policy loss, mean entropy)`. Working from
 /// log-probabilities `ln π_j = z_j − lse(z)` keeps every term finite even
 /// for saturated policies; the analytic gradient is
 /// `dL/dz_j = [(π_j − 1{j=a_t})·A_t + β·π_j·(ln π_j + H_t)] / T`,
 /// verified against central differences in this module's tests.
-pub fn policy_gradient_loss(
-    logits: &Tensor,
-    actions: &[usize],
-    advantages: &[f32],
-    entropy_coef: f32,
-) -> (f32, f32, Tensor) {
-    let mut grad = Tensor::zeros(logits.rows(), logits.cols());
-    let (pg, h) = policy_gradient_loss_into(logits, actions, advantages, entropy_coef, &mut grad);
-    (pg, h, grad)
-}
-
-/// [`policy_gradient_loss`] writing the gradient into a caller-owned
-/// buffer — the zero-alloc variant for steady-state training loops.
-/// Returns `(policy loss, mean entropy)`.
 pub fn policy_gradient_loss_into(
     logits: &Tensor,
     actions: &[usize],
@@ -608,11 +596,13 @@ mod tests {
         let advantages = vec![1.3, -0.7, 0.4, 2.0];
         let beta = 0.05;
 
-        let scalar = |l: &Tensor| {
-            let (pg, h, _) = policy_gradient_loss(l, &actions, &advantages, beta);
+        let mut scratch = Tensor::default();
+        let mut scalar = |l: &Tensor| {
+            let (pg, h) = policy_gradient_loss_into(l, &actions, &advantages, beta, &mut scratch);
             pg - beta * h
         };
-        let (_, _, analytic) = policy_gradient_loss(&logits, &actions, &advantages, beta);
+        let mut analytic = Tensor::default();
+        policy_gradient_loss_into(&logits, &actions, &advantages, beta, &mut analytic);
 
         let eps = 1e-2f32;
         let mut probe = logits.clone();
@@ -637,7 +627,8 @@ mod tests {
         // Both the softmax and the entropy terms live on the simplex, so
         // each row of the logit gradient must sum to 0.
         let logits = Tensor::from_rows(&[vec![0.2, -1.0, 0.7], vec![2.0, 2.0, -3.0]]);
-        let (_, _, grad) = policy_gradient_loss(&logits, &[1, 0], &[0.5, -2.0], 0.02);
+        let mut grad = Tensor::default();
+        policy_gradient_loss_into(&logits, &[1, 0], &[0.5, -2.0], 0.02, &mut grad);
         for r in 0..grad.rows() {
             let sum: f32 = grad.row(r).iter().sum();
             assert!(sum.abs() < 1e-6, "row {r} sums to {sum}");
@@ -647,7 +638,8 @@ mod tests {
     #[test]
     fn zero_advantage_leaves_only_entropy_force() {
         let logits = Tensor::from_rows(&[vec![1.0, 0.0]]);
-        let (pg, _, grad) = policy_gradient_loss(&logits, &[0], &[0.0], 0.0);
+        let mut grad = Tensor::default();
+        let (pg, _) = policy_gradient_loss_into(&logits, &[0], &[0.0], 0.0, &mut grad);
         assert_eq!(pg, 0.0);
         assert!(grad.data().iter().all(|&g| g == 0.0));
     }

@@ -60,8 +60,7 @@ pub mod gae;
 pub mod rollout;
 
 pub use a2c::{
-    policy_gradient_loss, policy_gradient_loss_into, train, train_with_pool, A2cConfig,
-    ActorCritic, TrainReport, Trainer,
+    policy_gradient_loss_into, train, train_with_pool, A2cConfig, ActorCritic, TrainReport, Trainer,
 };
 pub use env::{sample_categorical, Env, Policy, ValueFunction};
 pub use gae::{discounted_returns, gae, gae_into, normalize_advantages};
@@ -74,8 +73,8 @@ pub const DEFAULT_GAMMA: f32 = 0.99;
 /// One-stop import for downstream crates, examples, and tests.
 pub mod prelude {
     pub use crate::a2c::{
-        policy_gradient_loss, policy_gradient_loss_into, train, train_with_pool, A2cConfig,
-        ActorCritic, TrainReport, Trainer,
+        policy_gradient_loss_into, train, train_with_pool, A2cConfig, ActorCritic, TrainReport,
+        Trainer,
     };
     pub use crate::env::{sample_categorical, Env, Policy, ValueFunction};
     pub use crate::envs::{ChainEnv, ContextBanditEnv};

@@ -248,10 +248,9 @@ impl Layer for ReLU {
 /// Row-wise softmax with the max-subtraction trick.
 ///
 /// For training a classifier/actor head, prefer feeding *logits* to
-/// [`crate::loss::softmax_cross_entropy`], which fuses the two for
+/// [`crate::loss::softmax_cross_entropy_into`], which fuses the two for
 /// stability; this layer exists for inference-time probability outputs and
-/// for nets whose downstream loss consumes probabilities (e.g. the entropy
-/// bonus).
+/// for nets whose downstream loss consumes probabilities.
 #[derive(Default)]
 pub struct Softmax {
     cached_output: Option<Tensor>,

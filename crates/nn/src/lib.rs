@@ -18,7 +18,7 @@
 //! - [`conv`] — `Conv1d` over fixed-geometry flattened inputs;
 //! - [`branches`] — parallel per-feature heads (split-apply-concat) for
 //!   Pensieve-style branched actor/critic networks;
-//! - [`loss`] — MSE, softmax cross-entropy (on logits), entropy bonus;
+//! - [`loss`] — MSE and softmax cross-entropy (on logits);
 //! - [`optim`] — `Sgd`, `RmsProp`, `Adam` behind the [`Optimizer`] trait;
 //! - [`init`] — Xavier/He initialization from an explicit seeded RNG;
 //! - [`net`] — the [`Sequential`] container tying it together;

@@ -1,5 +1,5 @@
-//! Loss functions: each yields a scalar loss and its gradient w.r.t. its
-//! input.
+//! Loss functions: each returns a scalar loss and writes its gradient
+//! w.r.t. its input into a caller-owned buffer.
 //!
 //! All reductions average over the batch (and, for MSE, over output
 //! elements), so the gradients handed back into `Sequential::backward_ws`
@@ -34,13 +34,14 @@ pub fn mse_into(pred: &Tensor, target: &Tensor, grad: &mut Tensor) -> f32 {
     (loss / n) as f32
 }
 
-/// Softmax cross-entropy on *logits*, fused for numerical stability.
+/// Softmax cross-entropy on *logits*, fused for numerical stability, with
+/// its gradient written into a caller-owned buffer like [`mse_into`].
 ///
 /// `targets` holds one probability distribution per row (one-hot for plain
 /// classification, arbitrary for distillation/advantage-weighted targets).
 /// Loss is averaged over rows; the gradient is the classic
 /// `(softmax(logits) − target) / batch`.
-pub fn softmax_cross_entropy(logits: &Tensor, targets: &Tensor) -> (f32, Tensor) {
+pub fn softmax_cross_entropy_into(logits: &Tensor, targets: &Tensor, grad: &mut Tensor) -> f32 {
     assert_eq!(
         (logits.rows(), logits.cols()),
         (targets.rows(), targets.cols()),
@@ -48,7 +49,7 @@ pub fn softmax_cross_entropy(logits: &Tensor, targets: &Tensor) -> (f32, Tensor)
     );
     let batch = logits.rows();
     let mut loss = 0.0f64;
-    let mut grad = Tensor::zeros(batch, logits.cols());
+    grad.resize_shape(batch, logits.cols());
     for r in 0..batch {
         let lr = logits.row(r);
         let tr = targets.row(r);
@@ -62,27 +63,7 @@ pub fn softmax_cross_entropy(logits: &Tensor, targets: &Tensor) -> (f32, Tensor)
             loss += t as f64 * (lse - l as f64);
         }
     }
-    ((loss / batch as f64) as f32, grad)
-}
-
-/// Mean per-row Shannon entropy of probability rows, `−Σ p ln p`, with the
-/// gradient w.r.t. the probabilities.
-///
-/// This is the A3C exploration bonus: the trainer *adds* `β·H` to the
-/// objective, i.e. subtracts it from the loss, so callers negate the
-/// returned gradient (or scale by `−β`) when composing. Probabilities are
-/// clamped at `1e-12` so rows touching 0 stay differentiable.
-pub fn entropy(probs: &Tensor) -> (f32, Tensor) {
-    let batch = probs.rows() as f64;
-    let mut total = 0.0f64;
-    let mut grad = Tensor::zeros(probs.rows(), probs.cols());
-    for (i, &p) in probs.data().iter().enumerate() {
-        let p = (p as f64).max(1e-12);
-        total -= p * p.ln();
-        // d(−p ln p)/dp = −(ln p + 1)
-        grad.data_mut()[i] = (-(p.ln() + 1.0) / batch) as f32;
-    }
-    ((total / batch) as f32, grad)
+    (loss / batch as f64) as f32
 }
 
 #[cfg(test)]
@@ -112,7 +93,7 @@ mod tests {
     fn cross_entropy_matches_neg_log_prob_for_one_hot() {
         let logits = Tensor::from_rows(&[vec![2.0, 0.5, -1.0]]);
         let target = Tensor::from_rows(&[vec![0.0, 1.0, 0.0]]);
-        let (l, _) = softmax_cross_entropy(&logits, &target);
+        let l = softmax_cross_entropy_into(&logits, &target, &mut Tensor::default());
         // Reference softmax.
         let exps: Vec<f64> = [2.0f64, 0.5, -1.0].iter().map(|x| x.exp()).collect();
         let z: f64 = exps.iter().sum();
@@ -124,7 +105,8 @@ mod tests {
     fn cross_entropy_is_stable_for_huge_logits() {
         let logits = Tensor::from_rows(&[vec![1e4, -1e4, 0.0]]);
         let target = Tensor::from_rows(&[vec![1.0, 0.0, 0.0]]);
-        let (l, g) = softmax_cross_entropy(&logits, &target);
+        let mut g = Tensor::default();
+        let l = softmax_cross_entropy_into(&logits, &target, &mut g);
         assert!(l.is_finite());
         assert!(g.is_finite());
         assert!(l.abs() < 1e-3); // the target class dominates entirely
@@ -136,23 +118,9 @@ mod tests {
         // logit gradient must sum to 0 per row.
         let logits = Tensor::from_rows(&[vec![0.1, -0.7, 1.3, 0.0]]);
         let target = Tensor::from_rows(&[vec![0.25; 4]]);
-        let (_, g) = softmax_cross_entropy(&logits, &target);
+        let mut g = Tensor::default();
+        softmax_cross_entropy_into(&logits, &target, &mut g);
         let sum: f32 = g.row(0).iter().sum();
         assert!(sum.abs() < 1e-6);
-    }
-
-    #[test]
-    fn entropy_of_uniform_is_ln_n() {
-        let p = Tensor::from_rows(&[vec![0.25; 4]]);
-        let (h, _) = entropy(&p);
-        assert!((h - (4.0f32).ln()).abs() < 1e-6);
-    }
-
-    #[test]
-    fn entropy_of_deterministic_is_zero() {
-        let p = Tensor::from_rows(&[vec![1.0, 0.0, 0.0]]);
-        let (h, g) = entropy(&p);
-        assert!(h.abs() < 1e-5);
-        assert!(g.is_finite());
     }
 }

@@ -36,9 +36,7 @@ struct CrossEntropyTo(Tensor);
 
 impl Objective for CrossEntropyTo {
     fn loss(&self, y: &Tensor, grad: &mut Tensor) -> f32 {
-        let (l, g) = loss::softmax_cross_entropy(y, &self.0);
-        *grad = g;
-        l
+        loss::softmax_cross_entropy_into(y, &self.0, grad)
     }
 }
 
@@ -107,7 +105,8 @@ fn random_tensor(rows: usize, cols: usize, scale: f32, rng: &mut Rng) -> Tensor 
     Tensor::from_vec(rows, cols, data)
 }
 
-/// Random probability rows bounded away from zero, for entropy checks.
+/// Random probability rows bounded away from zero, for cross-entropy
+/// targets.
 fn random_prob_rows(rows: usize, cols: usize, rng: &mut Rng) -> Tensor {
     let mut t = Tensor::zeros(rows, cols);
     for r in 0..rows {
@@ -256,43 +255,20 @@ fn cross_entropy_logit_gradient_matches_numeric() {
     let mut rng = Rng::seed_from_u64(17);
     let logits = random_tensor(3, 5, 2.0, &mut rng);
     let targets = random_prob_rows(3, 5, &mut rng);
-    let (_, analytic) = loss::softmax_cross_entropy(&logits, &targets);
+    let (mut analytic, mut scratch) = (Tensor::default(), Tensor::default());
+    loss::softmax_cross_entropy_into(&logits, &targets, &mut analytic);
     let mut l = logits.clone();
     for i in 0..l.len() {
         let orig = l.data()[i];
         l.data_mut()[i] = orig + EPS;
-        let lp = loss::softmax_cross_entropy(&l, &targets).0;
+        let lp = loss::softmax_cross_entropy_into(&l, &targets, &mut scratch);
         l.data_mut()[i] = orig - EPS;
-        let lm = loss::softmax_cross_entropy(&l, &targets).0;
+        let lm = loss::softmax_cross_entropy_into(&l, &targets, &mut scratch);
         l.data_mut()[i] = orig;
         let numeric = (lp - lm) / (2.0 * EPS);
         assert!(
             close(analytic.data()[i], numeric),
             "cross-entropy elem {i}: {} vs {numeric}",
-            analytic.data()[i]
-        );
-    }
-}
-
-#[test]
-fn entropy_gradient_matches_numeric() {
-    let mut rng = Rng::seed_from_u64(18);
-    // Keep probabilities well inside (0, 1): ln is steep near 0 and the
-    // clamp at 1e-12 would break differentiability.
-    let probs = random_prob_rows(3, 4, &mut rng);
-    let (_, analytic) = loss::entropy(&probs);
-    let mut p = probs.clone();
-    for i in 0..p.len() {
-        let orig = p.data()[i];
-        p.data_mut()[i] = orig + EPS;
-        let lp = loss::entropy(&p).0;
-        p.data_mut()[i] = orig - EPS;
-        let lm = loss::entropy(&p).0;
-        p.data_mut()[i] = orig;
-        let numeric = (lp - lm) / (2.0 * EPS);
-        assert!(
-            close(analytic.data()[i], numeric),
-            "entropy elem {i}: {} vs {numeric}",
             analytic.data()[i]
         );
     }

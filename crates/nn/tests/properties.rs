@@ -153,35 +153,6 @@ fn matmul_matches_naive_reference() {
     }
 }
 
-/// Entropy is maximized by the uniform distribution and non-negative
-/// everywhere.
-#[test]
-fn entropy_bounds() {
-    let mut rng = Rng::seed_from_u64(106);
-    for case in 0..CASES {
-        let cols = 2 + rng.below(8);
-        // Random distribution via normalized positives.
-        let mut p = Tensor::zeros(1, cols);
-        let mut sum = 0.0;
-        for c in 0..cols {
-            let v = 1e-3 + rng.next_f32();
-            p.set(0, c, v);
-            sum += v;
-        }
-        for c in 0..cols {
-            p.set(0, c, p.get(0, c) / sum);
-        }
-        let (h, _) = loss::entropy(&p);
-        let hmax = (cols as f32).ln();
-        assert!(h >= 0.0, "case {case}: negative entropy {h}");
-        assert!(h <= hmax + 1e-4, "case {case}: entropy {h} > ln({cols})");
-    }
-    // And the maximum is attained at uniform.
-    let uniform = Tensor::from_vec(1, 6, vec![1.0 / 6.0; 6]);
-    let (h, _) = loss::entropy(&uniform);
-    assert!((h - (6.0f32).ln()).abs() < 1e-5);
-}
-
 /// Cross-entropy is bounded below by the target's own entropy (Gibbs), so
 /// in particular it is non-negative.
 #[test]
@@ -193,7 +164,7 @@ fn cross_entropy_respects_gibbs_inequality() {
         let mut target = Tensor::zeros(1, cols);
         let hot = rng.below(cols);
         target.set(0, hot, 1.0);
-        let (ce, _) = loss::softmax_cross_entropy(&logits, &target);
+        let ce = loss::softmax_cross_entropy_into(&logits, &target, &mut Tensor::default());
         assert!(ce >= 0.0, "case {case}: negative cross-entropy {ce}");
     }
 }

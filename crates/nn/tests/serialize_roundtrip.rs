@@ -123,9 +123,10 @@ fn trained_weights_survive_roundtrip() {
     ]);
     let mut opt = Adam::new(0.05);
     let mut ws = Workspace::new();
+    let mut g = Tensor::default();
     for _ in 0..100 {
         let y = net.forward_ws(&x, &mut ws);
-        let (_, g) = loss::softmax_cross_entropy(&y, &t);
+        loss::softmax_cross_entropy_into(&y, &t, &mut g);
         let dx = net.backward_ws(&g, &mut ws);
         ws.recycle(dx);
         ws.recycle(y);

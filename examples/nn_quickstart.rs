@@ -33,12 +33,13 @@ fn main() {
         .with(Dense::new(8, 2, Init::XavierUniform, &mut rng));
     let mut opt = Adam::new(0.05);
     let mut ws = Workspace::new();
+    let mut grad = Tensor::default();
 
     let start = std::time::Instant::now();
     let epochs = 500;
     for epoch in 0..epochs {
         let logits = net.forward_ws(&x, &mut ws);
-        let (loss, grad) = loss::softmax_cross_entropy(&logits, &targets);
+        let loss = loss::softmax_cross_entropy_into(&logits, &targets, &mut grad);
         let dx = net.backward_ws(&grad, &mut ws);
         ws.recycle(dx);
         ws.recycle(logits);
