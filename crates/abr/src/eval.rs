@@ -21,8 +21,6 @@ pub struct PolicyScore {
     pub mean_rebuffer_s: f64,
     /// Mean selected bitrate per chunk, Mbit/s.
     pub mean_bitrate_mbps: f64,
-    pub sessions: usize,
-    pub chunks: u64,
 }
 
 /// Stream every trace once under `policy` and aggregate. Deterministic
@@ -55,8 +53,6 @@ pub fn evaluate_policy(
         mean_qoe: qoe / chunks as f64,
         mean_rebuffer_s: rebuf / n as f64,
         mean_bitrate_mbps: bitrate / chunks as f64,
-        sessions: n,
-        chunks,
     }
 }
 
@@ -96,8 +92,6 @@ mod tests {
             bb.mean_qoe,
             rnd.mean_qoe
         );
-        assert_eq!(bb.sessions, 4);
-        assert_eq!(bb.chunks, 4 * 48);
         assert_eq!(
             normalized_score(bb.mean_qoe, rnd.mean_qoe, bb.mean_qoe),
             1.0

@@ -16,7 +16,7 @@
 //!   one pass, bit-identical at any worker count;
 //! - [`policy`] — the [`policy::AbrPolicy`] batched decision trait with
 //!   the Buffer-Based (reservoir/cushion) and Random baselines;
-//! - [`env`](mod@env) — [`env::AbrEnv`], the single-session [`osa_mdp::Env`]
+//! - `env` — [`AbrEnv`], the single-session [`osa_mdp::Env`]
 //!   adapter RL training runs against (steps the same `SessionCursor` as
 //!   the multi-session engine, so the two are bit-equal by construction);
 //! - [`eval`] — policy scoring over a trace set, including the ROADMAP's
@@ -30,8 +30,9 @@
 //! [`AbrEnv`]'s [`osa_mdp::Env::reset`] — always via an explicit caller-provided
 //! [`osa_nn::rng::Rng`].
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
-pub mod env;
+pub(crate) mod env;
 pub mod eval;
 pub mod policy;
 pub mod sim;
@@ -44,7 +45,7 @@ pub use sim::{step_chunk, AbrConfig, ChunkOutcome, MultiSession};
 pub use video::VideoModel;
 
 /// Round-trip time the paper's emulation applies to every chunk request.
-pub const RTT_MS: u32 = 80;
+pub(crate) const RTT_MS: u32 = 80;
 
 /// Number of bitrate levels in the video model.
 pub const NUM_BITRATES: usize = 6;
@@ -64,9 +65,9 @@ pub mod prelude {
     pub use crate::env::AbrEnv;
     pub use crate::eval::{evaluate_policy, normalized_score, PolicyScore};
     pub use crate::policy::{AbrPolicy, BufferBased, RandomPolicy};
-    pub use crate::sim::{step_chunk, AbrConfig, ChunkOutcome, MultiSession, SessionCursor};
-    pub use crate::video::{VideoModel, BITRATES_KBPS, CHUNK_COUNT};
-    pub use crate::{HISTORY_LEN, NUM_BITRATES, OBS_DIM, RTT_MS};
+    pub use crate::sim::{step_chunk, AbrConfig, ChunkOutcome, MultiSession};
+    pub use crate::video::{VideoModel, CHUNK_COUNT};
+    pub use crate::{HISTORY_LEN, NUM_BITRATES, OBS_DIM};
 }
 
 #[cfg(test)]

@@ -61,8 +61,8 @@ impl AbrPolicy for RandomPolicy {
 /// onto the ladder in between.
 #[derive(Clone, Copy, Debug)]
 pub struct BufferBased {
-    pub reservoir_s: f64,
-    pub cushion_s: f64,
+    pub(crate) reservoir_s: f64,
+    pub(crate) cushion_s: f64,
 }
 
 impl Default for BufferBased {

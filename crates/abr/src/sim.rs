@@ -73,11 +73,9 @@ pub struct ChunkOutcome {
     /// Seconds playback stalled waiting for this chunk.
     pub rebuffer_s: f64,
     /// Seconds the client paused requesting because the buffer was full.
-    pub sleep_s: f64,
+    pub(crate) sleep_s: f64,
     /// Measured throughput over the download, Mbit/s (size·8 / delay).
     pub tput_mbps: f64,
-    /// Bytes transferred.
-    pub size_bytes: f64,
     /// Linear QoE earned by this chunk.
     pub reward: f64,
     /// Session clock after download + any sleep.
@@ -131,7 +129,6 @@ pub fn step_chunk(
         rebuffer_s: rebuffer,
         sleep_s: sleep,
         tput_mbps: size * 8.0 / 1e6 / delay,
-        size_bytes: size,
         reward: q - cfg.rebuf_penalty * rebuffer - cfg.smooth_penalty * (q - q_prev).abs(),
         new_time_s: time_s + delay + sleep,
         new_buffer_s: buffer,
@@ -166,7 +163,7 @@ impl SessionCursor {
 
     /// A fresh session that starts `time_s` seconds into its trace
     /// (Pensieve-style random start offsets), with an empty buffer.
-    pub fn starting_at(time_s: f64) -> SessionCursor {
+    pub(crate) fn starting_at(time_s: f64) -> SessionCursor {
         SessionCursor {
             time_s,
             ..SessionCursor::default()
@@ -174,7 +171,7 @@ impl SessionCursor {
     }
 
     /// Back to the start-of-session state.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         *self = SessionCursor::default();
     }
 
@@ -256,19 +253,19 @@ impl SessionCursor {
         o
     }
 
-    pub fn time_s(&self) -> f64 {
+    pub(crate) fn time_s(&self) -> f64 {
         self.time_s
     }
 
-    pub fn buffer_s(&self) -> f64 {
+    pub(crate) fn buffer_s(&self) -> f64 {
         self.buffer_s
     }
 
-    pub fn next_chunk(&self) -> usize {
+    pub(crate) fn next_chunk(&self) -> usize {
         self.next_chunk
     }
 
-    pub fn prev_level(&self) -> usize {
+    pub(crate) fn prev_level(&self) -> usize {
         self.prev_level
     }
 }
@@ -493,7 +490,7 @@ impl MultiSession {
     }
 
     /// Lifetime sum of selected bitrates (Mbit/s) of session slot `i`.
-    pub fn bitrate_total_mbps(&self, i: usize) -> f64 {
+    pub(crate) fn bitrate_total_mbps(&self, i: usize) -> f64 {
         self.sessions[i].bitrate_total_mbps
     }
 

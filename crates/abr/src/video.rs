@@ -15,13 +15,13 @@ use osa_nn::rng::Rng;
 use crate::NUM_BITRATES;
 
 /// The six encoding bitrates of EnvivioDash3, in kbit/s.
-pub const BITRATES_KBPS: [u32; NUM_BITRATES] = [300, 750, 1200, 1850, 2850, 4300];
+pub(crate) const BITRATES_KBPS: [u32; NUM_BITRATES] = [300, 750, 1200, 1850, 2850, 4300];
 
 /// Number of chunks in the video (48 × 4 s ≈ 193 s).
 pub const CHUNK_COUNT: usize = 48;
 
 /// Chunk play duration in seconds.
-pub const CHUNK_S: f64 = 4.0;
+pub(crate) const CHUNK_S: f64 = 4.0;
 
 /// Fixed internal seed for the synthetic VBR table, so every build of
 /// the workspace trains and evaluates against the identical video.
@@ -91,13 +91,8 @@ impl VideoModel {
     }
 
     /// Chunk play duration in seconds.
-    pub fn chunk_s(&self) -> f64 {
+    pub(crate) fn chunk_s(&self) -> f64 {
         self.chunk_s
-    }
-
-    /// Encoding bitrate of `level` in kbit/s.
-    pub fn bitrate_kbps(&self, level: usize) -> u32 {
-        BITRATES_KBPS[level]
     }
 
     /// Encoding bitrate of `level` in Mbit/s — also the §3.1 linear QoE

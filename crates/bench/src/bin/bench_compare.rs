@@ -1,6 +1,6 @@
 //! Regression gate: diff freshly generated `BENCH_*.json` reports against
 //! committed baselines and exit non-zero when a latency metric regressed
-//! by more than [`osa_bench::compare::TOLERANCE`] (or a steady-state
+//! by more than the 25 % `compare::TOLERANCE` (or a steady-state
 //! allocation appeared).
 //!
 //! ```sh

@@ -28,6 +28,7 @@
 //! [`compare`] the regression gate (`bench_compare` binary) that diffs
 //! a fresh report against the committed baseline.
 #![deny(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub mod osap;
 
@@ -51,28 +52,23 @@ pub mod counting_alloc {
     use std::sync::atomic::{AtomicU64, Ordering};
 
     static ALLOCS: AtomicU64 = AtomicU64::new(0);
-    static DEALLOCS: AtomicU64 = AtomicU64::new(0);
-    static BYTES: AtomicU64 = AtomicU64::new(0);
 
-    /// Forwards to [`System`], counting every alloc/realloc/dealloc.
+    /// Forwards to [`System`], counting every alloc and realloc.
     pub struct CountingAlloc;
 
     unsafe impl GlobalAlloc for CountingAlloc {
         unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
-            BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
             System.alloc(layout)
         }
 
         unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-            DEALLOCS.fetch_add(1, Ordering::Relaxed);
             System.dealloc(ptr, layout)
         }
 
         unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
             // A realloc is new heap traffic even when it grows in place.
             ALLOCS.fetch_add(1, Ordering::Relaxed);
-            BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
             System.realloc(ptr, layout, new_size)
         }
     }
@@ -80,16 +76,6 @@ pub mod counting_alloc {
     /// Heap allocation events (allocs + reallocs) since process start.
     pub fn allocations() -> u64 {
         ALLOCS.load(Ordering::Relaxed)
-    }
-
-    /// Heap deallocation events since process start.
-    pub fn deallocations() -> u64 {
-        DEALLOCS.load(Ordering::Relaxed)
-    }
-
-    /// Total bytes requested from the allocator since process start.
-    pub fn allocated_bytes() -> u64 {
-        BYTES.load(Ordering::Relaxed)
     }
 
     /// Minimum allocation count observed across `windows` measurement
@@ -161,15 +147,15 @@ pub fn target_cpu() -> &'static str {
 
 /// Summary statistics of one [`run_bench`] series.
 pub struct BenchStats {
-    pub name: String,
-    pub mean_ns: f64,
+    pub(crate) name: String,
+    pub(crate) mean_ns: f64,
     pub median_ns: u64,
-    pub p95_ns: u64,
-    pub samples: usize,
+    pub(crate) p95_ns: u64,
+    pub(crate) samples: usize,
     /// Mean heap allocation events per iteration over the measured
     /// window. Meaningful only when [`counting_alloc::CountingAlloc`] is
     /// the registered global allocator; reads 0.0 otherwise.
-    pub allocs_per_iter: f64,
+    pub(crate) allocs_per_iter: f64,
 }
 
 impl BenchStats {
@@ -232,7 +218,7 @@ pub fn run_bench(name: &str, samples: usize, mut f: impl FnMut()) -> BenchStats 
 /// non-finite numbers ([`Value::try_to_json`] errors), so report writers
 /// sanitize first: the poisoned cell becomes `null` — visibly absent in
 /// the committed baseline — and every other measurement survives.
-pub fn sanitize(value: Value) -> Value {
+pub(crate) fn sanitize(value: Value) -> Value {
     match value {
         Value::Num(n) if !n.is_finite() => Value::Null,
         Value::Arr(items) => Value::Arr(items.into_iter().map(sanitize).collect()),
@@ -264,7 +250,7 @@ pub mod compare {
     /// gate. 25% is deliberately loose: it must swallow scheduler noise on
     /// shared runners while still catching a kernel that lost its
     /// blocking or a hot path that started allocating.
-    pub const TOLERANCE: f64 = 0.25;
+    pub(crate) const TOLERANCE: f64 = 0.25;
 
     /// Is this JSON key a gated metric? Latency columns (`*_ns`) and the
     /// allocation counter are gated; throughput columns are informational
@@ -287,7 +273,7 @@ pub mod compare {
     }
 
     /// Flatten every gated metric in a report into `path → value`.
-    pub fn collect_metrics(doc: &Value, prefix: &str, out: &mut BTreeMap<String, f64>) {
+    pub(crate) fn collect_metrics(doc: &Value, prefix: &str, out: &mut BTreeMap<String, f64>) {
         match doc {
             Value::Obj(map) => {
                 let prefix = match label(map) {

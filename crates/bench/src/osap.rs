@@ -18,7 +18,7 @@ use osa_trace::prelude::*;
 
 /// Corpus contract shared with `examples/osap_ensemble_train.rs` and
 /// `crates/core/tests/ensemble_artifact.rs`.
-pub const CORPUS_COUNT: usize = 60;
+pub(crate) const CORPUS_COUNT: usize = 60;
 pub const CORPUS_LEN: usize = 400;
 pub const CORPUS_SEED: u64 = 2020;
 
@@ -27,7 +27,7 @@ pub const CORPUS_SEED: u64 = 2020;
 /// support-vector count (and so its per-decision cost) grows with the
 /// corpus, which is the runtime asymmetry `BENCH_osap.json` records:
 /// U_π/U_V cost is constant in corpus size.
-pub const US_FIT_TRACES: usize = 16;
+pub(crate) const US_FIT_TRACES: usize = 16;
 
 /// The committed 5-replica ensemble (regenerate with
 /// `cargo run --release --example osap_ensemble_train`).
@@ -47,7 +47,7 @@ pub fn load_ensemble() -> PensieveEnsemble {
 }
 
 /// The §3.1 U_S feature corpus: throughput windows harvested under the
-/// unguarded ensemble-mean policy over the first [`US_FIT_TRACES`] of
+/// unguarded ensemble-mean policy over the first `US_FIT_TRACES` of
 /// `traces`. The per-decision throughput series are concatenated in
 /// trace order, and the windows of every prefix that ends at a trace
 /// boundary are taken — trace 1, traces 1–2, … — so early traces recur.

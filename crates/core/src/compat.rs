@@ -18,8 +18,7 @@ use osa_trace::Trace;
 
 use crate::calibrate::{calibrate_guard, Calibration};
 use crate::ensemble::PensieveEnsemble;
-use crate::monitor::Monitor;
-use crate::serve::FleetSignal;
+use crate::serve::{FleetSignal, ServeConfig};
 
 /// An ensemble shared by reference count. Kept for `benchmark/`.
 pub type SharedEnsemble = Rc<RefCell<PensieveEnsemble>>;
@@ -27,6 +26,43 @@ pub type SharedEnsemble = Rc<RefCell<PensieveEnsemble>>;
 /// Wrap an ensemble for sharing. Kept for `benchmark/`.
 pub fn shared(ens: PensieveEnsemble) -> SharedEnsemble {
     Rc::new(RefCell::new(ens))
+}
+
+/// One guarded stream's monitor settings: the (k, α, l) and anchor a
+/// [`FleetMonitors`](crate::serve::FleetMonitors) is built from. Kept for
+/// `benchmark/`, which hands it to [`abr_safe_agent`].
+pub struct Monitor(ServeConfig);
+
+impl Monitor {
+    /// Sticky monitor (the paper's behavior: no reverse switching).
+    /// Panics if `k == 0` or `l == 0`.
+    pub fn new(k: usize, alpha: f32, l: usize) -> Monitor {
+        assert!(k >= 1, "variance window k must be >= 1");
+        assert!(l >= 1, "consecutive exceedances l must be >= 1");
+        Monitor(ServeConfig {
+            k,
+            alpha,
+            l,
+            ..ServeConfig::default()
+        })
+    }
+
+    /// Replace the threshold (used once by calibration).
+    pub(crate) fn set_alpha(&mut self, alpha: f32) {
+        self.0.alpha = alpha;
+    }
+
+    /// Anchor the variance at the calibrated in-distribution level
+    /// (used once by calibration); `None` restores sample-mean variance.
+    pub fn set_anchor(&mut self, anchor: Option<f32>) {
+        self.0.anchor = anchor;
+    }
+
+    /// These settings as a fleet configuration (default shard and
+    /// `auto_reset`).
+    pub(crate) fn serve_config(&self) -> ServeConfig {
+        self.0.clone()
+    }
 }
 
 /// A guard to calibrate: ensemble, signal and monitor settings. Kept

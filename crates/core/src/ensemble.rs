@@ -32,10 +32,10 @@ use osa_nn::workspace::Workspace;
 use osa_pensieve::{PensieveAgent, PensieveConfig};
 
 /// Serialized-ensemble format version (bumped on any layout change).
-pub const ENSEMBLE_FORMAT_VERSION: u32 = 1;
+pub(crate) const ENSEMBLE_FORMAT_VERSION: u32 = 1;
 
 /// Probability floor for the U_π KL sum (see `policy_spread`).
-pub const KL_FLOOR: f32 = 1e-6;
+pub(crate) const KL_FLOOR: f32 = 1e-6;
 
 /// A stacked ensemble of Pensieve replicas: the mean-policy actor and
 /// the critic towers the serving engine runs for U_π and U_V.
@@ -168,7 +168,7 @@ impl PensieveEnsemble {
 
     /// Act with the ensemble-mean policy: argmax of the mean
     /// distribution (ties → lowest level, as `osa_nn::tensor::argmax`).
-    pub fn act(&mut self, obs: &[f32]) -> usize {
+    pub(crate) fn act(&mut self, obs: &[f32]) -> usize {
         self.policy_eval(obs);
         argmax(&self.mean_probs)
     }

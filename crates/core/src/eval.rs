@@ -24,15 +24,15 @@ use crate::serve::{FleetEngine, FleetSignal, ServeConfig};
 pub struct SessionOutcome {
     /// Sum of per-chunk linear QoE.
     pub qoe: f64,
-    pub rebuffer_s: f64,
+    pub(crate) rebuffer_s: f64,
     pub chunks: u64,
     /// Decision index at which the session *first* switched to the
     /// fallback.
     pub first_trip: Option<usize>,
     /// Learned→fallback switches (> 1 only with reverse switching).
-    pub switches: usize,
+    pub(crate) switches: usize,
     /// Per-decision series, recorded only on request. `raw` is the
-    /// value the monitor consumed ([`FleetEngine::raw`]: frozen while a
+    /// value the monitor consumed (`FleetEngine::raw`: frozen while a
     /// sticky fallback is not observing), `variance` the k-window
     /// variance after it, and `tput_mbps` the newest throughput sample
     /// the observation carried — the U_S feature pipeline's input.

@@ -11,11 +11,11 @@
 //!   forwards, guarded by a [`FleetSignal`]: U_π (KL-to-mean), U_V
 //!   (value distance-to-mean) or U_S (one-class SVM novelty via
 //!   [`osa_ocsvm`]);
-//! - [`ensemble`] — the stacked Pensieve replica ensemble (i = 5,
+//! - `ensemble` — the stacked Pensieve replica ensemble (i = 5,
 //!   top-2 outliers discarded) and the per-session U_π/U_V reductions;
 //!   inference is one grouped GEMM per layer across all replicas
 //!   (`osa_nn::stacked`), never five sequential forwards;
-//! - [`monitor`] — k-window variance smoothing and
+//! - `monitor` — k-window variance smoothing and
 //!   l-consecutive-exceedance thresholding (§2.5) for whole fleets,
 //!   sticky by default with opt-in hysteresis-based reverse switching
 //!   ([`ReverseConfig`]);
@@ -24,7 +24,7 @@
 //!   0 = Random / 1 = BB scoring (§3.3) shared by every figure binary;
 //! - [`calibrate`](mod@calibrate) — (α, l) calibration against in-distribution traces,
 //!   on the same engine;
-//! - [`compat`] — the names `benchmark/` still calls, as thin
+//! - `compat` — the names `benchmark/` still calls, as thin
 //!   constructors over the above.
 //!
 //! # Determinism
@@ -35,26 +35,26 @@
 //! (variance rings, KL sums, outlier discard) runs in a fixed order —
 //! pinned by `tests/determinism_pool.rs` across pools {1, 2, 4, 8}.
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub mod calibrate;
-pub mod compat;
-pub mod ensemble;
+pub(crate) mod compat;
+pub(crate) mod ensemble;
 pub mod eval;
-pub mod monitor;
+pub(crate) mod monitor;
 pub mod serve;
 
 pub use calibrate::{calibrate_guard, Calibration, DEFAULT_MARGIN};
 pub use compat::{
-    abr_safe_agent, calibrate, calibrate_novelty, shared, AbrSafeAgent, NoveltySignal,
-    SharedEnsemble, ValueDisagreement,
+    abr_safe_agent, calibrate, calibrate_novelty, shared, Monitor, NoveltySignal, SharedEnsemble,
+    ValueDisagreement,
 };
-pub use ensemble::{PensieveEnsemble, ENSEMBLE_FORMAT_VERSION};
+pub use ensemble::PensieveEnsemble;
 pub use eval::{
-    anchors, calibration_observations, evaluate, normalized, summarize, Anchors, SessionOutcome,
-    Summary,
+    anchors, calibration_observations, evaluate, normalized, summarize, SessionOutcome, Summary,
 };
-pub use monitor::{Monitor, ReverseConfig, DEFAULT_K};
-pub use serve::{FleetEngine, FleetSignal, FleetTelemetry, ServeConfig};
+pub use monitor::{ReverseConfig, DEFAULT_K};
+pub use serve::{FleetEngine, FleetSignal, ServeConfig};
 
 /// Ensemble size the paper uses for U_π and U_V (§3.1).
 pub const ENSEMBLE_SIZE: usize = 5;
@@ -69,16 +69,15 @@ pub const DEFAULT_L: usize = 3;
 pub mod prelude {
     pub use crate::calibrate::{calibrate_guard, Calibration, DEFAULT_MARGIN};
     pub use crate::compat::{
-        abr_safe_agent, calibrate, calibrate_novelty, shared, AbrSafeAgent, NoveltySignal,
+        abr_safe_agent, calibrate, calibrate_novelty, shared, Monitor, NoveltySignal,
         SharedEnsemble, ValueDisagreement,
     };
-    pub use crate::ensemble::{PensieveEnsemble, ENSEMBLE_FORMAT_VERSION};
+    pub use crate::ensemble::PensieveEnsemble;
     pub use crate::eval::{
-        anchors, calibration_observations, evaluate, normalized, summarize, Anchors,
-        SessionOutcome, Summary,
+        anchors, calibration_observations, evaluate, normalized, summarize, SessionOutcome, Summary,
     };
-    pub use crate::monitor::{Monitor, ReverseConfig, DEFAULT_K};
-    pub use crate::serve::{FleetEngine, FleetSignal, FleetTelemetry, ServeConfig};
+    pub use crate::monitor::{ReverseConfig, DEFAULT_K};
+    pub use crate::serve::{FleetEngine, FleetSignal, ServeConfig};
     pub use crate::{DEFAULT_L, ENSEMBLE_KEEP, ENSEMBLE_SIZE};
 }
 

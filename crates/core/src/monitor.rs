@@ -12,7 +12,7 @@
 //!
 //! The state machine exists once, in struct-of-arrays form:
 //! [`FleetMonitors`] holds one monitor per session for the fleet
-//! engine, and [`Monitor`] is a one-session view over it.
+//! engine.
 //!
 //! # Failing closed
 //!
@@ -76,6 +76,7 @@ impl ReverseConfig {
 /// arrays: rolling variance of the last k raw values, the l-consecutive
 /// trip counter and (optionally) the reverse-switching state machine.
 /// Every session shares one (k, α, l), anchor and reverse policy.
+#[derive(Clone)]
 pub struct FleetMonitors {
     k: usize,
     alpha: f32,
@@ -305,24 +306,13 @@ fn index_opt(v: u32) -> Option<usize> {
     }
 }
 
-/// One guarded stream's monitor: a one-session [`FleetMonitors`]. Kept
-/// as the monitor settings `benchmark/` hands to
-/// [`abr_safe_agent`](crate::compat::abr_safe_agent).
-pub struct Monitor(FleetMonitors);
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use osa_nn::rng::Rng;
 
-impl Monitor {
-    /// Sticky monitor (the paper's behavior: no reverse switching).
-    /// Panics if `k == 0` or `l == 0`.
-    pub fn new(k: usize, alpha: f32, l: usize) -> Monitor {
-        Monitor::with_config(k, alpha, l, None)
-    }
-
-    /// Monitor with hysteresis-based reverse switching enabled.
-    pub fn with_reverse(k: usize, alpha: f32, l: usize, reverse: ReverseConfig) -> Monitor {
-        Monitor::with_config(k, alpha, l, Some(reverse))
-    }
-
-    fn with_config(k: usize, alpha: f32, l: usize, reverse: Option<ReverseConfig>) -> Monitor {
+    /// A one-session fleet under (k, α, l) and `reverse`.
+    fn one(k: usize, alpha: f32, l: usize, reverse: Option<ReverseConfig>) -> FleetMonitors {
         let cfg = ServeConfig {
             k,
             alpha,
@@ -330,167 +320,57 @@ impl Monitor {
             reverse,
             ..ServeConfig::default()
         };
-        Monitor(FleetMonitors::new(1, &cfg))
+        FleetMonitors::new(1, &cfg)
     }
-
-    /// Replace the threshold (used once by calibration). Resets all
-    /// rolling state: a threshold chosen *after* watching a stretch of
-    /// traffic must not inherit that stretch's exceedance streak.
-    pub fn set_alpha(&mut self, alpha: f32) {
-        self.0.alpha = alpha;
-        self.reset();
-    }
-
-    /// Anchor the variance at the calibrated in-distribution level
-    /// (used once by calibration); `None` restores sample-mean variance.
-    /// Resets all rolling state — ring contents measured under the old
-    /// anchor are meaningless under the new one.
-    pub fn set_anchor(&mut self, anchor: Option<f32>) {
-        self.0.anchor = anchor;
-        self.reset();
-    }
-
-    /// These settings as a fleet configuration (default shard and
-    /// `auto_reset`).
-    pub(crate) fn serve_config(&self) -> ServeConfig {
-        let m = &self.0;
-        ServeConfig {
-            k: m.k,
-            alpha: m.alpha,
-            l: m.l,
-            anchor: m.anchor,
-            reverse: m.reverse,
-            ..ServeConfig::default()
-        }
-    }
-
-    pub fn k(&self) -> usize {
-        self.0.k
-    }
-
-    pub fn l(&self) -> usize {
-        self.0.l
-    }
-
-    /// Forget all state, lifetime counters included (the stream's
-    /// session boundary); keeps (k, α, l), the anchor, and the reverse
-    /// configuration.
-    pub fn reset(&mut self) {
-        let m = &mut self.0;
-        m.reset_session(0);
-        m.decisions[0] = 0;
-        m.switches[0] = 0;
-        m.recoveries[0] = 0;
-    }
-
-    /// See [`FleetMonitors::update`].
-    pub fn update(&mut self, raw: f32) -> bool {
-        self.0.update(0, raw)
-    }
-
-    /// See [`FleetMonitors::variance`].
-    pub fn variance(&self) -> f32 {
-        self.0.variance(0)
-    }
-
-    pub fn tripped(&self) -> bool {
-        self.0.tripped(0)
-    }
-
-    /// See [`FleetMonitors::observing`].
-    pub fn observing(&self) -> bool {
-        self.0.observing(0)
-    }
-
-    /// Decision index (0-based) at which the monitor *first* tripped.
-    pub fn tripped_at(&self) -> Option<usize> {
-        self.0.tripped_at(0)
-    }
-
-    pub fn switches(&self) -> usize {
-        self.0.switches(0)
-    }
-
-    pub fn recoveries(&self) -> usize {
-        self.0.recoveries(0)
-    }
-
-    pub fn locked(&self) -> bool {
-        self.0.locked(0)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use osa_nn::rng::Rng;
 
     #[test]
     fn trips_only_after_l_consecutive_exceedances() {
         // A single spike stays inside the k = 3 window for exactly 3
         // updates, so l = 4 separates "one transient" from "sustained".
-        let mut m = Monitor::new(3, 0.1, 4);
+        let mut m = one(3, 0.1, 4, None);
         // Constant values: variance 0, never trips.
         for _ in 0..5 {
-            assert!(!m.update(1.0));
+            assert!(!m.update(0, 1.0));
         }
         // One spike → 3 consecutive exceedances while it traverses the
         // window, then calm: the counter must reset without tripping.
-        assert!(!m.update(5.0));
-        assert_eq!(m.0.consecutive[0], 1);
+        assert!(!m.update(0, 5.0));
+        assert_eq!(m.consecutive[0], 1);
         for _ in 0..2 {
-            assert!(!m.update(1.0));
+            assert!(!m.update(0, 1.0));
         }
-        assert_eq!(m.0.consecutive[0], 3);
-        assert!(!m.update(1.0));
-        assert_eq!(m.0.consecutive[0], 0);
-        assert!(!m.tripped());
+        assert_eq!(m.consecutive[0], 3);
+        assert!(!m.update(0, 1.0));
+        assert_eq!(m.consecutive[0], 0);
+        assert!(!m.tripped(0));
         // Sustained noise keeps the variance up for l = 4 consecutive
         // decisions → trip, and stay tripped.
-        m.update(9.0);
-        m.update(1.0);
-        m.update(9.0);
-        let tripped = m.update(1.0);
+        m.update(0, 9.0);
+        m.update(0, 1.0);
+        m.update(0, 9.0);
+        let tripped = m.update(0, 1.0);
         assert!(tripped);
-        let at = m.tripped_at().unwrap();
-        assert!(m.update(1.0));
-        assert_eq!(m.tripped_at(), Some(at), "trip index is sticky");
-        assert_eq!(m.switches(), 1);
-        assert_eq!(m.recoveries(), 0);
+        let at = m.tripped_at(0).unwrap();
+        assert!(m.update(0, 1.0));
+        assert_eq!(m.tripped_at(0), Some(at), "trip index is sticky");
+        assert_eq!(m.switches(0), 1);
+        assert_eq!(m.recoveries(0), 0);
     }
 
     #[test]
     fn variance_matches_direct_computation() {
-        let mut m = Monitor::new(4, f32::INFINITY, 1);
+        let mut m = one(4, f32::INFINITY, 1, None);
         let vals = [2.0f32, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         for &v in &vals {
-            m.update(v);
+            m.update(0, v);
         }
         // Last 4 values: 5, 5, 7, 9 → mean 6.5, var (2.25+2.25+.25+6.25)/4.
-        assert!((m.variance() - 11.0 / 4.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn reset_clears_trip_state() {
-        let mut m = Monitor::new(2, 0.0, 1);
-        m.update(0.0);
-        m.update(10.0);
-        assert!(m.tripped());
-        m.reset();
-        assert!(!m.tripped());
-        assert_eq!(m.0.decisions[0], 0);
-        assert_eq!(m.switches(), 0);
+        assert!((m.variance(0) - 11.0 / 4.0).abs() < 1e-6);
     }
 
     #[test]
     fn session_reset_keeps_lifetime_counters() {
-        let cfg = ServeConfig {
-            k: 2,
-            alpha: 0.1,
-            l: 1,
-            ..ServeConfig::default()
-        };
-        let mut m = FleetMonitors::new(1, &cfg);
+        let mut m = one(2, 0.1, 1, None);
         m.update(0, 0.0);
         assert!(m.update(0, 9.0));
         assert_eq!(m.switches(0), 1);
@@ -501,79 +381,38 @@ mod tests {
         assert_eq!(m.decisions[0], 2, "lifetime decision count survives");
     }
 
-    /// The calibration footgun: exceedances counted under the throwaway
-    /// pre-calibration threshold must not survive `set_alpha` — a
-    /// monitor calibrated mid-stream would otherwise trip up to l − 1
-    /// decisions early.
-    #[test]
-    fn set_alpha_discards_stale_rolling_state() {
-        let mut m = Monitor::new(2, 0.0, 3);
-        // α = 0: every full window exceeds, driving consecutive to l − 1.
-        m.update(1.0);
-        m.update(5.0);
-        m.update(1.0);
-        assert_eq!(m.0.consecutive[0], 2);
-        m.set_alpha(0.5);
-        assert_eq!(m.0.consecutive[0], 0, "set_alpha must reset the streak");
-        assert_eq!(m.0.decisions[0], 0);
-        // One post-calibration exceedance is not l consecutive ones.
-        m.update(0.0);
-        assert!(!m.update(10.0), "stale streak would have tripped here");
-        assert_eq!(m.0.consecutive[0], 1);
-        // l genuine consecutive exceedances still trip.
-        assert!(!m.update(0.0));
-        assert!(m.update(10.0));
-        assert!(m.tripped());
-    }
-
-    #[test]
-    fn set_anchor_discards_stale_rolling_state() {
-        let mut m = Monitor::new(2, 0.1, 1);
-        m.update(3.0);
-        m.update(3.0);
-        assert!(m.variance() < 0.1);
-        m.set_anchor(Some(0.0));
-        assert_eq!(m.0.decisions[0], 0);
-        assert_eq!(m.variance(), 0.0, "old-anchor variance must not leak");
-        // The ring was cleared: the anchored variance sees only fresh
-        // values, not the pre-anchor 3.0s.
-        m.update(0.0);
-        assert!(!m.update(0.0));
-        assert_eq!(m.variance(), 0.0);
-    }
-
     #[test]
     fn reverse_recovers_after_quiet_windows_and_counts_switches() {
-        let mut m = Monitor::with_reverse(2, 0.5, 1, ReverseConfig::new(3, 0));
-        m.update(0.0);
-        assert!(m.update(9.0)); // trip: window (0, 9) is loud
-        assert_eq!(m.switches(), 1);
-        assert!(m.observing(), "reverse monitors keep observing");
+        let mut m = one(2, 0.5, 1, Some(ReverseConfig::new(3, 0)));
+        m.update(0, 0.0);
+        assert!(m.update(0, 9.0)); // trip: window (0, 9) is loud
+        assert_eq!(m.switches(0), 1);
+        assert!(m.observing(0), "reverse monitors keep observing");
         // Constant from here on → every window (9, 9) is quiet; recovery
         // needs 3 consecutive ones.
-        assert!(m.update(9.0)); // quiet 1
-        assert!(m.update(9.0)); // quiet 2
-        assert!(!m.update(9.0), "third quiet window recovers");
-        assert_eq!(m.recoveries(), 1);
-        assert!(m.0.last_recovery(0).is_some());
-        assert!(!m.tripped());
+        assert!(m.update(0, 9.0)); // quiet 1
+        assert!(m.update(0, 9.0)); // quiet 2
+        assert!(!m.update(0, 9.0), "third quiet window recovers");
+        assert_eq!(m.recoveries(0), 1);
+        assert!(m.last_recovery(0).is_some());
+        assert!(!m.tripped(0));
     }
 
     #[test]
     fn never_recovers_within_m_windows_of_a_trip() {
         let m_windows = 4;
-        let mut m = Monitor::with_reverse(2, 0.5, 1, ReverseConfig::new(m_windows, 0));
-        m.update(0.0);
-        m.update(9.0); // trip at index 1
-        let trip = m.0.last_trip(0).unwrap();
+        let mut m = one(2, 0.5, 1, Some(ReverseConfig::new(m_windows, 0)));
+        m.update(0, 0.0);
+        m.update(0, 9.0); // trip at index 1
+        let trip = m.last_trip(0).unwrap();
         // Perfectly quiet from here on — recovery still takes m updates.
         let mut steps = 0;
-        while m.tripped() {
-            m.update(9.0);
+        while m.tripped(0) {
+            m.update(0, 9.0);
             steps += 1;
             assert!(steps <= 16, "never recovered");
         }
-        let rec = m.0.last_recovery(0).unwrap();
+        let rec = m.last_recovery(0).unwrap();
         assert!(
             rec - trip >= m_windows,
             "recovered {} decisions after the trip (m = {m_windows})",
@@ -583,40 +422,40 @@ mod tests {
 
     #[test]
     fn retrip_inside_guard_locks_onto_fallback() {
-        let mut m = Monitor::with_reverse(2, 0.5, 1, ReverseConfig::new(1, 8));
-        m.update(0.0);
-        m.update(9.0); // switch 1
-        assert!(!m.update(9.0)); // window (9, 9) is quiet → recovers (m = 1)
-        assert!(!m.tripped());
-        assert_eq!(m.recoveries(), 1);
+        let mut m = one(2, 0.5, 1, Some(ReverseConfig::new(1, 8)));
+        m.update(0, 0.0);
+        m.update(0, 9.0); // switch 1
+        assert!(!m.update(0, 9.0)); // window (9, 9) is quiet → recovers (m = 1)
+        assert!(!m.tripped(0));
+        assert_eq!(m.recoveries(0), 1);
         // Immediately loud again → second switch, inside the guard → lock.
-        assert!(m.update(0.0));
-        assert_eq!(m.switches(), 2, "re-trip recorded as a second switch");
-        assert!(m.locked());
-        assert!(!m.observing());
+        assert!(m.update(0, 0.0));
+        assert_eq!(m.switches(0), 2, "re-trip recorded as a second switch");
+        assert!(m.locked(0));
+        assert!(!m.observing(0));
         // Locked = sticky: quiet forever, never recovers.
         for _ in 0..32 {
-            assert!(m.update(0.0));
+            assert!(m.update(0, 0.0));
         }
-        assert_eq!(m.recoveries(), 1);
-        // Reset clears the lock.
-        m.reset();
-        assert!(!m.locked());
-        assert!(!m.tripped());
+        assert_eq!(m.recoveries(0), 1);
+        // A session reset clears the lock.
+        m.reset_session(0);
+        assert!(!m.locked(0));
+        assert!(!m.tripped(0));
     }
 
     #[test]
     fn sticky_monitor_freezes_ring_after_trip() {
         // The reverse-off ring freeze is what keeps fig1–fig5 byte-
         // identical: post-trip raw values must not touch the variance.
-        let mut m = Monitor::new(2, 0.5, 1);
-        m.update(0.0);
-        m.update(9.0);
-        assert!(m.tripped());
-        let frozen = m.variance();
-        m.update(1234.5);
-        assert_eq!(m.variance().to_bits(), frozen.to_bits());
-        assert!(!m.observing());
+        let mut m = one(2, 0.5, 1, None);
+        m.update(0, 0.0);
+        m.update(0, 9.0);
+        assert!(m.tripped(0));
+        let frozen = m.variance(0);
+        m.update(0, 1234.5);
+        assert_eq!(m.variance(0).to_bits(), frozen.to_bits());
+        assert!(!m.observing(0));
     }
 
     /// Fail closed: replacing raw values of a random stream by NaN/±∞

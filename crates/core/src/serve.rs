@@ -27,6 +27,10 @@
 //!    session's monitor and pick the learned or fallback action.
 //! 3. **Simulator step** — `step_all` advances every session one chunk
 //!    in one pass, each lane stepping its own sessions in place.
+//! 4. **Serial rollover** — with `auto_reset`, in session order: a
+//!    session whose video just finished has rolled onto its next trace,
+//!    so its monitor and its signal state (the U_S feature window) are
+//!    reset, like a new viewer arriving.
 //!
 //! # Determinism
 //!
@@ -42,7 +46,7 @@
 //! # Reverse switching
 //!
 //! [`ServeConfig::reverse`] arms the monitors' hysteresis state machine
-//! (see [`crate::monitor`]): a tripped session keeps evaluating its
+//! (see `crate::monitor`): a tripped session keeps evaluating its
 //! signal and returns to the learned policy after `quiet_windows`
 //! consecutive in-threshold variances, with a re-trip lock against
 //! oscillation. Off by default — the paper's sticky behavior.
@@ -303,11 +307,6 @@ impl FleetEngine {
         self.len() == 0
     }
 
-    /// Decision rounds taken so far.
-    pub fn rounds(&self) -> u64 {
-        self.rounds
-    }
-
     pub fn sim(&self) -> &MultiSession {
         &self.sim
     }
@@ -320,7 +319,7 @@ impl FleetEngine {
     /// round's while it observes, frozen while a sticky fallback does
     /// not (0 before the first round, and for U_S until its feature
     /// window is warm).
-    pub fn raw(&self, i: usize) -> f32 {
+    pub(crate) fn raw(&self, i: usize) -> f32 {
         self.slots[i].raw
     }
 

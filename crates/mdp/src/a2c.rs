@@ -239,7 +239,7 @@ pub struct TrainReport {
     pub env_steps: u64,
     /// Final parameter version (== `updates`; exposed for staleness
     /// diagnostics and the bench harness).
-    pub param_version: u64,
+    pub(crate) param_version: u64,
     /// Undiscounted returns of completed episodes, in gradient
     /// application order (stream order within each round) — deterministic
     /// for any pool size. With one stream this is the exact training
@@ -250,7 +250,7 @@ pub struct TrainReport {
     /// undiscounted return barely separates good and bad policies.
     pub episode_lengths: Vec<usize>,
     /// Mean policy entropy of the last applied update.
-    pub final_entropy: f32,
+    pub(crate) final_entropy: f32,
     /// Policy-gradient loss of the last applied update.
     pub final_policy_loss: f32,
     /// Critic MSE of the last applied update.
@@ -446,7 +446,7 @@ impl<E: Env + Clone + Send> Trainer<E> {
         self.report.episode_lengths.reserve(episodes);
     }
 
-    pub fn is_done(&self) -> bool {
+    pub(crate) fn is_done(&self) -> bool {
         self.updates_done >= self.cfg.updates as u64
     }
 
@@ -511,7 +511,7 @@ impl<E: Env + Clone + Send> Trainer<E> {
 
 /// Train `ac` on `env` with `cfg.workers` logical streams, in place, on
 /// the current thread pool ([`osa_runtime::with_current`] — the
-/// [`osa_runtime::global`] pool unless overridden via
+/// `OSA_THREADS`-sized global pool unless overridden via
 /// [`osa_runtime::with_pool`]).
 ///
 /// The result is bit-identical for every pool size; see the module docs.

@@ -74,7 +74,7 @@ pub trait ValueFunction {
 /// Sample an index from an (approximately normalized) probability vector
 /// by inverse-CDF. Rounding shortfall falls to the last index, so the
 /// function is total for any probs summing to ≤ 1 + ε.
-pub fn sample_categorical(probs: &[f32], rng: &mut Rng) -> usize {
+pub(crate) fn sample_categorical(probs: &[f32], rng: &mut Rng) -> usize {
     assert!(
         !probs.is_empty(),
         "cannot sample from an empty distribution"

@@ -30,7 +30,7 @@ pub struct ContextBanditEnv {
 impl ContextBanditEnv {
     /// `means[c][a]` = expected reward of arm `a` in context `c`; all
     /// contexts must offer the same number of arms.
-    pub fn new(means: Vec<Vec<f32>>, noise_std: f32, horizon: usize) -> Self {
+    pub(crate) fn new(means: Vec<Vec<f32>>, noise_std: f32, horizon: usize) -> Self {
         assert!(!means.is_empty(), "need at least one context");
         let arms = means[0].len();
         assert!(arms >= 2, "need at least two arms");

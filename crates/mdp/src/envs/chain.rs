@@ -35,8 +35,6 @@ pub struct ChainEnv {
     steps: usize,
 }
 
-/// The retreat action index.
-pub const RETREAT: usize = 0;
 /// The advance action index — optimal in every state.
 pub const ADVANCE: usize = 1;
 
@@ -47,7 +45,7 @@ impl ChainEnv {
         Self::with_rewards(n, 1.0, 0.01)
     }
 
-    pub fn with_rewards(n: usize, goal_reward: f32, distractor_reward: f32) -> Self {
+    pub(crate) fn with_rewards(n: usize, goal_reward: f32, distractor_reward: f32) -> Self {
         assert!(n >= 2, "a chain needs at least a start and a goal");
         assert!(goal_reward > 0.0);
         assert!(
@@ -133,6 +131,9 @@ impl Env for ChainEnv {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The retreat action index.
+    const RETREAT: usize = 0;
 
     #[test]
     fn advancing_reaches_goal_with_known_return() {

@@ -7,7 +7,7 @@
 //! deterministic given the caller's RNG, which also makes them the
 //! workload for the rollout-throughput microbench in `crates/bench`.
 
-pub mod bandit;
+pub(crate) mod bandit;
 pub mod chain;
 
 pub use bandit::ContextBanditEnv;

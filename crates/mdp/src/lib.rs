@@ -11,7 +11,7 @@
 //! - [`env`](mod@env) — the [`Env`]/[`Policy`]/[`ValueFunction`] traits: one
 //!   buffer-writing method per operation, explicit seedable RNG state
 //!   and strict episode-boundary semantics;
-//! - [`rollout`] — fixed-horizon fragment collection that carries
+//! - `rollout` — fixed-horizon fragment collection that carries
 //!   episodes across fragment boundaries, plus policy evaluation;
 //! - [`gae`](mod@gae) — discounted returns and generalized advantage estimation
 //!   GAE(γ, λ);
@@ -52,23 +52,24 @@
 //! assert_eq!(argmax(probs.row(0)), ADVANCE);
 //! ```
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub mod a2c;
 pub mod env;
 pub mod envs;
 pub mod gae;
-pub mod rollout;
+pub(crate) mod rollout;
 
 pub use a2c::{
     policy_gradient_loss_into, train, train_with_pool, A2cConfig, ActorCritic, TrainReport, Trainer,
 };
-pub use env::{sample_categorical, Env, Policy, ValueFunction};
+pub use env::{Env, Policy, ValueFunction};
 pub use gae::{discounted_returns, gae, gae_into, normalize_advantages};
 pub use rollout::{evaluate, Collector, Rollout};
 
 /// Discount factor the paper's experiments use, re-exported as the
 /// workspace-wide default ([`A2cConfig::default`] starts from it).
-pub const DEFAULT_GAMMA: f32 = 0.99;
+pub(crate) const DEFAULT_GAMMA: f32 = 0.99;
 
 /// One-stop import for downstream crates, examples, and tests.
 pub mod prelude {
@@ -76,11 +77,10 @@ pub mod prelude {
         policy_gradient_loss_into, train, train_with_pool, A2cConfig, ActorCritic, TrainReport,
         Trainer,
     };
-    pub use crate::env::{sample_categorical, Env, Policy, ValueFunction};
+    pub use crate::env::{Env, Policy, ValueFunction};
     pub use crate::envs::{ChainEnv, ContextBanditEnv};
     pub use crate::gae::{discounted_returns, gae, gae_into, normalize_advantages};
     pub use crate::rollout::{evaluate, Collector, Rollout};
-    pub use crate::DEFAULT_GAMMA;
 }
 
 #[cfg(test)]

@@ -61,17 +61,13 @@ pub struct Rollout {
 
 impl Rollout {
     /// Number of transitions in the fragment.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.actions.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.actions.is_empty()
     }
 
     /// Empty the fragment for reuse, keeping every buffer's capacity.
     /// Observation rows collected next will be `obs_dim` wide.
-    pub fn clear(&mut self, obs_dim: usize) {
+    pub(crate) fn clear(&mut self, obs_dim: usize) {
         self.observations.reset_rows(obs_dim);
         self.actions.clear();
         self.rewards.clear();

@@ -35,7 +35,7 @@ pub enum Branch {
 
 impl Branch {
     /// Input columns this head consumes.
-    pub fn in_dim(&self) -> usize {
+    pub(crate) fn in_dim(&self) -> usize {
         match self {
             Branch::Dense(d) => d.in_dim(),
             Branch::Conv1d(c) => c.in_dim(),
@@ -43,7 +43,7 @@ impl Branch {
     }
 
     /// Output columns this head produces.
-    pub fn out_dim(&self) -> usize {
+    pub(crate) fn out_dim(&self) -> usize {
         match self {
             Branch::Dense(d) => d.out_dim(),
             Branch::Conv1d(c) => c.out_dim(),
@@ -67,7 +67,7 @@ impl Branch {
     /// Rebuild one head from its serialized spec. Panics on layer types
     /// that cannot be a branch; the JSON loader rejects those earlier
     /// with a proper schema error.
-    pub fn from_spec(spec: &LayerSpec) -> Branch {
+    pub(crate) fn from_spec(spec: &LayerSpec) -> Branch {
         match spec {
             LayerSpec::Dense { w, b, act } => {
                 Branch::Dense(Dense::from_params(w.clone(), b.clone()).with_act(*act))
@@ -122,7 +122,7 @@ impl Branches {
     }
 
     /// Rebuild from serialized part specs (see [`LayerSpec::Branches`]).
-    pub fn from_specs(specs: &[LayerSpec]) -> Self {
+    pub(crate) fn from_specs(specs: &[LayerSpec]) -> Self {
         Branches::new(specs.iter().map(Branch::from_spec).collect())
     }
 
@@ -134,10 +134,6 @@ impl Branches {
     /// Total output width: `Σ part.out_dim()`.
     pub fn out_dim(&self) -> usize {
         self.parts.iter().map(Branch::out_dim).sum()
-    }
-
-    pub fn num_parts(&self) -> usize {
-        self.parts.len()
     }
 }
 
@@ -216,10 +212,13 @@ mod tests {
     /// Two dense parts with hand-picked weights: part 0 doubles its
     /// column, part 1 sums its two columns with bias 1.
     fn tiny() -> Branches {
-        let d0 = Dense::from_params(Tensor::from_rows(&[vec![2.0]]), Tensor::vector(vec![0.0]));
+        let d0 = Dense::from_params(
+            Tensor::from_rows(&[vec![2.0]]),
+            Tensor::from_rows(&[vec![0.0]]),
+        );
         let d1 = Dense::from_params(
             Tensor::from_rows(&[vec![1.0], vec![1.0]]),
-            Tensor::vector(vec![1.0]),
+            Tensor::from_rows(&[vec![1.0]]),
         );
         Branches::new(vec![d0.into(), d1.into()])
     }

@@ -74,12 +74,8 @@ impl Conv1d {
         self
     }
 
-    pub fn act(&self) -> Act {
-        self.act
-    }
-
     /// Rebuild from saved parameters (see [`LayerSpec::Conv1d`]).
-    pub fn from_params(
+    pub(crate) fn from_params(
         in_channels: usize,
         length: usize,
         out_channels: usize,
@@ -126,14 +122,6 @@ impl Conv1d {
     /// Flattened output width this layer produces.
     pub fn out_dim(&self) -> usize {
         self.out_channels * self.out_len()
-    }
-
-    pub fn weights(&self) -> &Tensor {
-        &self.w
-    }
-
-    pub fn bias(&self) -> &Tensor {
-        &self.b
     }
 }
 
@@ -321,7 +309,7 @@ mod tests {
     #[test]
     fn forward_known_values() {
         let w = Tensor::from_rows(&[vec![1.0, 2.0]]);
-        let b = Tensor::vector(vec![0.5]);
+        let b = Tensor::from_rows(&[vec![0.5]]);
         let mut c = Conv1d::from_params(1, 4, 1, 2, w, b);
         let y = c.forward_ws(
             &Tensor::from_rows(&[vec![1.0, 2.0, 3.0, 4.0]]),
@@ -335,7 +323,7 @@ mod tests {
     #[test]
     fn forward_multi_channel() {
         let w = Tensor::from_rows(&[vec![1.0, 0.0, 0.0, 1.0]]); // ch0 kernel [1,0], ch1 kernel [0,1]
-        let b = Tensor::vector(vec![0.0]);
+        let b = Tensor::from_rows(&[vec![0.0]]);
         let mut c = Conv1d::from_params(2, 3, 1, 2, w, b);
         // ch0 = [1,2,3], ch1 = [10,20,30]
         let x = Tensor::from_rows(&[vec![1.0, 2.0, 3.0, 10.0, 20.0, 30.0]]);
@@ -347,7 +335,7 @@ mod tests {
     #[test]
     fn kernel_equal_to_length_degenerates_to_dense() {
         let w = Tensor::from_rows(&[vec![1.0, 2.0, 3.0]]);
-        let b = Tensor::vector(vec![0.0]);
+        let b = Tensor::from_rows(&[vec![0.0]]);
         let mut c = Conv1d::from_params(1, 3, 1, 3, w, b);
         let y = c.forward_ws(
             &Tensor::from_rows(&[vec![4.0, 5.0, 6.0]]),

@@ -26,8 +26,8 @@ pub enum Value {
 /// Parse failure with a byte offset into the input.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonError {
-    pub msg: String,
-    pub pos: usize,
+    pub(crate) msg: String,
+    pub(crate) pos: usize,
 }
 
 impl fmt::Display for JsonError {

@@ -16,8 +16,8 @@ use crate::workspace::Workspace;
 
 /// A mutable view of one parameter tensor paired with its gradient.
 pub struct ParamGrad<'a> {
-    pub value: &'a mut Tensor,
-    pub grad: &'a mut Tensor,
+    pub(crate) value: &'a mut Tensor,
+    pub(crate) grad: &'a mut Tensor,
 }
 
 /// A differentiable batch-to-batch transformation.
@@ -111,24 +111,12 @@ impl Dense {
         self
     }
 
-    pub fn act(&self) -> Act {
-        self.act
-    }
-
-    pub fn in_dim(&self) -> usize {
+    pub(crate) fn in_dim(&self) -> usize {
         self.w.rows()
     }
 
     pub fn out_dim(&self) -> usize {
         self.w.cols()
-    }
-
-    pub fn weights(&self) -> &Tensor {
-        &self.w
-    }
-
-    pub fn bias(&self) -> &Tensor {
-        &self.b
     }
 }
 
@@ -304,7 +292,7 @@ mod tests {
     #[test]
     fn dense_forward_known_values() {
         let w = Tensor::from_rows(&[vec![1.0, 0.0], vec![0.0, 2.0]]);
-        let b = Tensor::vector(vec![0.5, -0.5]);
+        let b = Tensor::from_rows(&[vec![0.5, -0.5]]);
         let mut d = Dense::from_params(w, b);
         let y = d.forward_ws(&Tensor::from_rows(&[vec![3.0, 4.0]]), &mut Workspace::new());
         assert_eq!(y.data(), &[3.5, 7.5]);
@@ -313,9 +301,9 @@ mod tests {
     #[test]
     fn relu_clamps_and_masks_gradient() {
         let (mut r, mut ws) = (ReLU::new(), Workspace::new());
-        let y = r.forward_ws(&Tensor::vector(vec![-1.0, 0.0, 2.0]), &mut ws);
+        let y = r.forward_ws(&Tensor::from_rows(&[vec![-1.0, 0.0, 2.0]]), &mut ws);
         assert_eq!(y.data(), &[0.0, 0.0, 2.0]);
-        let dx = r.backward_ws(&Tensor::vector(vec![5.0, 5.0, 5.0]), &mut ws);
+        let dx = r.backward_ws(&Tensor::from_rows(&[vec![5.0, 5.0, 5.0]]), &mut ws);
         assert_eq!(dx.data(), &[0.0, 0.0, 5.0]);
     }
 

@@ -14,22 +14,22 @@
 //! # Layout
 //!
 //! - [`tensor`] — a row-major `Vec<f32>` matrix type for 1-D/2-D data;
-//! - [`layer`] — the [`Layer`] trait plus `Dense`, `ReLU`, `Softmax`;
-//! - [`conv`] — `Conv1d` over fixed-geometry flattened inputs;
-//! - [`branches`] — parallel per-feature heads (split-apply-concat) for
+//! - `layer` — the [`Layer`] trait plus `Dense`, `ReLU`, `Softmax`;
+//! - `conv` — `Conv1d` over fixed-geometry flattened inputs;
+//! - `branches` — parallel per-feature heads (split-apply-concat) for
 //!   Pensieve-style branched actor/critic networks;
 //! - [`loss`] — MSE and softmax cross-entropy (on logits);
-//! - [`optim`] — `Sgd`, `RmsProp`, `Adam` behind the [`Optimizer`] trait;
+//! - [`optim`] — [`Adam`], the one optimizer;
 //! - [`init`] — Xavier/He initialization from an explicit seeded RNG;
-//! - [`net`] — the [`Sequential`] container tying it together;
+//! - `net` — the [`Sequential`] container tying it together;
 //! - [`workspace`] — the [`Workspace`] scratch-buffer arena every
 //!   forward and backward pass draws its buffers from;
-//! - [`serialize`] — versioned JSON persistence ([`NetSpec`]) with exact
+//! - `serialize` — versioned JSON persistence ([`NetSpec`]) with exact
 //!   round-tripping of weights;
 //! - [`stacked`] — ensemble inference as one grouped GEMM per layer
 //!   ([`StackedNet`]), backing the OSAP uncertainty signals;
 //! - [`rng`] — seeded xoshiro256\*\* PRNG shared by the whole workspace;
-//! - [`json`] — minimal JSON codec backing [`serialize`].
+//! - [`json`] — minimal JSON codec backing `serialize`.
 //!
 //! # Conventions
 //!
@@ -58,18 +58,19 @@
 //! assert_eq!((logits.rows(), logits.cols()), (2, 2));
 //! ```
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
-pub mod branches;
-pub mod conv;
+pub(crate) mod branches;
+pub(crate) mod conv;
 pub mod init;
 pub mod json;
-pub mod layer;
+pub(crate) mod layer;
 pub mod loss;
-pub mod net;
+pub(crate) mod net;
 pub mod optim;
 pub mod quant;
 pub mod rng;
-pub mod serialize;
+pub(crate) mod serialize;
 pub mod stacked;
 pub mod tensor;
 pub mod workspace;
@@ -77,12 +78,12 @@ pub mod workspace;
 pub use branches::{Branch, Branches};
 pub use conv::Conv1d;
 pub use init::Init;
-pub use layer::{Dense, Layer, ParamGrad, ReLU, Softmax};
+pub use layer::{Dense, Layer, ReLU, Softmax};
 pub use net::Sequential;
-pub use optim::{Adam, Optimizer, RmsProp, Sgd};
+pub use optim::Adam;
 pub use rng::Rng;
 pub use serialize::{LayerSpec, LoadError, NetSpec};
-pub use stacked::{StackError, StackedNet};
+pub use stacked::StackedNet;
 pub use tensor::{Act, Tensor};
 pub use workspace::Workspace;
 
@@ -91,14 +92,14 @@ pub mod prelude {
     pub use crate::branches::{Branch, Branches};
     pub use crate::conv::Conv1d;
     pub use crate::init::Init;
-    pub use crate::layer::{Dense, Layer, ParamGrad, ReLU, Softmax};
+    pub use crate::layer::{Dense, Layer, ReLU, Softmax};
     pub use crate::loss;
     pub use crate::net::Sequential;
-    pub use crate::optim::{Adam, Optimizer, RmsProp, Sgd};
+    pub use crate::optim::Adam;
     pub use crate::quant::{QuantScratch, QuantStacked};
     pub use crate::rng::Rng;
-    pub use crate::serialize::{LayerSpec, LoadError, NetSpec};
-    pub use crate::stacked::{StackError, StackedNet};
+    pub use crate::serialize::{LayerSpec, NetSpec};
+    pub use crate::stacked::StackedNet;
     pub use crate::tensor::{Act, Tensor};
     pub use crate::workspace::Workspace;
 }

@@ -81,8 +81,8 @@ mod tests {
 
     #[test]
     fn mse_known_value() {
-        let p = Tensor::vector(vec![1.0, 2.0]);
-        let t = Tensor::vector(vec![0.0, 0.0]);
+        let p = Tensor::from_rows(&[vec![1.0, 2.0]]);
+        let t = Tensor::from_rows(&[vec![0.0, 0.0]]);
         let mut g = Tensor::default();
         let l = mse_into(&p, &t, &mut g);
         assert!((l - 2.5).abs() < 1e-6); // (1 + 4) / 2

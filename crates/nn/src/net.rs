@@ -6,7 +6,7 @@ use std::path::Path;
 use crate::conv::Conv1d;
 use crate::json::Value;
 use crate::layer::{Dense, Layer, ParamGrad, ReLU, Softmax};
-use crate::optim::Optimizer;
+use crate::optim::Adam;
 use crate::serialize::{LayerSpec, LoadError, NetSpec};
 use crate::tensor::Tensor;
 use crate::workspace::Workspace;
@@ -33,16 +33,8 @@ impl Sequential {
         self
     }
 
-    pub fn push(&mut self, layer: impl Layer + 'static) {
+    pub(crate) fn push(&mut self, layer: impl Layer + 'static) {
         self.layers.push(Box::new(layer));
-    }
-
-    pub fn len(&self) -> usize {
-        self.layers.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.layers.is_empty()
     }
 
     /// Run the batch through every layer, caching intermediates for
@@ -84,7 +76,7 @@ impl Sequential {
 
     /// Visit every parameter/gradient pair in slot order — the same stable
     /// numbering `step` uses — without allocating per-layer vectors.
-    pub fn visit_params(&mut self, f: &mut dyn FnMut(ParamGrad<'_>)) {
+    pub(crate) fn visit_params(&mut self, f: &mut dyn FnMut(ParamGrad<'_>)) {
         for layer in &mut self.layers {
             layer.visit_params(f);
         }
@@ -92,7 +84,7 @@ impl Sequential {
 
     /// Apply one optimizer step to every parameter using the gradients
     /// stored by the last `backward_ws`.
-    pub fn step(&mut self, opt: &mut dyn Optimizer) {
+    pub fn step(&mut self, opt: &mut Adam) {
         opt.begin_step();
         let mut slot = 0;
         self.visit_params(&mut |pg| {
@@ -106,13 +98,6 @@ impl Sequential {
         let mut n = 0;
         self.visit_params(&mut |pg| n += pg.value.len());
         n
-    }
-
-    /// True iff every parameter is finite.
-    pub fn params_finite(&mut self) -> bool {
-        let mut finite = true;
-        self.visit_params(&mut |pg| finite &= pg.value.is_finite());
-        finite
     }
 
     // -- parameter/gradient vectors ------------------------------------------
@@ -323,7 +308,9 @@ mod tests {
             trained < initial / 10.0,
             "loss did not drop: {initial} -> {trained}"
         );
-        assert!(net.params_finite());
+        let mut params = Vec::new();
+        net.copy_params_into(&mut params);
+        assert!(params.iter().all(|p| p.is_finite()));
     }
 
     #[test]

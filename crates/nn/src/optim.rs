@@ -1,84 +1,21 @@
-//! First-order optimizers behind a slot-addressed [`Optimizer`] trait.
+//! Adam, the one optimizer every trainer in the workspace uses.
 //!
 //! [`crate::net::Sequential`] assigns every parameter tensor a stable slot
-//! index (layer order × parameter order) and calls `update` once per slot
-//! per step. Stateful optimizers key their moment buffers by that slot, so
-//! one optimizer instance serves a whole network — but must not be shared
+//! index (layer order × parameter order) and calls [`Adam::update`] once
+//! per slot per step. Adam keys its moment buffers by that slot, so one
+//! optimizer instance serves a whole network — but must not be shared
 //! across networks with different architectures.
 
 use std::collections::HashMap;
 
 use crate::tensor::Tensor;
 
-/// A parameter-update rule. `begin_step` is called once per optimization
-/// step before any `update`; Adam uses it to advance its bias-correction
-/// clock.
-pub trait Optimizer {
-    fn begin_step(&mut self) {}
-    fn update(&mut self, slot: usize, value: &mut Tensor, grad: &Tensor);
-}
-
-/// Plain stochastic gradient descent: `θ ← θ − lr·g`.
-pub struct Sgd {
-    pub lr: f32,
-}
-
-impl Sgd {
-    pub fn new(lr: f32) -> Self {
-        Sgd { lr }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn update(&mut self, _slot: usize, value: &mut Tensor, grad: &Tensor) {
-        debug_assert_eq!(value.len(), grad.len());
-        for (v, &g) in value.data_mut().iter_mut().zip(grad.data()) {
-            *v -= self.lr * g;
-        }
-    }
-}
-
-/// RMSProp (Tieleman & Hinton) — the optimizer the original Pensieve
-/// training uses: `s ← ρ·s + (1−ρ)·g²; θ ← θ − lr·g / (√s + ε)`.
-pub struct RmsProp {
-    pub lr: f32,
-    pub rho: f32,
-    pub eps: f32,
-    sq_avg: HashMap<usize, Vec<f32>>,
-}
-
-impl RmsProp {
-    pub fn new(lr: f32) -> Self {
-        RmsProp {
-            lr,
-            rho: 0.9,
-            eps: 1e-8,
-            sq_avg: HashMap::new(),
-        }
-    }
-}
-
-impl Optimizer for RmsProp {
-    fn update(&mut self, slot: usize, value: &mut Tensor, grad: &Tensor) {
-        debug_assert_eq!(value.len(), grad.len());
-        let s = self
-            .sq_avg
-            .entry(slot)
-            .or_insert_with(|| vec![0.0; value.len()]);
-        assert_eq!(s.len(), value.len(), "slot reused with a different shape");
-        for ((v, &g), sq) in value.data_mut().iter_mut().zip(grad.data()).zip(s) {
-            *sq = self.rho * *sq + (1.0 - self.rho) * g * g;
-            *v -= self.lr * g / (sq.sqrt() + self.eps);
-        }
-    }
-}
-
 /// Adam (Kingma & Ba) with bias correction.
 pub struct Adam {
-    pub lr: f32,
-    pub beta1: f32,
-    pub beta2: f32,
-    pub eps: f32,
+    lr: f32,
+    beta1: f32,
+    beta2: f32,
+    eps: f32,
     t: i32,
     moments: HashMap<usize, (Vec<f32>, Vec<f32>)>,
 }
@@ -95,18 +32,14 @@ impl Adam {
         }
     }
 
-    /// Number of completed `begin_step` calls.
-    pub fn steps(&self) -> i32 {
-        self.t
-    }
-}
-
-impl Optimizer for Adam {
-    fn begin_step(&mut self) {
+    /// Advance the bias-correction clock; called once per optimization
+    /// step before any `update`.
+    pub fn begin_step(&mut self) {
         self.t += 1;
     }
 
-    fn update(&mut self, slot: usize, value: &mut Tensor, grad: &Tensor) {
+    /// Update the parameter tensor in `slot` from its gradient.
+    pub fn update(&mut self, slot: usize, value: &mut Tensor, grad: &Tensor) {
         debug_assert_eq!(value.len(), grad.len());
         // Tolerate a missing begin_step (standalone use in tests).
         let t = self.t.max(1);
@@ -138,48 +71,25 @@ mod tests {
     use super::*;
 
     #[test]
-    fn sgd_descends_a_quadratic() {
-        // minimize (x - 3)^2; gradient 2(x - 3).
-        let mut x = Tensor::vector(vec![0.0]);
-        let mut opt = Sgd::new(0.1);
-        for _ in 0..100 {
-            let g = Tensor::vector(vec![2.0 * (x.get(0, 0) - 3.0)]);
-            opt.update(0, &mut x, &g);
-        }
-        assert!((x.get(0, 0) - 3.0).abs() < 1e-3);
-    }
-
-    #[test]
     fn adam_descends_a_quadratic() {
-        let mut x = Tensor::vector(vec![10.0]);
+        let mut x = Tensor::from_rows(&[vec![10.0]]);
         let mut opt = Adam::new(0.3);
         for _ in 0..300 {
             opt.begin_step();
-            let g = Tensor::vector(vec![2.0 * (x.get(0, 0) - 3.0)]);
+            let g = Tensor::from_rows(&[vec![2.0 * (x.get(0, 0) - 3.0)]]);
             opt.update(0, &mut x, &g);
         }
         assert!((x.get(0, 0) - 3.0).abs() < 1e-2, "got {}", x.get(0, 0));
     }
 
     #[test]
-    fn rmsprop_descends_a_quadratic() {
-        let mut x = Tensor::vector(vec![-5.0]);
-        let mut opt = RmsProp::new(0.05);
-        for _ in 0..500 {
-            let g = Tensor::vector(vec![2.0 * (x.get(0, 0) - 3.0)]);
-            opt.update(0, &mut x, &g);
-        }
-        assert!((x.get(0, 0) - 3.0).abs() < 0.05, "got {}", x.get(0, 0));
-    }
-
-    #[test]
     fn slots_are_independent() {
-        let mut a = Tensor::vector(vec![1.0]);
-        let mut b = Tensor::vector(vec![1.0]);
+        let mut a = Tensor::from_rows(&[vec![1.0]]);
+        let mut b = Tensor::from_rows(&[vec![1.0]]);
         let mut opt = Adam::new(0.1);
         opt.begin_step();
-        opt.update(0, &mut a, &Tensor::vector(vec![1.0]));
-        opt.update(1, &mut b, &Tensor::vector(vec![-1.0]));
+        opt.update(0, &mut a, &Tensor::from_rows(&[vec![1.0]]));
+        opt.update(1, &mut b, &Tensor::from_rows(&[vec![-1.0]]));
         assert!(a.get(0, 0) < 1.0);
         assert!(b.get(0, 0) > 1.0);
     }

@@ -53,7 +53,7 @@ use crate::workspace::Workspace;
 /// scale)` clamped to `[-127, 127]`. `scale` must be positive and
 /// finite. See the module docs for why ties-to-even is the contract.
 #[inline]
-pub fn quantize_symmetric(x: f32, scale: f32) -> i8 {
+pub(crate) fn quantize_symmetric(x: f32, scale: f32) -> i8 {
     let q = (x / scale).round_ties_even();
     q.clamp(-127.0, 127.0) as i8
 }
@@ -157,22 +157,8 @@ impl QuantStacked {
         QuantStacked { replicas, layers }
     }
 
-    pub fn replicas(&self) -> usize {
-        self.replicas
-    }
-
-    pub fn in_dim(&self) -> usize {
+    pub(crate) fn in_dim(&self) -> usize {
         self.layers[0].in_dim
-    }
-
-    pub fn out_dim(&self) -> usize {
-        self.layers.last().expect("non-empty net").out_dim
-    }
-
-    /// The calibrated per-layer input activation scales, first layer
-    /// first.
-    pub fn activation_scales(&self) -> Vec<f32> {
-        self.layers.iter().map(|l| l.in_scale).collect()
     }
 
     /// Forward `x` (`batch × in_dim`) through every replica:
@@ -492,7 +478,8 @@ mod tests {
             let calib = calib_rows(seed, 24, 12);
             let a = QuantStacked::from_stacked(&stacked, &calib, &mut ws);
             let b = QuantStacked::from_stacked(&stacked, &calib, &mut ws);
-            let (sa, sb) = (a.activation_scales(), b.activation_scales());
+            let scales = |q: &QuantStacked| q.layers.iter().map(|l| l.in_scale).collect::<Vec<_>>();
+            let (sa, sb) = (scales(&a), scales(&b));
             assert_eq!(sa.len(), sb.len());
             for (x, y) in sa.iter().zip(&sb) {
                 assert_eq!(x.to_bits(), y.to_bits(), "seed {seed}");

@@ -103,7 +103,7 @@ impl Rng {
 
     /// Standard normal sample via Box–Muller (fresh pair each call; the
     /// second value is discarded to keep the state trajectory simple).
-    pub fn next_standard_normal(&mut self) -> f32 {
+    pub(crate) fn next_standard_normal(&mut self) -> f32 {
         // Avoid ln(0) by flipping u1 into (0, 1].
         let u1 = 1.0 - self.next_f64();
         let u2 = self.next_f64();

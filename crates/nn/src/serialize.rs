@@ -13,7 +13,7 @@ use crate::json::{obj, JsonError, Value};
 use crate::tensor::{Act, Tensor};
 
 /// Current on-disk format version; bump on breaking layout changes.
-pub const FORMAT_VERSION: u32 = 1;
+pub(crate) const FORMAT_VERSION: u32 = 1;
 
 /// Serializable snapshot of one layer: its type tag, geometry, and
 /// parameters.
@@ -100,7 +100,7 @@ fn act_from_json(v: &Value) -> Result<Act, LoadError> {
 /// Serializable snapshot of a [`crate::net::Sequential`] network.
 #[derive(Clone, Debug, PartialEq)]
 pub struct NetSpec {
-    pub version: u32,
+    pub(crate) version: u32,
     pub layers: Vec<LayerSpec>,
 }
 
@@ -154,7 +154,7 @@ fn schema(msg: impl Into<String>) -> LoadError {
 }
 
 /// Tensor → `{"rows": r, "cols": c, "data": [...]}`.
-pub fn tensor_to_json(t: &Tensor) -> Value {
+pub(crate) fn tensor_to_json(t: &Tensor) -> Value {
     Value::Obj(
         [
             ("rows".to_string(), Value::Num(t.rows() as f64)),
@@ -171,7 +171,7 @@ pub fn tensor_to_json(t: &Tensor) -> Value {
 
 /// Inverse of [`tensor_to_json`], validating shape consistency and that
 /// every element is a finite `f32` after the `f64 → f32` conversion.
-pub fn tensor_from_json(v: &Value) -> Result<Tensor, LoadError> {
+pub(crate) fn tensor_from_json(v: &Value) -> Result<Tensor, LoadError> {
     let rows = v
         .get("rows")
         .and_then(Value::as_usize)
@@ -350,7 +350,7 @@ impl NetSpec {
         ])
     }
 
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         self.to_value().to_json()
     }
 
@@ -362,7 +362,7 @@ impl NetSpec {
     /// layer's schema and shapes, that each sized layer's input width is
     /// the output width of the sized layer before it, and that every
     /// weight is finite.
-    pub fn from_value(doc: &Value) -> Result<NetSpec, LoadError> {
+    pub(crate) fn from_value(doc: &Value) -> Result<NetSpec, LoadError> {
         let version = doc
             .get("format_version")
             .and_then(Value::as_usize)
@@ -398,11 +398,11 @@ impl NetSpec {
         Ok(NetSpec::new(layers))
     }
 
-    pub fn save(&self, path: impl AsRef<Path>) -> io::Result<()> {
+    pub(crate) fn save(&self, path: impl AsRef<Path>) -> io::Result<()> {
         std::fs::write(path, self.to_json())
     }
 
-    pub fn load(path: impl AsRef<Path>) -> Result<NetSpec, LoadError> {
+    pub(crate) fn load(path: impl AsRef<Path>) -> Result<NetSpec, LoadError> {
         let text = std::fs::read_to_string(path)?;
         NetSpec::from_json(&text)
     }
@@ -420,7 +420,7 @@ mod tests {
                 out_channels: 2,
                 kernel: 2,
                 w: Tensor::from_rows(&[vec![0.1, -0.2], vec![0.3, 0.4]]),
-                b: Tensor::vector(vec![0.0, 1.0]),
+                b: Tensor::from_rows(&[vec![0.0, 1.0]]),
                 act: Act::Relu,
             },
             LayerSpec::ReLU,
@@ -433,7 +433,7 @@ mod tests {
                     vec![5.0],
                     vec![6.0],
                 ]),
-                b: Tensor::vector(vec![-0.5]),
+                b: Tensor::from_rows(&[vec![-0.5]]),
                 act: Act::Identity,
             },
             LayerSpec::Softmax,

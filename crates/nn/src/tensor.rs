@@ -194,15 +194,6 @@ impl Tensor {
         }
     }
 
-    /// Tensor filled with a constant.
-    pub fn filled(rows: usize, cols: usize, value: f32) -> Self {
-        Tensor {
-            rows,
-            cols,
-            data: vec![value; rows * cols],
-        }
-    }
-
     /// Wrap an existing row-major buffer. Panics if the length does not
     /// match the shape.
     pub fn from_vec(rows: usize, cols: usize, data: Vec<f32>) -> Self {
@@ -229,15 +220,6 @@ impl Tensor {
         Tensor {
             rows: rows.len(),
             cols,
-            data,
-        }
-    }
-
-    /// A `(1 × n)` row vector.
-    pub fn vector(data: Vec<f32>) -> Self {
-        Tensor {
-            rows: 1,
-            cols: data.len(),
             data,
         }
     }
@@ -395,13 +377,13 @@ impl Tensor {
     }
 
     /// Overwrite every element with a constant.
-    pub fn fill(&mut self, v: f32) {
+    pub(crate) fn fill(&mut self, v: f32) {
         self.data.fill(v);
     }
 
     /// Make `self` an exact copy of `other` (shape and contents), reusing
     /// the existing allocation when capacity suffices.
-    pub fn copy_from(&mut self, other: &Tensor) {
+    pub(crate) fn copy_from(&mut self, other: &Tensor) {
         self.rows = other.rows;
         self.cols = other.cols;
         self.data.clear();
@@ -430,13 +412,8 @@ impl Tensor {
         self.data.truncate(self.rows * self.cols);
     }
 
-    /// Consume `self` into its underlying row-major buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// In-place column sums: `out` becomes a `(1 × cols)` row vector.
-    pub fn col_sum_into(&self, out: &mut Tensor) {
+    pub(crate) fn col_sum_into(&self, out: &mut Tensor) {
         out.resize_shape(1, self.cols);
         out.data.fill(0.0);
         for r in 0..self.rows {
@@ -481,24 +458,11 @@ impl Tensor {
         }
     }
 
-    /// Elementwise sum, in place. Shapes must match.
-    pub fn add_assign(&mut self, other: &Tensor) {
-        assert_eq!((self.rows, self.cols), (other.rows, other.cols));
-        for (a, &b) in self.data.iter_mut().zip(&other.data) {
-            *a += b;
-        }
-    }
-
     /// Multiply every element by a scalar, in place.
     pub fn scale(&mut self, s: f32) {
         for a in &mut self.data {
             *a *= s;
         }
-    }
-
-    /// Sum of all elements, accumulated in `f64`.
-    pub fn sum(&self) -> f64 {
-        self.data.iter().map(|&x| x as f64).sum()
     }
 
     /// True iff every element is finite.

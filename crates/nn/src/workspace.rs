@@ -57,7 +57,7 @@ impl Workspace {
     }
 
     /// Like [`Workspace::take`], but initialized as a copy of `src`.
-    pub fn take_copy(&mut self, src: &Tensor) -> Tensor {
+    pub(crate) fn take_copy(&mut self, src: &Tensor) -> Tensor {
         let mut t = self.take(src.rows(), src.cols());
         t.copy_from(src);
         t
@@ -66,16 +66,6 @@ impl Workspace {
     /// Return a dead buffer to the pool for a later [`Workspace::take`].
     pub fn recycle(&mut self, t: Tensor) {
         self.pool.push(t);
-    }
-
-    /// Number of buffers currently idle in the pool.
-    pub fn pooled(&self) -> usize {
-        self.pool.len()
-    }
-
-    /// Total `f32` capacity held by idle buffers.
-    pub fn pooled_capacity(&self) -> usize {
-        self.pool.iter().map(Tensor::capacity).sum()
     }
 }
 
@@ -89,11 +79,11 @@ mod tests {
         let t = ws.take(4, 8);
         let cap = t.capacity();
         ws.recycle(t);
-        assert_eq!(ws.pooled(), 1);
+        assert_eq!(ws.pool.len(), 1);
         // Smaller request fits in the same buffer: pool drains, capacity
         // is carried over.
         let t2 = ws.take(2, 8);
-        assert_eq!(ws.pooled(), 0);
+        assert_eq!(ws.pool.len(), 0);
         assert_eq!(t2.capacity(), cap);
         assert_eq!((t2.rows(), t2.cols()), (2, 8));
     }
@@ -105,7 +95,7 @@ mod tests {
         ws.recycle(Tensor::zeros(4, 4)); // 16
         let t = ws.take(2, 5); // needs 10 → should pick the 16-cap buffer
         assert!(t.capacity() < 256);
-        assert_eq!(ws.pooled(), 1);
+        assert_eq!(ws.pool.len(), 1);
     }
 
     #[test]

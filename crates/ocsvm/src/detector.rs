@@ -203,7 +203,6 @@ pub struct OcSvm {
 /// Solver diagnostics surfaced for tests and the runtime-cost table.
 #[derive(Clone, Copy, Debug)]
 pub struct FitDiag {
-    pub iters: usize,
     pub kkt_gap: f64,
     pub support_vectors: usize,
     /// Training rows at the box ceiling (the margin-error count that ν
@@ -482,7 +481,6 @@ impl NoveltyDetector for OcSvm {
         self.rho = r.rho as f32;
         self.ln_rho = self.rho.max(LOG_FLOOR).ln();
         self.diag = Some(FitDiag {
-            iters: r.iters,
             kkt_gap: r.kkt_gap,
             support_vectors: nsv,
             min_alpha: sv_idx

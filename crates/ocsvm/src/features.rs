@@ -14,10 +14,10 @@
 
 /// Number of recent throughput samples summarized into one (mean, std)
 /// pair (§3.1).
-pub const FEATURE_WINDOW: usize = 10;
+pub(crate) const FEATURE_WINDOW: usize = 10;
 
 /// Number of latest (mean, std) pairs forming one detector input.
-pub const FEATURE_PAIRS: usize = 5;
+pub(crate) const FEATURE_PAIRS: usize = 5;
 
 /// Detector input dimensionality: `FEATURE_PAIRS` × (mean, std).
 pub const FEATURE_DIM: usize = 2 * FEATURE_PAIRS;

@@ -47,7 +47,7 @@ pub struct SmoConfig {
     /// below this.
     pub tol: f64,
     /// Hard iteration cap (each iteration is one pair update).
-    pub max_iter: usize,
+    pub(crate) max_iter: usize,
 }
 
 impl Default for SmoConfig {

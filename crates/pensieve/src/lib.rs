@@ -23,6 +23,7 @@
 //! - [`PensieveAgent::to_json`] / [`PensieveAgent::from_json`] persist
 //!   the agent through the bit-exact `osa_nn` model format.
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 use osa_abr::policy::AbrPolicy;
 use osa_abr::sim::{AbrConfig, MultiSession};
@@ -39,17 +40,17 @@ use osa_trace::Trace;
 
 /// Length of the throughput / download-time history windows in the
 /// Pensieve state encoding (fixed by the `osa_abr` observation layout).
-pub const HISTORY_LEN: usize = ABR_HISTORY_LEN;
+pub(crate) const HISTORY_LEN: usize = ABR_HISTORY_LEN;
 
 /// Hidden width of the dense merge layer in the paper's networks.
-pub const MERGE_UNITS: usize = 128;
+pub(crate) const MERGE_UNITS: usize = 128;
 
 /// Kernel width of the history convolutions (the paper's 1-D CNN uses
 /// width-4 filters over the 8-sample windows).
-pub const CONV_KERNEL: usize = 4;
+pub(crate) const CONV_KERNEL: usize = 4;
 
 /// Serialized-agent format version (bumped on any layout change).
-pub const FORMAT_VERSION: u32 = 1;
+pub(crate) const FORMAT_VERSION: u32 = 1;
 
 /// Architecture hyper-parameters for [`PensieveAgent`].
 ///

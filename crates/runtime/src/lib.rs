@@ -33,7 +33,7 @@
 //!   epoch has fully drained, so the pool stays usable afterwards.
 //!
 //! The pool size for library code that does not thread an explicit pool
-//! through its API comes from [`global`], which honours the `OSA_THREADS`
+//! through its API comes from `global`, which honours the `OSA_THREADS`
 //! environment variable (see [`thread_budget`]). Tests and benches that
 //! need to sweep worker counts on one machine use [`with_pool`] to
 //! override the pool seen by [`with_current`] for a scope.
@@ -43,6 +43,7 @@
 //! (the task pointer handed to workers, and the disjoint sub-slice split
 //! in [`ThreadPool::parallel_for_slice`]) are documented at the site and
 //! wrapped in APIs that safe code cannot misuse.
+#![warn(unreachable_pub)]
 
 use std::cell::Cell;
 use std::ops::Range;
@@ -51,12 +52,12 @@ use std::sync::{Condvar, Mutex, MutexGuard, OnceLock};
 use std::thread::JoinHandle;
 
 mod slots;
-pub use slots::{LaneGuard, LaneSlots};
+pub use slots::LaneSlots;
 
 /// Upper bound on pool size: protects against a typo in `OSA_THREADS`
 /// spawning thousands of threads, while still allowing heavy
 /// oversubscription (workers ≫ cores) for torture tests.
-pub const MAX_WORKERS: usize = 256;
+pub(crate) const MAX_WORKERS: usize = 256;
 
 /// A task dispatched to the pool for one epoch. The `'static` lifetime is
 /// a lie told to the type system: `run_epoch` transmutes a stack-borrowed
@@ -353,7 +354,7 @@ fn lane_range(n: usize, lanes: usize, lane: usize) -> Range<usize> {
 }
 
 /// The process-wide thread budget: `OSA_THREADS` if set to a positive
-/// integer (clamped to [`MAX_WORKERS`]), otherwise
+/// integer (clamped to `MAX_WORKERS`), otherwise
 /// `std::thread::available_parallelism()`. This is what benches record in
 /// their `hardware_threads` field, so reports taken under different
 /// budgets refuse to compare.
@@ -373,14 +374,14 @@ fn fallback_parallelism() -> usize {
 
 /// The lazily created process-wide pool, sized by [`thread_budget`] at
 /// first use. Library code reaches it through [`with_current`].
-pub fn global() -> &'static ThreadPool {
+pub(crate) fn global() -> &'static ThreadPool {
     static GLOBAL: OnceLock<ThreadPool> = OnceLock::new();
     GLOBAL.get_or_init(|| ThreadPool::new(thread_budget()))
 }
 
 /// Run `f` with `pool` installed as the current pool for this thread:
 /// every [`with_current`] call inside `f` (e.g. from `Tensor::matmul`)
-/// sees `pool` instead of [`global`]. Restores the previous override on
+/// sees `pool` instead of `global`. Restores the previous override on
 /// exit, including on panic. This is how tests and benches sweep worker
 /// counts without re-plumbing every call site.
 pub fn with_pool<R>(pool: &ThreadPool, f: impl FnOnce() -> R) -> R {
@@ -395,7 +396,7 @@ pub fn with_pool<R>(pool: &ThreadPool, f: impl FnOnce() -> R) -> R {
 }
 
 /// Hand the current pool — the innermost [`with_pool`] override, or
-/// [`global`] — to `f`. Allocation-free.
+/// `global` — to `f`. Allocation-free.
 pub fn with_current<R>(f: impl FnOnce(&ThreadPool) -> R) -> R {
     match CURRENT.with(|c| c.get()) {
         // SAFETY: the pointer was installed by `with_pool` from a live

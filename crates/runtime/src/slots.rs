@@ -63,19 +63,6 @@ impl<T> LaneSlots<T> {
         );
         LaneGuard { slot }
     }
-
-    /// Direct access outside the pool, statically exclusive via `&mut`.
-    pub fn get_mut(&mut self, lane: usize) -> &mut T {
-        self.slots[lane].value.get_mut()
-    }
-
-    /// Tear down into the inner values, in lane order.
-    pub fn into_inner(self) -> Vec<T> {
-        self.slots
-            .into_iter()
-            .map(|s| s.value.into_inner())
-            .collect()
-    }
 }
 
 /// Exclusive borrow of one lane's slot; released on drop.
@@ -117,7 +104,8 @@ mod tests {
             let b = slots.borrow(2);
             assert_eq!((*a, *b), (0, 20));
         }
-        assert_eq!(slots.into_inner(), vec![0, 10, 20]);
+        let values: Vec<usize> = (0..3).map(|i| *slots.borrow(i)).collect();
+        assert_eq!(values, vec![0, 10, 20]);
     }
 
     #[test]

@@ -57,16 +57,6 @@ impl Dataset {
         matches!(self, Dataset::Norway | Dataset::Belgium)
     }
 
-    /// The paper's ND feature-window size k (§3.1): 5 on the empirical
-    /// datasets, 30 on the synthetic ones.
-    pub fn novelty_window(self) -> usize {
-        if self.is_empirical_like() {
-            5
-        } else {
-            30
-        }
-    }
-
     /// One i.i.d. bandwidth draw in Mbit/s, clamped non-negative.
     ///
     /// Only defined for the four synthetic datasets (the mobile corpora
@@ -74,7 +64,7 @@ impl Dataset {
     /// The logistic has unbounded support, so its rare negative draws
     /// (P ≈ 3·10⁻⁴ at location 4, scale 0.5) clamp to 0 — a link cannot
     /// deliver negative throughput.
-    pub fn sample_mbps(self, rng: &mut Rng) -> f32 {
+    pub(crate) fn sample_mbps(self, rng: &mut Rng) -> f32 {
         let x = match self {
             Dataset::Gamma12 => samplers::gamma(rng, 1.0, 2.0),
             Dataset::Gamma22 => samplers::gamma(rng, 2.0, 2.0),
@@ -89,7 +79,7 @@ impl Dataset {
 
     /// Generate one trace of `len` samples at 1 s intervals from an
     /// explicit RNG.
-    pub fn generate_trace(self, id: impl Into<String>, len: usize, rng: &mut Rng) -> Trace {
+    pub(crate) fn generate_trace(self, id: impl Into<String>, len: usize, rng: &mut Rng) -> Trace {
         match self {
             Dataset::Norway => MarkovGaussian::norway_3g().generate(id, len, rng),
             Dataset::Belgium => MarkovGaussian::belgium_lte().generate(id, len, rng),
@@ -146,14 +136,6 @@ mod tests {
         let names: std::collections::BTreeSet<_> = Dataset::ALL.iter().map(|d| d.name()).collect();
         assert_eq!(names.len(), Dataset::ALL.len());
         assert_eq!(Dataset::Gamma22.to_string(), "gamma_2_2");
-    }
-
-    #[test]
-    fn novelty_windows_match_paper() {
-        assert_eq!(Dataset::Norway.novelty_window(), 5);
-        assert_eq!(Dataset::Belgium.novelty_window(), 5);
-        assert_eq!(Dataset::Gamma12.novelty_window(), 30);
-        assert_eq!(Dataset::Exp.novelty_window(), 30);
     }
 
     #[test]

@@ -20,7 +20,7 @@ pub const MAX_MBPS: f32 = 10_000.0;
 /// Map one sample onto the valid bandwidth range: non-finite values
 /// become 0 (a dead link, the conservative reading), finite values clamp
 /// into `[0, MAX_MBPS]`.
-pub fn sanitize_mbps(x: f32) -> f32 {
+pub(crate) fn sanitize_mbps(x: f32) -> f32 {
     if x.is_finite() {
         x.clamp(0.0, MAX_MBPS)
     } else {

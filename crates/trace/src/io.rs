@@ -26,7 +26,7 @@ use crate::trace::Trace;
 
 /// Schema version written by [`save_traces`]; bumped on incompatible
 /// layout changes so stale caches fail loudly instead of mis-loading.
-pub const FORMAT_VERSION: f64 = 1.0;
+pub(crate) const FORMAT_VERSION: f64 = 1.0;
 
 /// Everything that can go wrong caching traces to disk or reading them
 /// back.
@@ -75,7 +75,7 @@ impl From<NonFiniteError> for IoError {
 }
 
 /// Encode one trace as a JSON value.
-pub fn trace_to_value(t: &Trace) -> Value {
+pub(crate) fn trace_to_value(t: &Trace) -> Value {
     obj(vec![
         ("id", Value::Str(t.id.clone())),
         ("interval_s", Value::Num(t.interval_s as f64)),
@@ -92,7 +92,7 @@ fn field<'a>(v: &'a Value, key: &str) -> Result<&'a Value, IoError> {
 }
 
 /// Decode one trace, validating field types and value ranges.
-pub fn trace_from_value(v: &Value) -> Result<Trace, IoError> {
+pub(crate) fn trace_from_value(v: &Value) -> Result<Trace, IoError> {
     let id = field(v, "id")?
         .as_str()
         .ok_or_else(|| IoError::Schema("'id' must be a string".into()))?;
@@ -125,7 +125,7 @@ pub fn trace_from_value(v: &Value) -> Result<Trace, IoError> {
 }
 
 /// Encode a corpus as a versioned document.
-pub fn traces_to_value(traces: &[Trace]) -> Value {
+pub(crate) fn traces_to_value(traces: &[Trace]) -> Value {
     obj(vec![
         ("version", Value::Num(FORMAT_VERSION)),
         (
@@ -136,7 +136,7 @@ pub fn traces_to_value(traces: &[Trace]) -> Value {
 }
 
 /// Decode a versioned corpus document.
-pub fn traces_from_value(v: &Value) -> Result<Vec<Trace>, IoError> {
+pub(crate) fn traces_from_value(v: &Value) -> Result<Vec<Trace>, IoError> {
     let version = field(v, "version")?
         .as_f64()
         .ok_or_else(|| IoError::Schema("'version' must be a number".into()))?;

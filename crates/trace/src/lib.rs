@@ -15,16 +15,16 @@
 //!   statistics;
 //! - [`samplers`] — the i.i.d. samplers plus the guarded quantile
 //!   functions they are built on;
-//! - [`mobile`] — the Markov-modulated Gaussian processes behind the
+//! - `mobile` — the Markov-modulated Gaussian processes behind the
 //!   Norway-3G-like and Belgium-LTE-like corpora;
-//! - [`dataset`] — the [`Dataset`] enum tying the six corpora to one
+//! - `dataset` — the [`Dataset`] enum tying the six corpora to one
 //!   seeded generation API;
-//! - [`split`] — deterministic 70/30 train/test splitting with validation
+//! - `split` — deterministic 70/30 train/test splitting with validation
 //!   carved from the training side;
-//! - [`fault`] — outage / spike / rate-limit transforms for robustness
+//! - `fault` — outage / spike / rate-limit transforms for robustness
 //!   experiments;
-//! - [`link`] — piecewise-constant capacity integration (bytes over a
-//!   window, transfer durations) for the ABR chunk simulator;
+//! - [`link`] — piecewise-constant capacity integration (bytes per
+//!   period, transfer durations) for the ABR chunk simulator;
 //! - [`io`] — JSON trace caching on top of `osa_nn::json`.
 //!
 //! # Determinism
@@ -49,23 +49,23 @@
 //! assert!(faulted.mbps.iter().all(|x| x.is_finite() && *x >= 0.0));
 //! ```
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
-pub mod dataset;
-pub mod fault;
+pub(crate) mod dataset;
+pub(crate) mod fault;
 pub mod io;
 pub mod link;
-pub mod mobile;
+pub(crate) mod mobile;
 pub mod samplers;
-pub mod split;
+pub(crate) mod split;
 pub mod trace;
 
 pub use dataset::Dataset;
 pub use fault::{inject, Fault, MAX_MBPS};
 pub use io::{load_traces, save_traces, IoError};
-pub use link::{bytes_over, bytes_per_period, transfer_time, BYTES_PER_MBIT};
-pub use mobile::MarkovGaussian;
+pub use link::bytes_per_period;
 pub use split::Split;
-pub use trace::{Trace, TraceStats};
+pub use trace::Trace;
 
 /// Number of datasets the paper's cross-evaluation matrix is built over.
 pub const NUM_DATASETS: usize = 6;
@@ -75,10 +75,9 @@ pub mod prelude {
     pub use crate::dataset::Dataset;
     pub use crate::fault::{inject, Fault, MAX_MBPS};
     pub use crate::io::{load_traces, save_traces, IoError};
-    pub use crate::link::{bytes_over, bytes_per_period, transfer_time, BYTES_PER_MBIT};
-    pub use crate::mobile::MarkovGaussian;
+    pub use crate::link::bytes_per_period;
     pub use crate::split::Split;
-    pub use crate::trace::{Trace, TraceStats};
+    pub use crate::trace::Trace;
 }
 
 #[cfg(test)]

@@ -1,13 +1,15 @@
 //! Link-capacity integration: turning a fixed-interval Mbit/s trace into
-//! "bytes downloadable over an arbitrary time window" and its inverse,
-//! "how long does it take to move N bytes starting at t0".
+//! "how long does it take to move N bytes starting at t0" — the inverse
+//! of "bytes downloadable over a time window", which the unit tests
+//! keep as their reference.
 //!
-//! The ABR simulator (`osa-abr`) drives chunk downloads off these two
-//! functions; they live here so the piecewise-constant integration logic
-//! is defined — and unit-tested with exact arithmetic — in exactly one
-//! place. Traces extend periodically past their recorded duration
-//! (`t mod duration`), the convention Pensieve's simulator uses so a
-//! 48-chunk session never runs off the end of a short capacity file.
+//! The ABR simulator (`osa-abr`) drives chunk downloads off
+//! [`transfer_time`]; it lives here so the piecewise-constant
+//! integration logic is defined — and unit-tested with exact arithmetic
+//! — in exactly one place. Traces extend periodically past their
+//! recorded duration (`t mod duration`), the convention Pensieve's
+//! simulator uses so a 48-chunk session never runs off the end of a
+//! short capacity file.
 //!
 //! All arithmetic is `f64` and strictly sequential (slot by slot), so
 //! every caller gets bit-identical results regardless of thread count.
@@ -16,7 +18,7 @@ use crate::trace::Trace;
 
 /// Bytes per Mbit: the link unit conversion used throughout the ABR
 /// stack (1 Mbit/s = 10⁶ bits/s = 125 000 bytes/s).
-pub const BYTES_PER_MBIT: f64 = 125_000.0;
+pub(crate) const BYTES_PER_MBIT: f64 = 125_000.0;
 
 /// Total bytes one full period of `trace` can deliver
 /// (`Σᵢ mbps[i] · interval · 125 000`). Zero for an all-outage trace.
@@ -29,46 +31,8 @@ pub fn bytes_per_period(trace: &Trace) -> f64 {
         .sum()
 }
 
-/// Bytes downloadable over the half-open window `[t0, t1)`, integrating
-/// the piecewise-constant capacity with periodic extension.
-///
-/// Panics on an empty trace or a malformed window (`t0 < 0`, `t1 < t0`,
-/// non-finite endpoints).
-pub fn bytes_over(trace: &Trace, t0: f64, t1: f64) -> f64 {
-    assert!(!trace.mbps.is_empty(), "bytes_over on an empty trace");
-    assert!(
-        t0.is_finite() && t1.is_finite() && t0 >= 0.0 && t1 >= t0,
-        "malformed window [{t0}, {t1})"
-    );
-    let n = trace.mbps.len();
-    let dt = trace.interval_s as f64;
-    let period = dt * n as f64;
-
-    // Whole periods contribute exactly `bytes_per_period` each; resolve
-    // them in one step so a long window costs O(samples), not O(window).
-    let whole = ((t1 - t0) / period).floor();
-    let mut total = whole * bytes_per_period(trace);
-    let mut t = t0 + whole * period;
-
-    // The remainder spans less than one period: walk it slot by slot.
-    while t < t1 {
-        let idx = (t / dt).floor();
-        let slot_end = (idx + 1.0) * dt;
-        if slot_end <= t {
-            // Degenerate float sliver (t astronomically large); the
-            // remaining window is below representable slot resolution.
-            break;
-        }
-        let seg_end = slot_end.min(t1);
-        let rate = trace.mbps[idx as usize % n] as f64 * BYTES_PER_MBIT;
-        total += rate * (seg_end - t);
-        t = seg_end;
-    }
-    total
-}
-
 /// Seconds needed to transfer `bytes` starting at absolute time `t0`,
-/// i.e. the smallest `d` with `bytes_over(trace, t0, t0 + d) ≥ bytes`.
+/// i.e. the smallest `d` whose window `[t0, t0 + d)` carries `bytes`.
 ///
 /// `per` is [`bytes_per_period`]`(trace)`. A caller that runs many
 /// downloads over one trace computes it once, not per download: it is
@@ -133,6 +97,44 @@ pub fn transfer_time(trace: &Trace, per: f64, t0: f64, bytes: f64) -> f64 {
 mod tests {
     use super::*;
     use osa_nn::rng::Rng;
+
+    /// Bytes downloadable over the half-open window `[t0, t1)`, integrating
+    /// the piecewise-constant capacity with periodic extension.
+    ///
+    /// Panics on an empty trace or a malformed window (`t0 < 0`, `t1 < t0`,
+    /// non-finite endpoints).
+    fn bytes_over(trace: &Trace, t0: f64, t1: f64) -> f64 {
+        assert!(!trace.mbps.is_empty(), "bytes_over on an empty trace");
+        assert!(
+            t0.is_finite() && t1.is_finite() && t0 >= 0.0 && t1 >= t0,
+            "malformed window [{t0}, {t1})"
+        );
+        let n = trace.mbps.len();
+        let dt = trace.interval_s as f64;
+        let period = dt * n as f64;
+
+        // Whole periods contribute exactly `bytes_per_period` each; resolve
+        // them in one step so a long window costs O(samples), not O(window).
+        let whole = ((t1 - t0) / period).floor();
+        let mut total = whole * bytes_per_period(trace);
+        let mut t = t0 + whole * period;
+
+        // The remainder spans less than one period: walk it slot by slot.
+        while t < t1 {
+            let idx = (t / dt).floor();
+            let slot_end = (idx + 1.0) * dt;
+            if slot_end <= t {
+                // Degenerate float sliver (t astronomically large); the
+                // remaining window is below representable slot resolution.
+                break;
+            }
+            let seg_end = slot_end.min(t1);
+            let rate = trace.mbps[idx as usize % n] as f64 * BYTES_PER_MBIT;
+            total += rate * (seg_end - t);
+            t = seg_end;
+        }
+        total
+    }
 
     /// `transfer_time` with the trace's period capacity.
     fn transfer(trace: &Trace, t0: f64, bytes: f64) -> f64 {

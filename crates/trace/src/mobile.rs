@@ -26,10 +26,9 @@ use crate::trace::Trace;
 
 /// One link regime: a Gaussian emission the chain dwells in.
 #[derive(Clone, Copy, Debug)]
-pub struct Regime {
-    pub name: &'static str,
-    pub mean_mbps: f32,
-    pub std_mbps: f32,
+pub(crate) struct Regime {
+    pub(crate) mean_mbps: f32,
+    pub(crate) std_mbps: f32,
 }
 
 /// A Markov-modulated Gaussian process over link regimes.
@@ -42,42 +41,40 @@ pub struct Regime {
 /// (fades and outages lasting several seconds) that separates mobile
 /// traces from i.i.d. samplers.
 #[derive(Clone, Debug)]
-pub struct MarkovGaussian {
-    pub name: &'static str,
-    pub regimes: Vec<Regime>,
+pub(crate) struct MarkovGaussian {
+    pub(crate) regimes: Vec<Regime>,
     /// `transition[i][j]` = P(next = j | current = i); rows sum to 1.
-    pub transition: Vec<Vec<f64>>,
+    pub(crate) transition: Vec<Vec<f64>>,
     /// AR(1) coefficient on the previous emitted sample, in `[0, 1)`.
-    pub ar: f32,
-    pub floor_mbps: f32,
-    pub cap_mbps: f32,
+    pub(crate) ar: f32,
+    pub(crate) floor_mbps: f32,
+    pub(crate) cap_mbps: f32,
 }
 
 impl MarkovGaussian {
     /// Norway 3G/HSDPA-like process: slow links (≈ 0–6.5 Mbit/s, mean
     /// ≈ 2), long coherent stretches, and hard outages mimicking the
     /// tram/ferry handover gaps of the original logs.
-    pub fn norway_3g() -> Self {
+    pub(crate) fn norway_3g() -> Self {
         MarkovGaussian {
-            name: "norway",
             regimes: vec![
+                // outage
                 Regime {
-                    name: "outage",
                     mean_mbps: 0.0,
                     std_mbps: 0.05,
                 },
+                // fade
                 Regime {
-                    name: "fade",
                     mean_mbps: 0.6,
                     std_mbps: 0.25,
                 },
+                // steady
                 Regime {
-                    name: "steady",
                     mean_mbps: 2.2,
                     std_mbps: 0.6,
                 },
+                // burst
                 Regime {
-                    name: "burst",
                     mean_mbps: 4.6,
                     std_mbps: 0.8,
                 },
@@ -98,27 +95,26 @@ impl MarkovGaussian {
     /// variance, and the bimodal low/high split (indoor/congested vs
     /// open-road cells) reported for the original dataset, with brief
     /// handover outages.
-    pub fn belgium_lte() -> Self {
+    pub(crate) fn belgium_lte() -> Self {
         MarkovGaussian {
-            name: "belgium",
             regimes: vec![
+                // outage
                 Regime {
-                    name: "outage",
                     mean_mbps: 0.0,
                     std_mbps: 0.10,
                 },
+                // low
                 Regime {
-                    name: "low",
                     mean_mbps: 12.0,
                     std_mbps: 4.0,
                 },
+                // high
                 Regime {
-                    name: "high",
                     mean_mbps: 42.0,
                     std_mbps: 8.0,
                 },
+                // burst
                 Regime {
-                    name: "burst",
                     mean_mbps: 58.0,
                     std_mbps: 6.0,
                 },
@@ -152,7 +148,7 @@ impl MarkovGaussian {
     }
 
     /// Generate one trace of `len` samples at 1 s intervals.
-    pub fn generate(&self, id: impl Into<String>, len: usize, rng: &mut Rng) -> Trace {
+    pub(crate) fn generate(&self, id: impl Into<String>, len: usize, rng: &mut Rng) -> Trace {
         debug_assert!(self.regimes.len() == self.transition.len());
         debug_assert!(self
             .transition

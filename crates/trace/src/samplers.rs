@@ -24,7 +24,7 @@ fn clamp_unit_open(u: f64) -> f64 {
 
 /// Exponential(rate) quantile: `-ln(1-u) / rate`, finite for all
 /// `u ∈ [0, 1]` thanks to the open-interval clamp.
-pub fn exponential_quantile(u: f64, rate: f64) -> f64 {
+pub(crate) fn exponential_quantile(u: f64, rate: f64) -> f64 {
     debug_assert!(rate > 0.0);
     -(1.0 - clamp_unit_open(u)).ln() / rate
 }

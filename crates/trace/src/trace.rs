@@ -7,7 +7,7 @@
 /// This mirrors the shape of the Pensieve/Puffer trace files (one
 /// capacity sample per time slot); the ABR simulator replays it as the
 /// link's capacity process. Generators guarantee samples are finite and
-/// non-negative; [`crate::fault`] re-establishes that invariant after
+/// non-negative; `crate::fault` re-establishes that invariant after
 /// every transform, and [`crate::io::save_traces`] refuses to cache a
 /// trace that violates it (a NaN sample is a serialization error, not a
 /// silently poisoned dataset).
@@ -47,11 +47,6 @@ impl Trace {
 
     pub fn is_empty(&self) -> bool {
         self.mbps.is_empty()
-    }
-
-    /// Wall-clock span covered by the trace, in seconds.
-    pub fn duration_s(&self) -> f32 {
-        self.interval_s * self.mbps.len() as f32
     }
 
     /// True when every sample is finite and non-negative — the invariant
@@ -96,7 +91,7 @@ impl Trace {
 }
 
 /// Mean/std/min/max of an arbitrary sample stream (population std).
-pub fn stats_over(samples: impl Iterator<Item = f64>) -> TraceStats {
+pub(crate) fn stats_over(samples: impl Iterator<Item = f64>) -> TraceStats {
     let mut n = 0u64;
     let mut sum = 0.0;
     let mut sum_sq = 0.0;
@@ -144,7 +139,6 @@ mod tests {
         assert_eq!(s.min, 1.0);
         assert_eq!(s.max, 4.0);
         assert!((s.std - 1.25f64.sqrt()).abs() < 1e-12);
-        assert_eq!(t.duration_s(), 4.0);
     }
 
     #[test]

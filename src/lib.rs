@@ -9,7 +9,7 @@
 //! | module | crate | status |
 //! |--------|-------|--------|
 //! | [`runtime`] | `osa-runtime` | implemented: deterministic persistent thread pool (`parallel_for` / `parallel_for_slice`), `OSA_THREADS` budget, per-lane scratch slots |
-//! | [`nn`] | `osa-nn` | implemented: tensors, Dense/Conv1d, manual backprop, Adam/RMSProp/SGD, JSON persistence, seeded PRNG; GEMMs row-sharded over the runtime pool |
+//! | [`nn`] | `osa-nn` | implemented: tensors, Dense/Conv1d, manual backprop, Adam, JSON persistence, seeded PRNG; GEMMs row-sharded over the runtime pool |
 //! | [`mdp`] | `osa-mdp` | implemented: Env/Policy/ValueFunction traits, rollouts, GAE(γ, λ), A2C trainer with synchronous parallel streams (bit-identical at any pool width) |
 //! | [`trace`] | `osa-trace` | implemented: six throughput datasets (Markov-modulated mobile-like + 4 i.i.d. samplers), deterministic splits, fault injection, JSON caching; pooled corpus generation |
 //! | [`abr`] | `osa-abr` | implemented: multi-session chunk-level streaming engine (trace-driven link, 80 ms RTT, EnvivioDash3-style video, §3.1 linear QoE), batched pool-parallel `step_all` bit-identical at any worker count, BB/Random baselines, `AbrEnv` adapter |
@@ -17,6 +17,7 @@
 //! | [`ocsvm`] | `osa-ocsvm` | implemented: Schölkopf ν-one-class SVM (RBF kernel, SMO solver, batched fused scoring), §3.1 throughput-window feature pipeline |
 //! | [`core`] | `osa-core` | implemented: `FleetEngine`, the one guarded decision path (U_S/U_π/U_V signals over a stacked 5-replica ensemble, k-window/l-consecutive monitor, Buffer-Based fallback), engine-backed evaluation and (α, l) calibration, normalized scoring |
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub use osa_abr as abr;
 pub use osa_core as core;
