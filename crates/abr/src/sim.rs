@@ -24,15 +24,16 @@
 //! # Determinism
 //!
 //! `step_chunk` is a pure `f64` function of its arguments — no RNG, no
-//! global state. [`MultiSession::step_all`] splits its sessions across
-//! the pool's lanes in one pass, and each lane steps its own sessions'
-//! [`SessionCursor`]s in place and folds the outcomes into their
-//! lifetime counters. Sessions are independent, so lane assignment
+//! global state. [`MultiSession::step_all`] splits its sessions and
+//! their rewards across the pool's lanes in one pass, and each lane runs
+//! [`Catalog::step`] on its own sessions in place — the one step, which
+//! the serving engine's lanes run too. Sessions are independent, so lane assignment
 //! cannot change any arithmetic: results are bit-identical for any
 //! worker count, which `tests/properties.rs` pins for pools of 1, 2, 4
 //! and 8.
 
 use osa_nn::tensor::Tensor;
+use osa_runtime::Rows;
 use osa_trace::link;
 use osa_trace::Trace;
 
@@ -286,19 +287,95 @@ pub(crate) fn checked_period_bytes(traces: &[Trace]) -> Vec<f64> {
         .collect()
 }
 
+/// What every session of a [`MultiSession`] streams against: the video,
+/// the config, the traces with their period capacities, and whether a
+/// finished video rolls onto the next trace.
+pub struct Catalog {
+    video: VideoModel,
+    cfg: AbrConfig,
+    traces: Vec<Trace>,
+    /// [`link::bytes_per_period`] of each trace, computed once.
+    period_bytes: Vec<f64>,
+    auto_reset: bool,
+}
+
+impl Catalog {
+    /// Download session `s`'s next chunk at `level`, fold the outcome
+    /// into its lifetime accounting and write its reward (0, with no
+    /// step, while `s` is inactive) — the one step every pass over a
+    /// [`MultiSession`] runs, whichever lane runs it. Returns true when
+    /// this chunk finished the session's video.
+    pub fn step(&self, s: &mut Session, reward: &mut f32, level: usize) -> bool {
+        if !s.active {
+            *reward = 0.0;
+            return false;
+        }
+        let t = s.trace as usize;
+        let o = s.cursor.step(
+            &self.video,
+            &self.cfg,
+            &self.traces[t],
+            self.period_bytes[t],
+            level,
+        );
+        *reward = o.reward as f32;
+        s.qoe_total += o.reward;
+        s.rebuffer_total += o.rebuffer_s;
+        s.bitrate_total_mbps += self.video.bitrate_mbps(level);
+        s.chunks_total += 1;
+        if o.finished {
+            s.sessions_completed += 1;
+            if self.auto_reset {
+                // Deterministic round-robin onto the next trace; no
+                // RNG, so worker count can't perturb anything.
+                s.trace = (s.trace + 1) % self.traces.len() as u32;
+                s.cursor.reset();
+            } else {
+                s.active = false;
+            }
+        }
+        o.finished
+    }
+
+    /// Write the observation rows of `sessions` into `out`
+    /// (`sessions.len() × OBS_DIM`, row `j` = `sessions[j]`), reusing
+    /// its capacity. Each row's bits depend only on its session.
+    pub fn fill_observations(&self, sessions: &[Session], out: &mut Tensor) {
+        out.resize_shape(sessions.len(), OBS_DIM);
+        for (off, s) in sessions.iter().enumerate() {
+            s.cursor.encode_obs(&self.video, out.row_mut(off));
+        }
+    }
+}
+
 /// One session of a [`MultiSession`]: its streaming state, the trace
 /// it streams, and its lifetime accounting (across auto-resets).
-struct Session {
+pub struct Session {
     cursor: SessionCursor,
     trace: u32,
     active: bool,
-    /// Reward of the last `step_all` (0 while inactive).
-    reward: f32,
     qoe_total: f64,
     rebuffer_total: f64,
     bitrate_total_mbps: f64,
     chunks_total: u64,
     sessions_completed: u64,
+}
+
+// Byte budget of one session record: the 96-byte cursor, the trace
+// index and active flag (8 with padding) and five lifetime counters.
+// The serving engine keeps one per viewer, so anything added here is
+// paid by every session of every fleet.
+const _: () = assert!(std::mem::size_of::<Session>() <= 144);
+
+impl Session {
+    /// False once the video finished without `auto_reset`.
+    pub fn active(&self) -> bool {
+        self.active
+    }
+
+    pub fn buffer_s(&self) -> f64 {
+        self.cursor.buffer_s()
+    }
 }
 
 /// Batch of concurrent streaming sessions, one [`SessionCursor`] each.
@@ -310,12 +387,7 @@ struct Session {
 /// sessions go inactive (reward 0, state frozen) — the evaluation
 /// configuration, one pass per trace.
 pub struct MultiSession {
-    video: VideoModel,
-    cfg: AbrConfig,
-    traces: Vec<Trace>,
-    /// [`link::bytes_per_period`] of each trace, computed once.
-    period_bytes: Vec<f64>,
-    auto_reset: bool,
+    catalog: Catalog,
     sessions: Vec<Session>,
     /// The sessions' last rewards, contiguous for [`MultiSession::rewards`].
     rewards: Vec<f32>,
@@ -340,7 +412,6 @@ impl MultiSession {
                 cursor: SessionCursor::new(),
                 trace: (i % traces.len()) as u32,
                 active: true,
-                reward: 0.0,
                 qoe_total: 0.0,
                 rebuffer_total: 0.0,
                 bitrate_total_mbps: 0.0,
@@ -349,11 +420,13 @@ impl MultiSession {
             })
             .collect();
         MultiSession {
-            video,
-            cfg,
-            traces,
-            period_bytes,
-            auto_reset,
+            catalog: Catalog {
+                video,
+                cfg,
+                traces,
+                period_bytes,
+                auto_reset,
+            },
             sessions,
             rewards: vec![0.0; n],
         }
@@ -366,6 +439,14 @@ impl MultiSession {
 
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// The shared catalog, the session records and their rewards,
+    /// borrowed apart so a caller can split the last two across lanes
+    /// (`osa_runtime::ThreadPool::parallel_for_lockstep`) and step each
+    /// lane's sessions with [`Catalog::step`].
+    pub fn parts_mut(&mut self) -> (&Catalog, &mut [Session], &mut [f32]) {
+        (&self.catalog, &mut self.sessions, &mut self.rewards)
     }
 
     /// Advance every active session by one chunk download on the current
@@ -383,48 +464,19 @@ impl MultiSession {
         pool: &osa_runtime::ThreadPool,
     ) -> &[f32] {
         assert_eq!(actions.len(), self.len(), "one action per session");
-        let MultiSession {
-            video,
-            cfg,
-            traces,
-            period_bytes,
-            auto_reset,
-            sessions,
-            rewards,
-        } = self;
-        // One pass: each lane steps its own sessions in place.
-        pool.parallel_for_slice(sessions, 1, |_, first, lane| {
-            for (s, &level) in lane.iter_mut().zip(&actions[first..]) {
-                if !s.active {
-                    s.reward = 0.0;
-                    continue;
+        let (catalog, sessions, rewards) = self.parts_mut();
+        // One pass: each lane steps its own sessions in place and writes
+        // their rewards.
+        pool.parallel_for_lockstep(
+            sessions.len(),
+            (Rows::new(sessions, 1), Rows::new(rewards, 1)),
+            |_, first, (sessions, rewards)| {
+                for ((s, r), &level) in sessions.iter_mut().zip(rewards).zip(&actions[first..]) {
+                    catalog.step(s, r, level);
                 }
-                let t = s.trace as usize;
-                let o = s
-                    .cursor
-                    .step(video, cfg, &traces[t], period_bytes[t], level);
-                s.reward = o.reward as f32;
-                s.qoe_total += o.reward;
-                s.rebuffer_total += o.rebuffer_s;
-                s.bitrate_total_mbps += video.bitrate_mbps(level);
-                s.chunks_total += 1;
-                if o.finished {
-                    s.sessions_completed += 1;
-                    if *auto_reset {
-                        // Deterministic round-robin onto the next trace;
-                        // no RNG, so worker count can't perturb anything.
-                        s.trace = (s.trace + 1) % traces.len() as u32;
-                        s.cursor.reset();
-                    } else {
-                        s.active = false;
-                    }
-                }
-            }
-        });
-        for (r, s) in rewards.iter_mut().zip(sessions.iter()) {
-            *r = s.reward;
-        }
-        rewards
+            },
+        );
+        &self.rewards
     }
 
     /// Write the `(n × OBS_DIM)` observation matrix into `out`, reusing
@@ -440,10 +492,8 @@ impl MultiSession {
     /// only on that session's state, never on the range bounds.
     pub fn fill_observations_range(&self, first: usize, count: usize, out: &mut Tensor) {
         assert!(first + count <= self.len(), "session range out of bounds");
-        out.resize_shape(count, OBS_DIM);
-        for (off, s) in self.sessions[first..first + count].iter().enumerate() {
-            s.cursor.encode_obs(&self.video, out.row_mut(off));
-        }
+        self.catalog
+            .fill_observations(&self.sessions[first..first + count], out);
     }
 
     // -- accessors -------------------------------------------------------

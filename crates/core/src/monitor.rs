@@ -10,9 +10,10 @@
 //! session (no reverse switching). That sticky behavior is the default
 //! here.
 //!
-//! The state machine exists once, in struct-of-arrays form:
-//! [`FleetMonitors`] holds one monitor per session for the fleet
-//! engine.
+//! The state machine exists once, on one session's record
+//! (`SessionMonitor`); [`FleetMonitors`] holds one record per session
+//! and the fleet's `n × k` ring buffer, and the serving engine's lanes
+//! update their own sessions' records in place.
 //!
 //! # Failing closed
 //!
@@ -45,8 +46,8 @@ use crate::serve::ServeConfig;
 /// Default window length k for the signal variance.
 pub const DEFAULT_K: usize = 5;
 
-/// Sentinel for "no decision index recorded yet" in the SoA monitor
-/// arrays (`u32` indices keep the hot arrays compact).
+/// Sentinel for "no decision index recorded yet" in a monitor record
+/// (`u32` indices keep the record compact).
 const NO_INDEX: u32 = u32::MAX;
 
 /// Hysteresis parameters for reverse switching (off by default).
@@ -72,110 +73,80 @@ impl ReverseConfig {
     }
 }
 
-/// Per-session monitor state for a whole fleet, laid out as struct of
-/// arrays: rolling variance of the last k raw values, the l-consecutive
-/// trip counter and (optionally) the reverse-switching state machine.
-/// Every session shares one (k, α, l), anchor and reverse policy.
-#[derive(Clone)]
-pub struct FleetMonitors {
-    k: usize,
-    alpha: f32,
-    l: usize,
-    /// Anchor for the variance: `None` → the window's own sample mean
-    /// (pure instability detection); `Some(μ₀)` → the calibrated
-    /// in-distribution signal level. Anchoring matters: a sustained
-    /// shift can hold the signal at a *constant* elevated value (U_π
-    /// saturates like this out of distribution), and the sample-mean
-    /// variance of a constant window is 0 — anchored at μ₀ the same
-    /// window reads `(v − μ₀)²`.
-    anchor: Option<f32>,
-    reverse: Option<ReverseConfig>,
-    /// `n × k` variance rings.
-    ring: Vec<f32>,
-    len: Vec<u32>,
-    pos: Vec<u32>,
-    consecutive: Vec<u32>,
+/// One session's monitor: the fill and phase of its k-ring (which lives
+/// in the fleet's `n × k` ring buffer), the l-counter, the
+/// reverse-switching state machine and the lifetime counters. One record
+/// per session, so a lane's session range carries its monitors with it.
+#[derive(Clone, Copy)]
+pub(crate) struct SessionMonitor {
+    len: u32,
+    pos: u32,
+    consecutive: u32,
     /// Consecutive in-threshold decisions while on the fallback.
-    quiet: Vec<u32>,
-    on_fallback: Vec<bool>,
-    locked: Vec<bool>,
-    tripped_at: Vec<u32>,
-    last_trip: Vec<u32>,
-    last_recovery: Vec<u32>,
-    switches: Vec<u32>,
-    recoveries: Vec<u32>,
-    decisions: Vec<u32>,
-    variance: Vec<f32>,
+    quiet: u32,
+    on_fallback: bool,
+    locked: bool,
+    tripped_at: u32,
+    last_trip: u32,
+    last_recovery: u32,
+    switches: u32,
+    recoveries: u32,
+    decisions: u32,
+    variance: f32,
 }
 
-impl FleetMonitors {
-    /// `n` fresh sessions under `cfg`'s (k, α, l), anchor and reverse
-    /// policy. Panics if `k == 0`, `l == 0` or `quiet_windows == 0`.
-    pub fn new(n: usize, cfg: &ServeConfig) -> FleetMonitors {
-        assert!(cfg.k >= 1, "variance window k must be >= 1");
-        assert!(cfg.l >= 1, "consecutive exceedances l must be >= 1");
-        if let Some(r) = cfg.reverse {
-            assert!(r.quiet_windows >= 1, "quiet_windows m must be >= 1");
-        }
-        FleetMonitors {
-            k: cfg.k,
-            alpha: cfg.alpha,
-            l: cfg.l,
-            anchor: cfg.anchor,
-            reverse: cfg.reverse,
-            ring: vec![0.0; n * cfg.k],
-            len: vec![0; n],
-            pos: vec![0; n],
-            consecutive: vec![0; n],
-            quiet: vec![0; n],
-            on_fallback: vec![false; n],
-            locked: vec![false; n],
-            tripped_at: vec![NO_INDEX; n],
-            last_trip: vec![NO_INDEX; n],
-            last_recovery: vec![NO_INDEX; n],
-            switches: vec![0; n],
-            recoveries: vec![0; n],
-            decisions: vec![0; n],
-            variance: vec![0.0; n],
-        }
+// Byte budget of one monitor record: eleven 4-byte fields and two flags,
+// padded to 4. Every guarded session pays it, plus 4k bytes of ring.
+const _: () = assert!(std::mem::size_of::<SessionMonitor>() <= 48);
+
+impl SessionMonitor {
+    const FRESH: SessionMonitor = SessionMonitor {
+        len: 0,
+        pos: 0,
+        consecutive: 0,
+        quiet: 0,
+        on_fallback: false,
+        locked: false,
+        tripped_at: NO_INDEX,
+        last_trip: NO_INDEX,
+        last_recovery: NO_INDEX,
+        switches: 0,
+        recoveries: 0,
+        decisions: 0,
+        variance: 0.0,
+    };
+
+    /// See [`FleetMonitors::observing`].
+    pub(crate) fn observing(&self, p: &ServeConfig) -> bool {
+        !self.on_fallback || (p.reverse.is_some() && !self.locked)
     }
 
-    /// True while session `i`'s raw value is still being consumed: not
-    /// on the fallback, or on it with a live chance of recovering. A
-    /// sticky (or locked) fallback never observes again.
-    pub fn observing(&self, i: usize) -> bool {
-        !self.on_fallback[i] || (self.reverse.is_some() && !self.locked[i])
+    pub(crate) fn tripped(&self) -> bool {
+        self.on_fallback
     }
 
-    /// Feed one raw signal value to session `i`; returns its tripped
-    /// state after this decision. Exceedances only count once the
-    /// window is full.
-    ///
-    /// Without reverse switching a tripped session ignores `raw`
-    /// entirely (the ring freezes at the trip); with it the ring keeps
-    /// rolling so the quiet streak can be measured.
-    pub fn update(&mut self, i: usize, raw: f32) -> bool {
-        let index = self.decisions[i];
-        self.decisions[i] += 1;
-        if !self.observing(i) {
+    /// [`FleetMonitors::update`] on this session's k slots of the ring.
+    pub(crate) fn update(&mut self, p: &ServeConfig, ring: &mut [f32], raw: f32) -> bool {
+        let index = self.decisions;
+        self.decisions += 1;
+        if !self.observing(p) {
             return true;
         }
-        let k = self.k;
-        let ring = &mut self.ring[i * k..(i + 1) * k];
-        let mut pos = self.pos[i] as usize;
+        let k = p.k;
+        let mut pos = self.pos as usize;
         ring[pos] = raw;
         pos = (pos + 1) % k;
-        self.pos[i] = pos as u32;
-        if (self.len[i] as usize) < k {
-            self.len[i] += 1;
+        self.pos = pos as u32;
+        if (self.len as usize) < k {
+            self.len += 1;
         }
-        if (self.len[i] as usize) < k {
-            return self.on_fallback[i];
+        if (self.len as usize) < k {
+            return self.on_fallback;
         }
         // Variance about the anchor (or the window's own sample mean),
         // summed oldest-first so the ring phase never changes the bits.
         let n = k as f32;
-        let mean = match self.anchor {
+        let mean = match p.anchor {
             Some(mu) => mu,
             None => {
                 let mut sum = 0.0f32;
@@ -191,47 +162,113 @@ impl FleetMonitors {
             var += d * d;
         }
         let var = var / n;
-        self.variance[i] = var;
+        self.variance = var;
         // Asked as "quiet?", not "loud?": a NaN variance answers false
         // either way, and must land on the exceedance side.
-        let in_threshold = var <= self.alpha;
-        if self.on_fallback[i] {
+        let in_threshold = var <= p.alpha;
+        if self.on_fallback {
             if in_threshold {
-                self.quiet[i] += 1;
-                let m = self.reverse.expect("on-fallback update implies reverse");
-                if self.quiet[i] as usize >= m.quiet_windows {
-                    self.on_fallback[i] = false;
-                    self.recoveries[i] += 1;
-                    self.last_recovery[i] = index;
-                    self.quiet[i] = 0;
-                    self.consecutive[i] = 0;
+                self.quiet += 1;
+                let m = p.reverse.expect("on-fallback update implies reverse");
+                if self.quiet as usize >= m.quiet_windows {
+                    self.on_fallback = false;
+                    self.recoveries += 1;
+                    self.last_recovery = index;
+                    self.quiet = 0;
+                    self.consecutive = 0;
                 }
             } else {
-                self.quiet[i] = 0;
+                self.quiet = 0;
             }
         } else if in_threshold {
-            self.consecutive[i] = 0;
+            self.consecutive = 0;
         } else {
-            self.consecutive[i] += 1;
-            if self.consecutive[i] as usize >= self.l {
-                self.on_fallback[i] = true;
-                self.switches[i] += 1;
-                if self.tripped_at[i] == NO_INDEX {
-                    self.tripped_at[i] = index;
+            self.consecutive += 1;
+            if self.consecutive as usize >= p.l {
+                self.on_fallback = true;
+                self.switches += 1;
+                if self.tripped_at == NO_INDEX {
+                    self.tripped_at = index;
                 }
-                self.last_trip[i] = index;
-                self.consecutive[i] = 0;
-                self.quiet[i] = 0;
-                if let Some(rev) = self.reverse {
-                    if self.last_recovery[i] != NO_INDEX
-                        && (index - self.last_recovery[i]) as usize <= rev.retrip_guard
+                self.last_trip = index;
+                self.consecutive = 0;
+                self.quiet = 0;
+                if let Some(rev) = p.reverse {
+                    if self.last_recovery != NO_INDEX
+                        && (index - self.last_recovery) as usize <= rev.retrip_guard
                     {
-                        self.locked[i] = true;
+                        self.locked = true;
                     }
                 }
             }
         }
-        self.on_fallback[i]
+        self.on_fallback
+    }
+
+    /// [`FleetMonitors::reset_session`] on this session's ring slots.
+    pub(crate) fn reset(&mut self, ring: &mut [f32]) {
+        ring.fill(0.0);
+        *self = SessionMonitor {
+            switches: self.switches,
+            recoveries: self.recoveries,
+            decisions: self.decisions,
+            ..SessionMonitor::FRESH
+        };
+    }
+}
+
+/// Per-session monitor state for a whole fleet: one `SessionMonitor`
+/// record per session and an `n × k` buffer of variance rings. Every
+/// session shares one (k, α, l), anchor and reverse policy.
+///
+/// The anchor matters: a sustained shift can hold the signal at a
+/// *constant* elevated value (U_π saturates like this out of
+/// distribution), and the sample-mean variance of a constant window is
+/// 0 — anchored at the calibrated level μ₀ the same window reads
+/// `(v − μ₀)²`.
+#[derive(Clone)]
+pub struct FleetMonitors {
+    params: ServeConfig,
+    sessions: Vec<SessionMonitor>,
+    /// `n × k` variance rings.
+    ring: Vec<f32>,
+}
+
+impl FleetMonitors {
+    /// `n` fresh sessions under `cfg`'s (k, α, l), anchor and reverse
+    /// policy. Panics if `k == 0`, `l == 0` or `quiet_windows == 0`.
+    pub fn new(n: usize, cfg: &ServeConfig) -> FleetMonitors {
+        assert!(cfg.k >= 1, "variance window k must be >= 1");
+        assert!(cfg.l >= 1, "consecutive exceedances l must be >= 1");
+        if let Some(r) = cfg.reverse {
+            assert!(r.quiet_windows >= 1, "quiet_windows m must be >= 1");
+        }
+        FleetMonitors {
+            params: cfg.clone(),
+            sessions: vec![SessionMonitor::FRESH; n],
+            ring: vec![0.0; n * cfg.k],
+        }
+    }
+
+    /// Settings, records and rings, borrowed apart for the engine's lanes.
+    pub(crate) fn parts_mut(&mut self) -> (&ServeConfig, &mut [SessionMonitor], &mut [f32]) {
+        (&self.params, &mut self.sessions, &mut self.ring)
+    }
+
+    /// True while session `i`'s raw value is still being consumed: not
+    /// on the fallback, or on it with a live chance of recovering. A
+    /// sticky (or locked) fallback never observes again.
+    pub fn observing(&self, i: usize) -> bool {
+        self.sessions[i].observing(&self.params)
+    }
+
+    /// Feed one raw signal value to session `i`; returns its tripped
+    /// state after this decision. Exceedances only count once the window
+    /// is full; a sticky fallback ignores `raw` (its ring freezes at the
+    /// trip), a reverse one keeps rolling to measure the quiet streak.
+    pub fn update(&mut self, i: usize, raw: f32) -> bool {
+        let k = self.params.k;
+        self.sessions[i].update(&self.params, &mut self.ring[i * k..(i + 1) * k], raw)
     }
 
     /// Session boundary (auto-reset rollover): forget session `i`'s
@@ -240,61 +277,59 @@ impl FleetMonitors {
     /// `MultiSession` makes between per-video state and lifetime
     /// accounting.
     pub fn reset_session(&mut self, i: usize) {
-        self.ring[i * self.k..(i + 1) * self.k].fill(0.0);
-        self.len[i] = 0;
-        self.pos[i] = 0;
-        self.consecutive[i] = 0;
-        self.quiet[i] = 0;
-        self.on_fallback[i] = false;
-        self.locked[i] = false;
-        self.tripped_at[i] = NO_INDEX;
-        self.last_trip[i] = NO_INDEX;
-        self.last_recovery[i] = NO_INDEX;
-        self.variance[i] = 0.0;
+        let k = self.params.k;
+        self.sessions[i].reset(&mut self.ring[i * k..(i + 1) * k]);
+    }
+
+    /// The raw value session `i`'s monitor last consumed (0 before its
+    /// first and after a reset).
+    pub(crate) fn last_raw(&self, i: usize) -> f32 {
+        let k = self.params.k;
+        self.ring[i * k + (self.sessions[i].pos as usize + k - 1) % k]
     }
 
     /// Session `i` currently acts through the fallback. Sticky monitors
     /// stay tripped; reverse monitors may clear this on recovery.
     pub fn tripped(&self, i: usize) -> bool {
-        self.on_fallback[i]
+        self.sessions[i].on_fallback
     }
 
     /// Re-trip lock engaged: session `i` re-tripped within the guard
     /// window of a recovery and now behaves like a sticky monitor.
     pub fn locked(&self, i: usize) -> bool {
-        self.locked[i]
+        self.sessions[i].locked
     }
 
     /// Decision index of session `i`'s first trip.
     pub fn tripped_at(&self, i: usize) -> Option<usize> {
-        index_opt(self.tripped_at[i])
+        index_opt(self.sessions[i].tripped_at)
     }
 
     /// Decision index of session `i`'s most recent trip.
     pub fn last_trip(&self, i: usize) -> Option<usize> {
-        index_opt(self.last_trip[i])
+        index_opt(self.sessions[i].last_trip)
     }
 
     /// Decision index of session `i`'s most recent recovery.
     pub fn last_recovery(&self, i: usize) -> Option<usize> {
-        index_opt(self.last_recovery[i])
+        index_opt(self.sessions[i].last_recovery)
     }
 
     /// Learned→fallback switches (at most 1 per session without
     /// reverse).
     pub fn switches(&self, i: usize) -> usize {
-        self.switches[i] as usize
+        self.sessions[i].switches as usize
     }
 
     /// Fallback→learned recoveries (always 0 without reverse).
     pub fn recoveries(&self, i: usize) -> usize {
-        self.recoveries[i] as usize
+        self.sessions[i].recoveries as usize
     }
 
     /// The smoothed value compared against α at session `i`'s last
     /// update (0 until the window fills).
     pub fn variance(&self, i: usize) -> f32 {
-        self.variance[i]
+        self.sessions[i].variance
     }
 }
 
@@ -335,13 +370,13 @@ mod tests {
         // One spike → 3 consecutive exceedances while it traverses the
         // window, then calm: the counter must reset without tripping.
         assert!(!m.update(0, 5.0));
-        assert_eq!(m.consecutive[0], 1);
+        assert_eq!(m.sessions[0].consecutive, 1);
         for _ in 0..2 {
             assert!(!m.update(0, 1.0));
         }
-        assert_eq!(m.consecutive[0], 3);
+        assert_eq!(m.sessions[0].consecutive, 3);
         assert!(!m.update(0, 1.0));
-        assert_eq!(m.consecutive[0], 0);
+        assert_eq!(m.sessions[0].consecutive, 0);
         assert!(!m.tripped(0));
         // Sustained noise keeps the variance up for l = 4 consecutive
         // decisions → trip, and stay tripped.
@@ -378,7 +413,10 @@ mod tests {
         assert!(!m.tripped(0));
         assert_eq!(m.tripped_at(0), None);
         assert_eq!(m.switches(0), 1, "lifetime switch count survives");
-        assert_eq!(m.decisions[0], 2, "lifetime decision count survives");
+        assert_eq!(
+            m.sessions[0].decisions, 2,
+            "lifetime decision count survives"
+        );
     }
 
     #[test]

@@ -3,45 +3,42 @@
 //!
 //! [`FleetEngine`] is the one implementation of the paper's switching
 //! rule: it serves fleets, and [`crate::eval`] runs it one session per
-//! trace for calibration and the figures. It holds the whole fleet —
-//! the `osa_abr::MultiSession` simulator (one session record each) for
-//! the streaming state, the struct-of-arrays [`FleetMonitors`] for the
-//! per-session safety state (k-window variance rings, l-counters, and
-//! the switch/recovery state machines), and per-session
-//! [`FeatureWindow`]s when the fleet is guarded by U_S.
+//! trace for calibration and the figures. Its per-session state is a set
+//! of records that split at the same session boundaries: the
+//! `osa_abr::MultiSession` simulator (a session record and a reward
+//! each), the [`FleetMonitors`] (a monitor record and k ring slots each)
+//! and, only under U_S, a [`FeatureWindow`] each.
 //!
 //! # One decision round
 //!
-//! 1. **Parallel compute** — sessions are split across the current
-//!    `osa-runtime` pool's lanes ([`ThreadPool::parallel_for_slice`]),
-//!    and each lane walks its contiguous session range in shard-sized
-//!    batches: one observation fill, one stacked actor forward for the
-//!    whole shard (`(replicas · shard) × dim` — *session-major*, every
-//!    replica of every session in a single grouped GEMM per layer), a
-//!    per-session softmax/mean/argmax for the learned action, and the
-//!    guarding signal's raw value (KL sums over the same softmaxes for
-//!    U_π, a batched critic forward for U_V, a feature-window score for
-//!    U_S). Lanes write only their own slice
-//!    of `SessionSlot`s and their own [`LaneSlots`] scratch.
-//! 2. **Serial apply** — in session order: fold each raw value into the
-//!    session's monitor and pick the learned or fallback action.
-//! 3. **Simulator step** — `step_all` advances every session one chunk
-//!    in one pass, each lane stepping its own sessions in place.
-//! 4. **Serial rollover** — with `auto_reset`, in session order: a
-//!    session whose video just finished has rolled onto its next trace,
-//!    so its monitor and its signal state (the U_S feature window) are
-//!    reset, like a new viewer arriving.
+//! A round is one pool dispatch ([`ThreadPool::parallel_for_lockstep`]):
+//! each lane takes a contiguous session range of every per-session
+//! buffer and walks it in shard-sized batches. Per shard, while its
+//! state is in cache, the lane **decides** (one observation fill, one
+//! stacked actor forward for the whole shard — `(replicas · shard) ×
+//! dim`, every replica of every session in a single grouped GEMM per
+//! layer — a per-session softmax/mean/argmax for the learned action, and
+//! the signal's raw value: KL sums over the same softmaxes for U_π, a
+//! batched critic forward for U_V, a batched feature-window score for
+//! U_S), **applies** each raw value to the session's monitor and picks
+//! the learned or Buffer-Based action, **steps** the session with the
+//! simulator's one step (`osa_abr::sim::Catalog::step`), and, with
+//! `auto_reset`, **rolls over** a session whose video just finished by
+//! resetting its monitor and signal state, like a new viewer arriving.
+//! Outside the lanes only bookkeeping is left: the round counter and a
+//! flag set by any lane that still holds an active session.
 //!
 //! # Determinism
 //!
-//! Worker count changes *which lane* computes a session and how big the
-//! GEMM batches are — never the bits: `osa_nn::stacked` guarantees row
-//! arithmetic independent of batch size and run split, every
-//! per-session reduction here runs in a fixed order, monitor state
-//! changes only in the serial phase in session order, and the simulator
-//! steps each session independently of the lane that owns it. Telemetry and
-//! per-session switch/recovery indices are bit-identical at any
-//! `OSA_THREADS`, pinned by `tests/serve_determinism.rs`.
+//! Worker count changes *which lane* serves a session and how big the
+//! GEMM batches are — never the bits. A round reads and writes session
+//! `i`'s records only: its observation row (whose arithmetic
+//! `osa_nn::stacked` makes independent of batch size and run split), its
+//! raw value and learned action (per-session reductions in a fixed
+//! order), its monitor, its simulator state and its signal state. So
+//! each session's state after a round is a pure function of its state
+//! before, whichever lane and shard it landed in; `tests/round_bits.rs`
+//! and `tests/serve_determinism.rs` pin this at several pool widths.
 //!
 //! # Reverse switching
 //!
@@ -51,10 +48,11 @@
 //! consecutive in-threshold variances, with a re-trip lock against
 //! oscillation. Off by default — the paper's sticky behavior.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use osa_abr::policy::BufferBased;
-use osa_abr::sim::{AbrConfig, MultiSession};
+use osa_abr::sim::{AbrConfig, Catalog, MultiSession, Session};
 use osa_abr::video::VideoModel;
 use osa_abr::{HISTORY_LEN, NUM_BITRATES, OBS_DIM};
 use osa_nn::stacked::StackedNet;
@@ -63,12 +61,12 @@ use osa_nn::workspace::Workspace;
 use osa_ocsvm::detector::NoveltyDetector;
 use osa_ocsvm::features::{FeatureWindow, FEATURE_DIM};
 use osa_ocsvm::OcSvm;
-use osa_runtime::{LaneSlots, ThreadPool};
+use osa_runtime::{LaneSlots, Rows, ThreadPool};
 use osa_trace::Trace;
 
 use crate::ensemble::{policy_spread, replica_mean, value_spread, PensieveEnsemble};
 pub use crate::monitor::FleetMonitors;
-use crate::monitor::ReverseConfig;
+use crate::monitor::{ReverseConfig, SessionMonitor};
 use crate::{DEFAULT_K, DEFAULT_L};
 
 /// Which uncertainty signal guards the fleet.
@@ -128,36 +126,21 @@ impl Default for ServeConfig {
     }
 }
 
-/// Per-session outputs of the parallel phase, plus the U_S feature
-/// window (per-session signal state must live in the sharded slice so
-/// lanes can mutate it without aliasing).
-struct SessionSlot {
-    /// Raw signal value of this round; held while the monitor is not
-    /// observing (a sticky fallback), and for U_S through warm-up.
-    raw: f32,
-    /// Learned (ensemble-mean argmax) action of this round.
-    learned: u8,
-    fw: FeatureWindow,
-}
+// Byte budget of a non-U_S session's engine state (196 B plus its 4k
+// ring bytes): simulator record, reward, monitor record. Raw values and
+// learned actions live in lane scratch; the 112-byte U_S window only
+// in U_S fleets.
+const _: () = assert!(size_of::<Session>() + size_of::<f32>() + size_of::<SessionMonitor>() <= 196);
 
-impl SessionSlot {
-    fn new() -> SessionSlot {
-        SessionSlot {
-            raw: 0.0,
-            learned: 0,
-            fw: FeatureWindow::new(),
-        }
-    }
-
-    fn reset_signal(&mut self) {
-        self.raw = 0.0;
-        self.fw.reset();
-    }
-}
-
-/// Per-lane scratch: workspace + forward tensors sized for one shard.
+/// Per-lane scratch: workspace + forward tensors sized for one shard,
+/// and the shard's raw signal values and learned actions.
 struct LaneScratch {
     ws: Workspace,
+    /// Raw signal value of each session of the shard (0 where none was
+    /// scored: the unguarded fleet, and U_S until a window is warm).
+    raw: Vec<f32>,
+    /// Learned (ensemble-mean argmax) action of each session.
+    learned: Vec<u8>,
     x: Tensor,
     logits: Tensor,
     values: Tensor,
@@ -172,12 +155,17 @@ struct LaneScratch {
     feats: Tensor,
     us_idx: Vec<usize>,
     us_scores: Vec<f32>,
+    /// The scorer's staging arena is per thread; set once this lane has
+    /// warmed it (see `decide_shard`).
+    us_warm: bool,
 }
 
 impl LaneScratch {
     fn new(replicas: usize, shard: usize) -> LaneScratch {
         LaneScratch {
             ws: Workspace::new(),
+            raw: Vec::with_capacity(shard),
+            learned: Vec::with_capacity(shard),
             x: Tensor::zeros(shard, OBS_DIM),
             logits: Tensor::zeros(0, 0),
             values: Tensor::zeros(0, 0),
@@ -188,12 +176,13 @@ impl LaneScratch {
             feats: Tensor::zeros(shard, FEATURE_DIM),
             us_idx: Vec::with_capacity(shard),
             us_scores: Vec::with_capacity(shard),
+            us_warm: false,
         }
     }
 }
 
 /// Aggregate fleet telemetry — a pure, deterministic function of the
-/// serial per-session state (bit-identical at any worker count).
+/// per-session state (bit-identical at any worker count).
 #[derive(Clone, Debug)]
 pub struct FleetTelemetry {
     pub sessions: usize,
@@ -236,13 +225,13 @@ pub struct FleetEngine {
     keep: usize,
     signal: FleetSignal,
     monitors: FleetMonitors,
-    slots: Vec<SessionSlot>,
-    actions: Vec<usize>,
+    /// U_S feature windows, one per session; empty under every other
+    /// signal.
+    windows: Vec<FeatureWindow>,
     lanes: Option<LaneSlots<LaneScratch>>,
     bb: BufferBased,
     shard: usize,
     auto_reset: bool,
-    completed_seen: Vec<u64>,
     rounds: u64,
 }
 
@@ -280,6 +269,10 @@ impl FleetEngine {
         let keep = ens.keep();
         let (actor, critic) = ens.shared_nets();
         let sim = MultiSession::new(video, cfg, traces, n, serve.auto_reset);
+        let windows = match signal {
+            FleetSignal::Novelty(_) => vec![FeatureWindow::new(); n],
+            _ => Vec::new(),
+        };
         FleetEngine {
             sim,
             actor,
@@ -288,13 +281,11 @@ impl FleetEngine {
             keep,
             signal,
             monitors: FleetMonitors::new(n, serve),
-            slots: (0..n).map(|_| SessionSlot::new()).collect(),
-            actions: vec![0; n],
+            windows,
             lanes: None,
             bb: BufferBased::default(),
             shard: serve.shard.max(1),
             auto_reset: serve.auto_reset,
-            completed_seen: vec![0; n],
             rounds: 0,
         }
     }
@@ -318,9 +309,10 @@ impl FleetEngine {
     /// The raw signal value session `i`'s monitor last consumed: this
     /// round's while it observes, frozen while a sticky fallback does
     /// not (0 before the first round, and for U_S until its feature
-    /// window is warm).
-    pub(crate) fn raw(&self, i: usize) -> f32 {
-        self.slots[i].raw
+    /// window is warm, and after a rollover). Meaningful for a session
+    /// that was active in the last round.
+    pub fn raw(&self, i: usize) -> f32 {
+        self.monitors.last_raw(i)
     }
 
     /// One decision round for the whole fleet on the current
@@ -343,87 +335,76 @@ impl FleetEngine {
             self.lanes = Some(LaneSlots::new(lanes, |_| LaneScratch::new(replicas, shard)));
         }
 
-        // Phase 1 — parallel: each lane decides its contiguous session
-        // range in shard-sized batches, writing only its own slots.
-        {
-            let FleetEngine {
-                sim,
-                actor,
-                critic,
-                replicas,
-                keep,
-                signal,
-                monitors,
-                slots,
-                lanes,
-                shard,
-                ..
-            } = self;
-            let lanes = lanes.as_ref().expect("lane scratch built above");
-            let (replicas, keep, shard) = (*replicas, *keep, *shard);
-            let sim = &*sim;
-            let monitors = &*monitors;
-            pool.parallel_for_slice(slots, 1, |lane, first, chunk| {
+        let FleetEngine {
+            sim,
+            actor,
+            critic,
+            replicas,
+            keep,
+            signal,
+            monitors,
+            windows,
+            lanes,
+            bb,
+            shard,
+            auto_reset,
+            rounds,
+        } = self;
+        let lanes = lanes.as_ref().expect("lane scratch built above");
+        let shard = *shard;
+        let (catalog, sessions, rewards) = sim.parts_mut();
+        let (params, states, ring) = monitors.parts_mut();
+        let ctx = LaneCtx {
+            catalog,
+            params,
+            actor,
+            critic,
+            signal,
+            bb,
+            replicas: *replicas,
+            keep: *keep,
+            auto_reset: *auto_reset,
+        };
+        let (n, k, w) = (sessions.len(), params.k, usize::from(!windows.is_empty()));
+        let parts = (
+            Rows::new(sessions, 1),
+            Rows::new(rewards, 1),
+            Rows::new(states, 1),
+            Rows::new(ring, k),
+            Rows::new(windows, w),
+        );
+        // Set by every lane that still holds an active session.
+        let live = AtomicBool::new(false);
+        pool.parallel_for_lockstep(
+            n,
+            parts,
+            |lane, _, (sessions, rewards, states, ring, windows)| {
                 let mut guard = lanes.borrow(lane);
                 let scratch = &mut *guard;
+                let mut lane_live = false;
                 let mut off = 0;
-                while off < chunk.len() {
-                    let b = (chunk.len() - off).min(shard);
-                    decide_shard(
-                        sim,
-                        monitors,
-                        actor,
-                        critic,
-                        signal,
-                        replicas,
-                        keep,
-                        first + off,
-                        &mut chunk[off..off + b],
+                while off < sessions.len() {
+                    let b = (sessions.len() - off).min(shard);
+                    let (s, e) = (off, off + b);
+                    lane_live |= ctx.serve_shard(
+                        Shard {
+                            sessions: &mut sessions[s..e],
+                            rewards: &mut rewards[s..e],
+                            monitors: &mut states[s..e],
+                            ring: &mut ring[s * k..e * k],
+                            windows: &mut windows[s * w..e * w],
+                        },
                         scratch,
                     );
-                    off += b;
+                    off = e;
                 }
-            });
-        }
-
-        // Phase 2 — serial, in session order: monitors, action pick,
-        // simulator step.
-        let n = self.len();
-        for i in 0..n {
-            if !self.sim.active(i) {
-                self.actions[i] = 0;
-                continue;
-            }
-            if self.monitors.observing(i) {
-                self.monitors.update(i, self.slots[i].raw);
-            }
-            self.actions[i] = if self.monitors.tripped(i) {
-                // Buffer-Based reads the buffer level the way the
-                // observation row encodes it: buffer/10 stored as f32,
-                // read back ×10 in f64.
-                let buf_obs = (self.sim.buffer_s(i) / 10.0) as f32;
-                self.bb.level_for_buffer(buf_obs as f64 * 10.0)
-            } else {
-                self.slots[i].learned as usize
-            };
-        }
-        self.sim.step_all_with_pool(&self.actions, pool);
-        self.rounds += 1;
-
-        if self.auto_reset {
-            // A finished video is a session boundary: the slot rolls
-            // onto its next trace with fresh safety state, like a new
-            // viewer arriving.
-            for i in 0..n {
-                let c = self.sim.sessions_completed(i);
-                if c != self.completed_seen[i] {
-                    self.completed_seen[i] = c;
-                    self.monitors.reset_session(i);
-                    self.slots[i].reset_signal();
+                if lane_live {
+                    live.store(true, Ordering::Relaxed);
                 }
-            }
-        }
-        !self.sim.all_done()
+            },
+        );
+        *rounds += 1;
+        live.into_inner()
     }
 
     /// Run up to `max_rounds` rounds (stops early once all sessions
@@ -518,99 +499,174 @@ impl FleetEngine {
     }
 }
 
-/// Decide one shard: batched stacked forwards plus per-session signal
-/// scalars, writing into `slots` (sessions `first .. first +
-/// slots.len()`). Pure with respect to everything but `slots` and
-/// `scratch` — the parallel-phase contract.
-#[allow(clippy::too_many_arguments)] // the destructured engine, flattened on purpose
-fn decide_shard(
-    sim: &MultiSession,
-    monitors: &FleetMonitors,
-    actor: &StackedNet,
-    critic: &StackedNet,
-    signal: &FleetSignal,
+/// What every lane of a round shares: the simulator's catalog, the
+/// monitors' settings, the nets and the signal.
+struct LaneCtx<'a> {
+    catalog: &'a Catalog,
+    params: &'a ServeConfig,
+    actor: &'a StackedNet,
+    critic: &'a StackedNet,
+    signal: &'a FleetSignal,
+    bb: &'a BufferBased,
     replicas: usize,
     keep: usize,
-    first: usize,
-    slots: &mut [SessionSlot],
-    scratch: &mut LaneScratch,
-) {
-    let b = slots.len();
-    sim.fill_observations_range(first, b, &mut scratch.x);
+    auto_reset: bool,
+}
 
-    // Learned action: one grouped actor GEMM per layer for the whole
-    // shard, rows replica-major (`row = r·b + s`), then the softmax →
-    // mean-over-replicas → argmax reductions `PensieveEnsemble::act`
-    // runs at b = 1. U_π reads the same softmaxes and mean. A session
-    // whose monitor is not observing keeps its last raw value.
-    actor.forward_into(&scratch.x, &mut scratch.ws, &mut scratch.logits);
-    scratch.probs.resize_shape(replicas * b, NUM_BITRATES);
-    for row in 0..replicas * b {
-        softmax_row(scratch.logits.row(row), scratch.probs.row_mut(row));
-    }
-    let u_pi = matches!(signal, FleetSignal::PolicyDisagreement);
-    for (s_i, slot) in slots.iter_mut().enumerate() {
-        replica_mean(&scratch.probs, replicas, b, s_i, &mut scratch.mean);
-        slot.learned = argmax(&scratch.mean) as u8;
-        if u_pi && monitors.observing(first + s_i) {
-            slot.raw = policy_spread(
-                &scratch.probs,
-                &scratch.mean,
-                replicas,
-                b,
-                s_i,
-                keep,
-                &mut scratch.devs,
-            );
-        }
-    }
+/// One shard's cut of every per-session buffer.
+struct Shard<'a> {
+    sessions: &'a mut [Session],
+    rewards: &'a mut [f32],
+    monitors: &'a mut [SessionMonitor],
+    /// `len × k` ring slots.
+    ring: &'a mut [f32],
+    /// One window per session under U_S, none otherwise.
+    windows: &'a mut [FeatureWindow],
+}
 
-    // Raw signal values of the other signals.
-    match signal {
-        FleetSignal::Null => {
-            for slot in slots.iter_mut() {
-                slot.raw = 0.0;
-            }
-        }
-        FleetSignal::PolicyDisagreement => {}
-        FleetSignal::ValueDisagreement => {
-            critic.forward_into(&scratch.x, &mut scratch.ws, &mut scratch.values);
-            for (s_i, slot) in slots.iter_mut().enumerate() {
-                if monitors.observing(first + s_i) {
-                    slot.raw =
-                        value_spread(&scratch.values, replicas, b, s_i, keep, &mut scratch.devs);
+impl LaneCtx<'_> {
+    /// Serve one shard a whole round: decide, apply, step and roll over
+    /// each of its sessions. Touches nothing outside the shard's own
+    /// records and `scratch`. Returns true if a session is still active.
+    fn serve_shard(&self, mut sh: Shard<'_>, scratch: &mut LaneScratch) -> bool {
+        self.decide(&mut sh, scratch);
+        let k = self.params.k;
+        let mut live = false;
+        for (s_i, (s, m)) in sh
+            .sessions
+            .iter_mut()
+            .zip(sh.monitors.iter_mut())
+            .enumerate()
+        {
+            let ring = &mut sh.ring[s_i * k..(s_i + 1) * k];
+            let level = if !s.active() {
+                0
+            } else {
+                if m.observing(self.params) {
+                    m.update(self.params, ring, scratch.raw[s_i]);
+                }
+                if m.tripped() {
+                    // Buffer-Based reads the buffer level the way the
+                    // observation row encodes it: buffer/10 stored as
+                    // f32, read back ×10 in f64.
+                    let buf_obs = (s.buffer_s() / 10.0) as f32;
+                    self.bb.level_for_buffer(buf_obs as f64 * 10.0)
+                } else {
+                    scratch.learned[s_i] as usize
+                }
+            };
+            if self.catalog.step(s, &mut sh.rewards[s_i], level) && self.auto_reset {
+                // A finished video is a session boundary: the session
+                // rolls onto its next trace with fresh safety state.
+                m.reset(ring);
+                if let Some(fw) = sh.windows.get_mut(s_i) {
+                    fw.reset();
                 }
             }
+            live |= s.active();
         }
-        FleetSignal::Novelty(svm) => {
-            // Gather the shard's ready feature windows, score them in
-            // ONE batched call, then scatter the scores back.
-            // Bit-identical to per-session scoring — the batched engine
-            // is the canonical path at every batch size — and still
-            // sharded: the staging tensors live in this lane's scratch.
-            scratch.feats.reset_rows(FEATURE_DIM);
-            scratch.us_idx.clear();
-            for (s_i, slot) in slots.iter_mut().enumerate() {
-                let i = first + s_i;
-                // A sticky (or locked) fallback stops observing — its
-                // feature window freezes with the monitor's ring.
-                if !monitors.observing(i) {
-                    continue;
+        live
+    }
+
+    /// Decide one shard: batched stacked forwards, then each session's
+    /// learned action and raw signal value into `scratch`. Under U_S it
+    /// also pushes each observing session's newest throughput into its
+    /// feature window.
+    fn decide(&self, sh: &mut Shard<'_>, scratch: &mut LaneScratch) {
+        let (replicas, keep, params) = (self.replicas, self.keep, self.params);
+        let b = sh.sessions.len();
+        self.catalog.fill_observations(sh.sessions, &mut scratch.x);
+        scratch.raw.clear();
+        scratch.raw.resize(b, 0.0);
+        scratch.learned.clear();
+
+        // Learned action: one grouped actor GEMM per layer for the whole
+        // shard, rows replica-major (`row = r·b + s`), then the softmax →
+        // mean-over-replicas → argmax reductions `PensieveEnsemble::act`
+        // runs at b = 1. U_π reads the same softmaxes and mean. A session
+        // whose monitor is not observing gets no raw value.
+        self.actor
+            .forward_into(&scratch.x, &mut scratch.ws, &mut scratch.logits);
+        scratch.probs.resize_shape(replicas * b, NUM_BITRATES);
+        for row in 0..replicas * b {
+            softmax_row(scratch.logits.row(row), scratch.probs.row_mut(row));
+        }
+        let u_pi = matches!(self.signal, FleetSignal::PolicyDisagreement);
+        for (s_i, m) in sh.monitors.iter().enumerate() {
+            replica_mean(&scratch.probs, replicas, b, s_i, &mut scratch.mean);
+            scratch.learned.push(argmax(&scratch.mean) as u8);
+            if u_pi && m.observing(params) {
+                scratch.raw[s_i] = policy_spread(
+                    &scratch.probs,
+                    &scratch.mean,
+                    replicas,
+                    b,
+                    s_i,
+                    keep,
+                    &mut scratch.devs,
+                );
+            }
+        }
+
+        // Raw signal values of the other signals.
+        match self.signal {
+            FleetSignal::Null | FleetSignal::PolicyDisagreement => {}
+            FleetSignal::ValueDisagreement => {
+                self.critic
+                    .forward_into(&scratch.x, &mut scratch.ws, &mut scratch.values);
+                for (s_i, m) in sh.monitors.iter().enumerate() {
+                    if m.observing(params) {
+                        scratch.raw[s_i] = value_spread(
+                            &scratch.values,
+                            replicas,
+                            b,
+                            s_i,
+                            keep,
+                            &mut scratch.devs,
+                        );
+                    }
                 }
-                let tput = scratch.x.get(s_i, HISTORY_LEN - 1) * 10.0;
-                slot.fw.push(tput);
-                if slot.fw.ready() {
-                    slot.fw.write(&mut scratch.feat);
+            }
+            FleetSignal::Novelty(svm) => {
+                if !scratch.us_warm {
+                    // Score one dummy row in the round that builds this
+                    // lane, on the lane's own thread, so the scorer's
+                    // per-thread arena never allocates in a later round.
+                    scratch.feats.reset_rows(FEATURE_DIM);
                     scratch.feats.push_row(&scratch.feat);
-                    scratch.us_idx.push(s_i);
+                    scratch.us_scores.clear();
+                    scratch.us_scores.push(0.0);
+                    svm.score_batch_into(&scratch.feats, &mut scratch.us_scores);
+                    scratch.us_warm = true;
                 }
-            }
-            if !scratch.us_idx.is_empty() {
-                scratch.us_scores.clear();
-                scratch.us_scores.resize(scratch.us_idx.len(), 0.0);
-                svm.score_batch_into(&scratch.feats, &mut scratch.us_scores);
-                for (&s_i, &score) in scratch.us_idx.iter().zip(&scratch.us_scores) {
-                    slots[s_i].raw = score;
+                // Gather the shard's ready feature windows, score them in
+                // ONE batched call, then scatter the scores back.
+                // Bit-identical to per-session scoring — the batched
+                // engine is the canonical path at every batch size — and
+                // still sharded: the staging tensors live in this lane's
+                // scratch.
+                scratch.feats.reset_rows(FEATURE_DIM);
+                scratch.us_idx.clear();
+                for (s_i, (m, fw)) in sh.monitors.iter().zip(sh.windows.iter_mut()).enumerate() {
+                    // A sticky (or locked) fallback stops observing — its
+                    // feature window freezes with the monitor's ring.
+                    if !m.observing(params) {
+                        continue;
+                    }
+                    fw.push(scratch.x.get(s_i, HISTORY_LEN - 1) * 10.0);
+                    if fw.ready() {
+                        fw.write(&mut scratch.feat);
+                        scratch.feats.push_row(&scratch.feat);
+                        scratch.us_idx.push(s_i);
+                    }
+                }
+                if !scratch.us_idx.is_empty() {
+                    scratch.us_scores.clear();
+                    scratch.us_scores.resize(scratch.us_idx.len(), 0.0);
+                    svm.score_batch_into(&scratch.feats, &mut scratch.us_scores);
+                    for (&s_i, &score) in scratch.us_idx.iter().zip(&scratch.us_scores) {
+                        scratch.raw[s_i] = score;
+                    }
                 }
             }
         }

@@ -41,8 +41,8 @@
 //! `unsafe` in this workspace is confined to this crate and to the
 //! counting allocator in `osa-bench`: the two lifetime erasures below
 //! (the task pointer handed to workers, and the disjoint sub-slice split
-//! in [`ThreadPool::parallel_for_slice`]) are documented at the site and
-//! wrapped in APIs that safe code cannot misuse.
+//! of [`ThreadPool::parallel_for_lockstep`]) are documented at the site
+//! and wrapped in APIs that safe code cannot misuse.
 #![warn(unreachable_pub)]
 
 use std::cell::Cell;
@@ -51,7 +51,9 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Condvar, Mutex, MutexGuard, OnceLock};
 use std::thread::JoinHandle;
 
+mod lockstep;
 mod slots;
+pub use lockstep::{Lockstep, Rows};
 pub use slots::LaneSlots;
 
 /// Upper bound on pool size: protects against a typo in `OSA_THREADS`
@@ -218,33 +220,35 @@ impl ThreadPool {
             "parallel_for_slice: len {} not a multiple of stride {stride}",
             data.len()
         );
-        let groups = data.len() / stride;
-        // Raw base pointer so the Sync closure can manufacture disjoint
-        // sub-slices; the wrapper restores Send/Sync judgements that raw
-        // pointers drop.
-        struct Base<T>(*mut T);
-        unsafe impl<T: Send> Sync for Base<T> {}
-        impl<T> Base<T> {
-            // Method (not field) access, so the 2021-edition closure
-            // captures the Sync wrapper rather than the raw pointer.
-            fn ptr(&self) -> *mut T {
-                self.0
-            }
-        }
-        let base = Base(data.as_mut_ptr());
-        self.parallel_for(groups, |lane, range| {
-            // SAFETY: `parallel_for` hands each lane a disjoint group
-            // range, so `[start, start + len)` never overlaps between
-            // lanes and stays within `data` (range.end <= groups). The
-            // borrow of `data` outlives the dispatch because
-            // `parallel_for` blocks until every lane is done.
-            let chunk = unsafe {
-                std::slice::from_raw_parts_mut(
-                    base.ptr().add(range.start * stride),
-                    range.len() * stride,
-                )
-            };
-            f(lane, range.start, chunk);
+        self.parallel_for_lockstep(data.len() / stride, Rows::new(data, stride), f);
+    }
+
+    /// Split every slice of `parts` at the same item boundaries — the
+    /// [`parallel_for`](Self::parallel_for) partition of `0..items` —
+    /// and hand each lane its cut as `f(lane, first_item, part)`. A lane
+    /// that walks a range of sessions gets each of their per-session
+    /// buffers in one dispatch.
+    ///
+    /// # Panics
+    /// If a slice of `parts` does not hold exactly `items` items.
+    pub fn parallel_for_lockstep<P: Lockstep>(
+        &self,
+        items: usize,
+        parts: P,
+        f: impl Fn(usize, usize, P::Part) + Sync,
+    ) {
+        assert!(
+            parts.fits(items),
+            "parallel_for_lockstep: a part does not hold {items} items"
+        );
+        let raw = parts.into_raw();
+        self.parallel_for(items, |lane, range| {
+            // SAFETY: `parallel_for` hands each lane a disjoint range
+            // within `0..items`, every slice holds `items` items (checked
+            // above), and the borrow behind `raw` outlives the dispatch
+            // because `parallel_for` blocks until every lane is done.
+            let part = unsafe { P::part(raw, range.clone()) };
+            f(lane, range.start, part);
         });
     }
 
@@ -459,6 +463,40 @@ mod tests {
             });
             assert!(data.iter().enumerate().all(|(i, &v)| v as usize == i));
         }
+    }
+
+    #[test]
+    fn parallel_for_lockstep_cuts_every_part_at_the_same_items() {
+        for workers in [1, 2, 3, 5] {
+            let pool = ThreadPool::new(workers);
+            let (mut ids, mut rows, mut none) =
+                (vec![0usize; 11], vec![0usize; 33], Vec::<u8>::new());
+            let parts = (
+                Rows::new(&mut ids, 1),
+                Rows::new(&mut rows, 3),
+                Rows::new(&mut none, 0),
+            );
+            pool.parallel_for_lockstep(11, parts, |_, first, (ids, rows, none)| {
+                assert_eq!((rows.len(), none.len()), (3 * ids.len(), 0));
+                for (j, id) in ids.iter_mut().enumerate() {
+                    *id = first + j;
+                    rows[3 * j..3 * j + 3].fill(first + j);
+                }
+            });
+            assert!(ids.iter().enumerate().all(|(i, &v)| v == i));
+            assert!(rows.iter().enumerate().all(|(e, &v)| v == e / 3));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "does not hold 4 items")]
+    fn parallel_for_lockstep_rejects_a_short_part() {
+        let (mut a, mut b) = (vec![0u8; 4], vec![0u8; 7]);
+        ThreadPool::new(2).parallel_for_lockstep(
+            4,
+            (Rows::new(&mut a, 1), Rows::new(&mut b, 2)),
+            |_, _, _| {},
+        );
     }
 
     #[test]
